@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .util import DomainError, golden_section
 
 _ALPHA_TOL = 1e-10
+_ALPHA_STEP = 1e-13
+_MAX_PASSES = 100
 
 
 class DegeneratePairError(DomainError):
@@ -57,14 +58,51 @@ def _validate_pair(p1, p2):
     return a, b
 
 
+def _tilted_moments(l1, d, alpha):
+    """(f, w, f', f'') at alpha: f = log sum exp(l1 + alpha d), w the
+    tilted weights, and f', f'' the mean and variance of d under w."""
+    x = l1 + alpha * d
+    top = x.max()
+    w = np.exp(x - top)
+    total = w.sum()
+    w /= total
+    mean = float(w @ d)
+    return top + math.log(total), w, mean, float(w @ (d - mean) ** 2)
+
+
+def _minimum(l1, d):
+    """(alpha, f, w) at the minimum of f over [0, 1]: on a boundary when
+    f'(0) >= 0 or f'(1) <= 0, otherwise at the root of f'."""
+    f_lo, w_lo, slope_lo, _ = _tilted_moments(l1, d, 0.0)
+    if slope_lo >= 0.0:
+        return 0.0, f_lo, w_lo
+    f_hi, w_hi, slope_hi, _ = _tilted_moments(l1, d, 1.0)
+    if slope_hi <= 0.0:
+        return 1.0, f_hi, w_hi
+    lo, hi = 0.0, 1.0
+    alpha = slope_lo / (slope_lo - slope_hi)  # secant root of f'
+    for _ in range(_MAX_PASSES):
+        log_min, tilted, slope, curvature = _tilted_moments(l1, d, alpha)
+        point = alpha, log_min, tilted
+        lo, hi = (lo, alpha) if slope > 0.0 else (alpha, hi)
+        step = -slope / curvature if curvature > 0.0 else math.nan
+        if not (abs(step) <= _ALPHA_STEP or lo < alpha + step < hi):
+            step = 0.5 * (lo + hi) - alpha
+        if abs(step) <= _ALPHA_STEP:
+            break
+        alpha += step
+    return point
+
+
 def chernoff_information(p1, p2):
     """Chernoff information of two distributions on a common outcome set.
 
-    Minimizes sum(p1^(1-a) p2^a) over a in [0, 1] by golden section to
-    absolute tolerance 1e-10 in a (the objective is log-convex, so a
-    bracketing minimizer is exact up to tolerance). Identical inputs
-    report alpha_star = 0.5 by convention; disjoint supports yield the
-    infinite sentinel.
+    Minimizes the convex f(a) = log sum(p1^(1-a) p2^a) over a in [0, 1]
+    by Newton steps on f' (the tilted mean of the log-likelihood ratio,
+    whose variance is f''; Cover & Thomas, section 11.9), kept inside a
+    bracket on the sign of f' by bisection, to a step of 1e-13. Identical
+    inputs report alpha_star = 0.5 by convention; disjoint supports yield
+    the infinite sentinel.
     """
     a, b = _validate_pair(p1, p2)
     if np.allclose(a, b, rtol=0.0, atol=1e-15):
@@ -73,18 +111,11 @@ def chernoff_information(p1, p2):
     if not np.any(mask):
         return ChernoffResult(math.inf, 0.5, 0.0, infinite=True)
     l1 = np.log(a[mask])
-    l2 = np.log(b[mask])
-
-    def objective(alpha):
-        return logsumexp((1.0 - alpha) * l1 + alpha * l2)
-
-    alpha_star, log_min = golden_section(objective, 0.0, 1.0, tol=_ALPHA_TOL)
+    d = np.log(b[mask]) - l1
+    alpha, log_min, tilted = _minimum(l1, d)
     info = max(0.0, -log_min)
-    tilted = np.exp((1.0 - alpha_star) * l1 + alpha_star * l2 - log_min)
-    tilted /= tilted.sum()
-    ratio = l1 - l2
-    sigma = math.sqrt(float(np.dot(tilted, ratio**2)))
-    return ChernoffResult(info, alpha_star, sigma)
+    sigma = math.sqrt(float(tilted @ d**2))
+    return ChernoffResult(info, alpha, sigma)
 
 
 def chernoff_coherent_closed_form(energy, re_v1, re_v2):

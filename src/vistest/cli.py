@@ -194,7 +194,8 @@ def cmd_fingerprint(args):
               "coherent_energy": args.coherent_energy}
     delta = fingerprint.delta_from_visibilities(args.v1, args.v2)
     rate = fingerprint.modified_rate_appended(delta)
-    cross = fingerprint.crossover(args.v1, args.v2, args.eps, args.truncation)
+    plan = fingerprint._phaseless_plan(args.v1, args.v2, args.eps, args.truncation)
+    cross = fingerprint._crossover(*plan, args.eps)
     summary = {"delta_min": delta,
                "rate_modified": rate,
                "rate_gv": fingerprint.gv_rate(delta),
@@ -206,8 +207,8 @@ def cmd_fingerprint(args):
         _emit(_json_summary("fingerprint", config, summary), args.out)
         return
     n_values = np.geomspace(1e2, 1e12, 101)
-    curves = fingerprint.revealed_curves(n_values, args.v1, args.v2, args.eps,
-                                         args.coherent_energy, args.truncation)
+    curves = fingerprint._revealed_curves(n_values, *plan, args.v1, args.v2, args.eps,
+                                          args.coherent_energy)
     buf = io.StringIO()
     buf.write(_header("fingerprint", config))
     for key, value in summary.items():
@@ -318,28 +319,28 @@ def build_parser():
                         version=f"vistest {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
         p.add_argument("--out", default=None,
                        help=f"output file (relative paths resolve under "
                             f"${OUTPUT_DIR_ENV} when set; default stdout)")
         p.add_argument("--config", default=None,
                        help="file of `key = value` defaults for this command")
+        return p
 
-    p = sub.add_parser("dist", help="joint photocount distribution CSV")
+    p = command("dist", cmd_dist, "joint photocount distribution CSV")
     p.add_argument("--v", type=float, default=DEFAULT_V2)
     p.add_argument("--energy", type=float, default=DEFAULT_ENERGY)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--dark", type=float, default=0.0)
     p.add_argument("--fixed-phase", type=float, default=None,
                    help="fixed visibility phase (default: random-phase average)")
-    common(p)
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("chernoff", help="Chernoff information report")
+    p = command("chernoff", cmd_chernoff, "Chernoff information report")
     p.add_argument("--v1", type=float, default=DEFAULT_V1)
     p.add_argument("--v2", type=float, default=DEFAULT_V2)
     p.add_argument("--energy", type=float, default=DEFAULT_ENERGY)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--coherent", action="store_true",
                    help="closed form for phase-locked signals (v1, v2 are Re V)")
     p.add_argument("--marginal-diff", action="store_true",
@@ -347,79 +348,67 @@ def build_parser():
     p.add_argument("--truncate", type=int, default=None,
                    help="fold the tables down to this resolution first")
     p.add_argument("--json", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_chernoff)
 
-    p = sub.add_parser("optimize", help="energy-per-repetition optimization")
+    p = command("optimize", cmd_optimize, "energy-per-repetition optimization")
     p.add_argument("--v1", type=float, default=DEFAULT_V1)
     p.add_argument("--v2", type=float, default=DEFAULT_V2)
     p.add_argument("--lo", type=float, default=energyopt.DEFAULT_SEARCH_RANGE[0])
     p.add_argument("--hi", type=float, default=energyopt.DEFAULT_SEARCH_RANGE[1])
     p.add_argument("--tol", type=float, default=energyopt.DEFAULT_TOL)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--json", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("simulate", help="Monte Carlo error-rate curves")
+    p = command("simulate", cmd_simulate, "Monte Carlo error-rate curves")
     p.add_argument("--v1", type=float, default=DEFAULT_V1)
     p.add_argument("--v2", type=float, default=DEFAULT_V2)
     p.add_argument("--energy", type=float, default=DEFAULT_ENERGY)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--n-list", type=_int_list, default=_int_list(DEFAULT_N_LIST))
     p.add_argument("--ensemble", type=int, default=DEFAULT_ENSEMBLE)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--band", type=_float_list, default=None,
                    help="true-v2 grid for the worst-case envelope")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fingerprint", help="fingerprinting resource plan")
+    p = command("fingerprint", cmd_fingerprint, "fingerprinting resource plan")
     p.add_argument("--v1", type=float, default=DEFAULT_V1)
     p.add_argument("--v2", type=float, default=DEFAULT_V2)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--coherent-energy", type=float, default=None,
                    help="photon budget per repetition for the coherent curve")
     p.add_argument("--json", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_fingerprint)
 
-    p = sub.add_parser("ingest", help="bin a tag file and histogram it")
+    p = command("ingest", cmd_ingest, "bin a tag file and histogram it")
     p.add_argument("--tags", required=True)
     p.add_argument("--window", type=int, default=80_000)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--theory", type=_float_list, default=None,
                    help="v,energy of the model to compare against")
     p.add_argument("--json", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("figures", help="canonical figure datasets")
+    p = command("figures", cmd_figures, "canonical figure datasets")
     p.add_argument("--id", required=True, choices=["2a", "2b", "2c", "3", "4c", "s2"])
     p.add_argument("--grid-size", type=int, default=50)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--ensemble", type=int, default=DEFAULT_ENSEMBLE)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--coherent-energy", type=float, default=None)
-    common(p)
-    p.set_defaults(func=cmd_figures)
 
     return parser
 
 
-def _apply_config_file(argv):
+def _apply_config_file(argv, parser):
     """Splice `key = value` pairs from a --config file in right after the
-    subcommand, so explicit command-line flags still win."""
-    if "--config" not in argv:
+    subcommand, so explicit command-line flags still win. Each key names
+    a long option of the subcommand, with `_` for `-`; an on/off flag
+    takes true or false."""
+    pre = argparse.ArgumentParser(prog="vistest", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    found, rest = pre.parse_known_args(argv)
+    if found.config is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    if not rest or rest[0] not in commands:
+        return rest  # let argparse report the missing or unknown command
+    options = commands[rest[0]]._option_string_actions
     injected = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(found.config, "r", encoding="utf-8") as f:
         for raw in f:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -427,31 +416,32 @@ def _apply_config_file(argv):
             key, sep, value = line.partition("=")
             if not sep:
                 raise DomainError(f"bad config line {line!r}")
-            flag = "--" + key.strip().replace("_", "-")
-            injected.extend([flag, value.strip()])
-    if not rest:
-        return injected
+            key, value = key.strip(), value.strip()
+            flag = "--" + key.replace("_", "-")
+            action = options.get(flag)
+            if action is None or action.dest in ("help", "config"):
+                raise DomainError(f"unknown config key {key!r} for {rest[0]}")
+            if action.nargs != 0:
+                injected.extend([flag, value])
+            elif value.lower() == "true":
+                injected.append(flag)
+            elif value.lower() != "false":
+                raise DomainError(f"config key {key!r} takes true or false, not {value!r}")
     return [rest[0]] + injected + rest[1:]
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _apply_config_file(argv)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     parser = build_parser()
+    try:
+        argv = _apply_config_file(argv, parser)
+    except (OSError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (DomainError, tagio.TagFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DomainError, tagio.TagFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

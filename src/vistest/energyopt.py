@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import pdtrc
 
 from . import chernoff, photostat
 from .util import DomainError, golden_section
@@ -41,11 +42,7 @@ def adaptive_truncation(energy, floor=15):
 
 def _poisson_tail(mean, truncation):
     """P(count > truncation) for a Poisson of the given mean."""
-    if mean == 0.0:
-        return 0.0
-    k = np.arange(truncation + 1)
-    pmf = np.exp(-mean + k * math.log(mean) - np.cumsum(np.log(np.maximum(k, 1))))
-    return max(0.0, 1.0 - pmf.sum())
+    return float(pdtrc(truncation, mean))
 
 
 def info_per_photon(v1_mag, v2_mag, energy, truncation=15, mode="joint"):
@@ -77,6 +74,40 @@ def info_per_photon(v1_mag, v2_mag, energy, truncation=15, mode="joint"):
     return chernoff.chernoff_information(p1, p2).information / energy
 
 
+def _scan_pairs(values, pairs, truncation, search_range, tol):
+    """EnergyScanResult for each (i, j) in pairs, values[i] against
+    values[j]. At each scan energy every value's table is built once and
+    shared by the pairs; each pair is then refined on its own."""
+    lo, hi = search_range
+    if not 0.0 < lo < hi:
+        raise DomainError("search range must satisfy 0 < lo < hi")
+    k = truncation
+    while _poisson_tail(hi, k) >= _TAIL_BUDGET:
+        k += 1
+
+    energies = np.geomspace(lo, hi, 60)
+    ratios = np.empty((len(pairs), len(energies)))
+    for n, e in enumerate(energies):
+        params = photostat.DetectionParams(e, 0.0, k)
+        tables = [photostat.joint_random_phase(params, v) for v in values]
+        for row, (i, j) in enumerate(pairs):
+            ratios[row, n] = chernoff.chernoff_information(
+                tables[i], tables[j]).information / e
+
+    results = []
+    for row, (i, j) in enumerate(pairs):
+        best = int(np.argmax(ratios[row]))
+        opt_e, neg = golden_section(
+            lambda e: -info_per_photon(values[i], values[j], e, k, "truncated"),
+            energies[max(0, best - 1)], energies[min(len(energies) - 1, best + 1)], tol=tol)
+        opt_ratio = -neg
+        if ratios[row, best] > opt_ratio:
+            opt_e, opt_ratio = energies[best], ratios[row, best]
+        results.append(EnergyScanResult(energies, ratios[row], float(opt_e),
+                                        float(opt_ratio)))
+    return results
+
+
 def optimal_energy(v1_mag, v2_mag, truncation=15,
                    search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
     """Maximize information per photon over the energy per repetition.
@@ -88,26 +119,7 @@ def optimal_energy(v1_mag, v2_mag, truncation=15,
     """
     if v1_mag == v2_mag:
         raise IndistinguishablePairError("equal visibility magnitudes")
-    lo, hi = search_range
-    if not 0.0 < lo < hi:
-        raise DomainError("search range must satisfy 0 < lo < hi")
-    k = truncation
-    while _poisson_tail(hi, k) >= _TAIL_BUDGET:
-        k += 1
-
-    energies = np.geomspace(lo, hi, 60)
-    ratios = np.array([info_per_photon(v1_mag, v2_mag, e, k, "truncated")
-                       for e in energies])
-    best = int(np.argmax(ratios))
-    bracket_lo = energies[max(0, best - 1)]
-    bracket_hi = energies[min(len(energies) - 1, best + 1)]
-    opt_e, neg = golden_section(
-        lambda e: -info_per_photon(v1_mag, v2_mag, e, k, "truncated"),
-        bracket_lo, bracket_hi, tol=tol)
-    opt_ratio = -neg
-    if ratios[best] > opt_ratio:
-        opt_e, opt_ratio = energies[best], ratios[best]
-    return EnergyScanResult(energies, ratios, float(opt_e), float(opt_ratio))
+    return _scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol)[0]
 
 
 def random_phase_map(grid, truncation=15,
@@ -116,6 +128,7 @@ def random_phase_map(grid, truncation=15,
 
     Returns (max_ratio, argmax_energy) matrices, symmetric in the two
     visibilities; diagonal cells are NaN-flagged as indistinguishable.
+    Cell (i, j), i < j, is optimal_energy(grid[i], grid[j]) by construction.
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0.0) or np.any(grid > 1.0):
@@ -123,13 +136,10 @@ def random_phase_map(grid, truncation=15,
     n = len(grid)
     max_ratio = np.full((n, n), np.nan)
     opt_energy = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if grid[i] == grid[j]:
-                continue
-            res = optimal_energy(grid[i], grid[j], truncation, search_range, tol)
-            max_ratio[i, j] = max_ratio[j, i] = res.optimum_ratio
-            opt_energy[i, j] = opt_energy[j, i] = res.optimum_energy
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j]]
+    for (i, j), res in zip(pairs, _scan_pairs(grid, pairs, truncation, search_range, tol)):
+        max_ratio[i, j] = max_ratio[j, i] = res.optimum_ratio
+        opt_energy[i, j] = opt_energy[j, i] = res.optimum_energy
     return max_ratio, opt_energy
 
 

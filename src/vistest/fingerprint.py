@@ -188,6 +188,14 @@ def _bisect_log_n(f, lo, hi):
     return math.exp(0.5 * (a + b))
 
 
+def _phaseless_plan(v1, v2, eps, truncation):
+    """(code rate, optimal energy per repetition, repetitions) of the phaseless protocol."""
+    rate = modified_rate_appended(delta_from_visibilities(v1, v2))
+    scan = energyopt.optimal_energy(v1, v2, truncation)
+    reps = repetitions_needed(scan.optimum_ratio * scan.optimum_energy, eps)
+    return rate, scan.optimum_energy, reps
+
+
 def crossover(v1, v2, eps, truncation=15):
     """Quantum-advantage thresholds for the phaseless protocol.
 
@@ -196,13 +204,10 @@ def crossover(v1, v2, eps, truncation=15):
     sizes the repetition count from the Chernoff bound, and solves
     quantum_revealed(n) = benchmark(n) for both classical benchmarks.
     """
-    delta = delta_from_visibilities(v1, v2)
-    rate = modified_rate_appended(delta)
-    scan = energyopt.optimal_energy(v1, v2, truncation)
-    info = scan.optimum_ratio * scan.optimum_energy
-    reps = repetitions_needed(info, eps)
-    energy = scan.optimum_energy
+    return _crossover(*_phaseless_plan(v1, v2, eps, truncation), eps)
 
+
+def _crossover(rate, energy, reps, eps):
     n_best = _bisect_log_n(
         lambda n: quantum_revealed(n, rate, energy, reps) - best_classical(n, eps),
         *_CROSSOVER_RANGE)
@@ -222,11 +227,11 @@ def revealed_curves(n_values, v1, v2, eps, coherent_energy=None, truncation=15):
     choice, never defaulted). Entries where a curve is undefined
     (pulse count below 2) are NaN.
     """
-    delta = delta_from_visibilities(v1, v2)
-    rate_inc = modified_rate_appended(delta)
-    scan = energyopt.optimal_energy(v1, v2, truncation)
-    reps_inc = repetitions_needed(scan.optimum_ratio * scan.optimum_energy, eps)
+    return _revealed_curves(n_values, *_phaseless_plan(v1, v2, eps, truncation),
+                            v1, v2, eps, coherent_energy)
 
+
+def _revealed_curves(n_values, rate_inc, energy_inc, reps_inc, v1, v2, eps, coherent_energy):
     def curve(f):
         out = []
         for n in n_values:
@@ -238,13 +243,13 @@ def revealed_curves(n_values, v1, v2, eps, coherent_energy=None, truncation=15):
 
     result = {
         "quantum_incoherent": curve(
-            lambda n: quantum_revealed(n, rate_inc, scan.optimum_energy, reps_inc)),
+            lambda n: quantum_revealed(n, rate_inc, energy_inc, reps_inc)),
         "classical_best": curve(lambda n: best_classical(n, eps)),
         "classical_bound": curve(lambda n: classical_lower_bound(n, eps)),
         "quantum_coherent": None,
     }
     if coherent_energy is not None:
-        rate_coh = gv_rate(delta)
+        rate_coh = gv_rate(delta_from_visibilities(v1, v2))
         info_coh = chernoff.chernoff_coherent_closed_form(coherent_energy, v1, v2)
         reps_coh = repetitions_needed(info_coh, eps)
         result["quantum_coherent"] = curve(

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .util import DomainError, format_float
 
@@ -156,6 +156,17 @@ def effective_params(params, vis):
     return eff, ComplexVisibility(vis.magnitude * scale, vis.phase)
 
 
+def _port_counts(intensities, truncation):
+    """Rows of Poisson count probabilities, one per intensity: columns
+    0..K-1 hold the Poisson law and column K the tail P(count >= K)."""
+    k = np.arange(truncation)
+    rates = intensities[:, np.newaxis]
+    rows = np.empty((len(intensities), truncation + 1))
+    rows[:, :truncation] = np.exp(xlogy(k, rates) - rates - gammaln(k + 1))
+    rows[:, truncation] = pdtrc(truncation - 1, intensities)
+    return rows
+
+
 def poisson_counts(intensity, truncation):
     """Truncated Poisson count probabilities of length truncation + 1.
 
@@ -166,14 +177,7 @@ def poisson_counts(intensity, truncation):
         raise DomainError("truncation must be >= 1")
     if not (math.isfinite(intensity) and intensity >= 0.0):
         raise DomainError("intensity must be finite and >= 0")
-    probs = np.zeros(truncation + 1)
-    if intensity == 0.0:
-        probs[0] = 1.0
-        return probs
-    k = np.arange(truncation)
-    probs[:truncation] = np.exp(-intensity + k * math.log(intensity) - gammaln(k + 1))
-    probs[truncation] = max(0.0, 1.0 - probs[:truncation].sum())
-    return probs
+    return _port_counts(np.array([float(intensity)]), truncation)[0]
 
 
 def joint_fixed_phase(params, vis):
@@ -201,45 +205,6 @@ def cosine_moment(j):
     return math.exp(gammaln(j + 1) - 2.0 * gammaln(j // 2 + 1) - j * math.log(2.0))
 
 
-def _untruncated_random_phase(energy, vis_magnitude, size):
-    """Phase-averaged joint table over counts 0..size-1, no tail folding.
-
-    Evaluates the closed-form double binomial sum with cosine moments;
-    all factorials go through gammaln so the table stays stable for
-    count indices in the hundreds.
-    """
-    if energy == 0.0:
-        table = np.zeros((size, size))
-        table[0, 0] = 1.0
-        return table
-    if vis_magnitude == 0.0:
-        p = np.exp(-energy / 2.0 + np.arange(size) * math.log(energy / 2.0)
-                   - gammaln(np.arange(size) + 1))
-        return np.outer(p, p)
-
-    idx = np.arange(size)
-    log_v = math.log(vis_magnitude)
-    # lower-triangular coefficient matrices of the two binomial expansions
-    m = idx[np.newaxis, :]
-    k = idx[:, np.newaxis]
-    with np.errstate(invalid="ignore"):
-        log_a = m * log_v - gammaln(m + 1) - gammaln(k - m + 1)
-    tri = np.where(m <= k, np.exp(np.where(m <= k, log_a, -np.inf)), 0.0)
-    a = tri
-    b = tri * np.where(m % 2 == 0, 1.0, -1.0)
-
-    j = np.arange(2 * size - 1)
-    log_c = gammaln(j + 1) - 2.0 * gammaln(j // 2 + 1) - j * math.log(2.0)
-    c = np.where(j % 2 == 0, np.exp(log_c), 0.0)
-    c_matrix = c[idx[:, np.newaxis] + idx[np.newaxis, :]]
-
-    s = a @ c_matrix @ b.T
-    log_pref = -energy + (k + m) * math.log(energy / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.exp(log_pref + np.log(np.maximum(s, 0.0)))
-    return np.nan_to_num(table, nan=0.0, posinf=0.0, neginf=0.0)
-
-
 def _fold_tail(table, truncation):
     """Fold mass at or beyond the truncation index into the K-th bucket."""
     k = truncation
@@ -251,29 +216,26 @@ def _fold_tail(table, truncation):
     return folded
 
 
-def _tail_extent(energy, truncation):
-    """Count range covering all but ~1e-16 of the total-count Poisson mass."""
-    return max(truncation + 1, int(math.ceil(energy + 20.0 * math.sqrt(energy) + 30.0)))
-
-
 def joint_random_phase(params, vis_magnitude):
     """Joint count distribution averaged over a uniform global phase.
 
-    Only |V| matters after averaging. Dark counts are folded in first;
-    tail mass beyond the truncation is folded into the K-th row/column
-    so the table sums to 1.
+    Only |V| matters after averaging. Dark counts are folded in first.
+    Midpoint rule with M = 2K + 64 nodes on [0, pi], exact below K where
+    the integrand is e^{-E} times a polynomial in cos(phi) of degree
+    <= 2K - 2 (Trefethen & Weideman, SIAM Rev. 56 (2014) 385); the tail
+    bucket converges geometrically. Node rows sum to 1, so no rescaling.
+    Node pi - phi swaps the ports of node phi, so P = (S + S^T) / M with
+    S summed over half the nodes.
     """
     vis = ComplexVisibility(vis_magnitude)
     params, vis = effective_params(params, vis)
     energy = params.mean_detected_energy
     k = params.truncation
-    table = _untruncated_random_phase(energy, vis.magnitude, _tail_extent(energy, k))
-    folded = np.maximum(_fold_tail(table, k), 0.0)
-    # The alternating binomial sum cancels ~1e-9 of mass for energies
-    # past ~20; rescaling restores normalization without touching the
-    # entry structure.
-    folded /= folded.sum()
-    return JointPhotocountDistribution(k, folded)
+    nodes = 2 * k + 64
+    phi = (np.arange(nodes) + 0.5) * math.pi / nodes
+    rows = _port_counts(energy * (1.0 + vis.magnitude * np.cos(phi)) / 2.0, k)
+    s = rows[:nodes // 2].T @ rows[nodes // 2:][::-1]
+    return JointPhotocountDistribution(k, (s + s.T) / nodes)
 
 
 def retruncate(dist, truncation):

@@ -71,6 +71,68 @@ class TestChernoffInformation:
         assert via_obj == via_arr
 
 
+@pytest.fixture
+def solver_passes(monkeypatch):
+    """Objective passes per chernoff_information call: a test appends a
+    0 before each call and the solver's passes count into it."""
+    passes = []
+    moments = ch._tilted_moments
+
+    def counted(*args):
+        passes[-1] += 1
+        return moments(*args)
+
+    monkeypatch.setattr(ch, "_tilted_moments", counted)
+    return passes
+
+
+class TestNewtonSolve:
+    @staticmethod
+    def dense_grid_optimum(p1, p2):
+        mask = (p1 > 0.0) & (p2 > 0.0)
+        alphas = np.linspace(0.0, 1.0, 100001)
+        logs = ((1.0 - alphas)[:, None] * np.log(p1[mask])
+                + alphas[:, None] * np.log(p2[mask]))
+        objective = np.log(np.exp(logs).sum(axis=1))
+        best = int(np.argmin(objective))
+        return -objective[best], alphas[best]
+
+    def test_matches_dense_alpha_grid(self, solver_passes):
+        rng = np.random.default_rng(2017)
+        kinds = set()
+        for trial in range(60):
+            p1, p2 = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(12))
+            if trial % 2:
+                # partial supports put some optima on the boundary
+                p1[rng.random(12) < 0.3] = 0.0
+                p2[rng.random(12) < 0.3] = 0.0
+                p1, p2 = p1 / p1.sum(), p2 / p2.sum()
+            solver_passes.append(0)
+            result = ch.chernoff_information(p1, p2)
+            if result.infinite:
+                continue
+            info, alpha = self.dense_grid_optimum(p1, p2)
+            assert result.information == pytest.approx(info, abs=1e-9)
+            assert result.alpha_star == pytest.approx(alpha, abs=1e-4)
+            kinds.add(result.alpha_star if result.alpha_star in (0.0, 1.0) else "interior")
+        assert kinds == {0.0, 1.0, "interior"}
+        assert max(solver_passes) <= 20
+        assert np.mean(solver_passes) <= 12
+
+    def test_random_phase_tables_need_few_passes(self, solver_passes):
+        grid = (0.0, 0.5, 0.56, 0.94, 0.98, 1.0)
+        for energy in (0.1, 6.3, 30.0):
+            params = ps.DetectionParams(energy, 0.0, 60)
+            tables = [ps.joint_random_phase(params, v) for v in grid]
+            for i in range(len(grid)):
+                for j in range(len(grid)):
+                    if i != j:
+                        solver_passes.append(0)
+                        ch.chernoff_information(tables[i], tables[j])
+        assert max(solver_passes) <= 20
+        assert np.mean(solver_passes) <= 12
+
+
 class TestCoherentClosedForm:
     def test_antipodal_signals_give_energy(self):
         for energy in (0.5, 3.0, 10.0):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vistest import __version__, photostat as ps, tagio
+from vistest import __version__, energyopt, photostat as ps, tagio
 from vistest.cli import main
 
 
@@ -160,6 +160,20 @@ class TestFingerprint:
         assert all(field for field in first)
 
 
+    def test_one_energy_search_per_invocation(self, capsys, monkeypatch):
+        searches = []
+        search = energyopt.optimal_energy
+
+        def counted(*args, **kwargs):
+            searches.append(args[:2])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(energyopt, "optimal_energy", counted)
+        code, _, _ = run(capsys, "fingerprint", "--coherent-energy", "3.0")
+        assert code == 0
+        assert searches == [(0.98, 0.56)]
+
+
 class TestIngest:
     def make_tag_file(self, tmp_path, windows=400):
         rng = np.random.default_rng(12)
@@ -226,6 +240,39 @@ class TestConfigFile:
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "dist", "--config", str(tmp_path / "no.cfg"))
         assert code == 2
+
+    def test_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("v1 = 0.9\n")
+        code, out, _ = run(capsys, "optimize", "--tol", "0.2", f"--config={cfg}")
+        assert code == 0
+        assert "# v1 = 0.9" in out.splitlines()
+
+    def test_boolean_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("json = true\n")
+        code, out, _ = run(capsys, "chernoff", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["command"] == "chernoff"
+        cfg.write_text("json = false\nmarginal_diff = False\n")
+        code, out, _ = run(capsys, "chernoff", "--config", str(cfg))
+        assert code == 0
+        assert "# marginal_diff = False" in out
+        assert "quantity,value" in out
+
+    def test_unknown_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("v1 = 0.9\nbogus_key = 1\n")
+        code, _, err = run(capsys, "chernoff", "--config", str(cfg))
+        assert code == 2
+        assert "bogus_key" in err
+
+    def test_bad_boolean_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("json = 1\n")
+        code, _, err = run(capsys, "chernoff", "--config", str(cfg))
+        assert code == 2
+        assert "json" in err
 
 
 class TestExitCodes:

@@ -50,6 +50,10 @@ class TestInfoPerPhoton:
         with pytest.raises(DomainError):
             eo.info_per_photon(0.9, 0.1, 0.0)
 
+    def test_high_energy_ratio(self):
+        # phase-quadrature value; the cancelling binomial kernel gave 9.32e-5
+        assert eo.info_per_photon(1.0, 0.98, 30.0) == pytest.approx(8.95e-5, rel=1e-3)
+
     def test_quadratic_low_energy_scaling(self):
         lo = eo.info_per_photon(0.98, 0.56, 1e-3)
         hi = eo.info_per_photon(0.98, 0.56, 1e-2)
@@ -64,6 +68,11 @@ class TestOptimalEnergy:
         assert scan.optimum_energy == pytest.approx(6.6, abs=0.2)
         assert scan.optimum_ratio == pytest.approx(0.0112, abs=0.0005)
         assert scan.ratios.max() <= scan.optimum_ratio + 1e-12
+
+    def test_wide_search_range_keeps_low_energy_optimum(self):
+        scan = eo.optimal_energy(0.98, 0.56, search_range=(0.1, 80.0))
+        assert scan.optimum_energy == pytest.approx(6.6, abs=0.2)
+        assert scan.optimum_ratio == pytest.approx(0.0112, abs=0.0005)
 
     def test_scan_grid_shape(self):
         scan = eo.optimal_energy(0.9, 0.1)
@@ -90,6 +99,16 @@ class TestRandomPhaseMap:
         assert ratio[off] == pytest.approx(ratio.T[off])
         assert energy[off] == pytest.approx(energy.T[off])
         assert np.all(ratio[off] > 0.0)
+
+    def test_cells_equal_per_pair_optimum(self):
+        grid = np.array([0.0, 0.5, 1.0])
+        ratio, energy = eo.random_phase_map(grid, tol=0.2)
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    scan = eo.optimal_energy(grid[i], grid[j], tol=0.2)
+                    assert ratio[i, j] == pytest.approx(scan.optimum_ratio, rel=1e-12)
+                    assert energy[i, j] == pytest.approx(scan.optimum_energy, rel=1e-12)
 
     def test_lattice_out_of_range_rejected(self):
         with pytest.raises(DomainError):

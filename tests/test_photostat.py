@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import gammaln
+from scipy.stats import poisson
 
 from vistest import photostat as ps
 from vistest.util import DomainError
@@ -24,6 +26,40 @@ def quadrature_random_phase(energy, vis_magnitude, truncation, tol=1e-13):
             return table
         previous = table
         nodes *= 2
+
+
+def binomial_random_phase(energy, vis_magnitude, truncation):
+    """Reference: the closed-form double binomial sum over cosine moments,
+    summed to ~1e-16 of the total-count mass and folded at the
+    truncation. Its alternating terms cancel as the energy grows, so it
+    is only trusted for energies up to about 12."""
+    size = max(truncation + 1, int(math.ceil(energy + 20.0 * math.sqrt(energy) + 30.0)))
+    idx = np.arange(size)
+    m = idx[np.newaxis, :]
+    k = idx[:, np.newaxis]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = m * math.log(vis_magnitude) - gammaln(m + 1) - gammaln(k - m + 1)
+    tri = np.where(m <= k, np.exp(np.where(m <= k, log_a, -np.inf)), 0.0)
+    j = np.arange(2 * size - 1)
+    log_c = gammaln(j + 1) - 2.0 * gammaln(j // 2 + 1) - j * math.log(2.0)
+    c = np.where(j % 2 == 0, np.exp(log_c), 0.0)
+    s = tri @ c[k + m] @ (tri * np.where(m % 2 == 0, 1.0, -1.0)).T
+    with np.errstate(divide="ignore"):
+        table = np.exp(-energy + (k + m) * math.log(energy / 2.0) + np.log(np.maximum(s, 0.0)))
+    return ps._fold_tail(table, truncation)
+
+
+def phase_average_reference(energy, vis_magnitude, truncation, nodes):
+    """Midpoint phase average on [0, pi] built from scipy.stats.poisson."""
+    phi = (np.arange(nodes) + 0.5) * math.pi / nodes
+    i_plus = energy * (1.0 + vis_magnitude * np.cos(phi)) / 2.0
+    counts = np.arange(truncation)
+
+    def port(intensity):
+        rows = poisson.pmf(counts, intensity[:, None])
+        return np.hstack([rows, poisson.sf(truncation - 1, intensity)[:, None]])
+
+    return port(i_plus).T @ port(energy - i_plus) / nodes
 
 
 class TestComplexVisibility:
@@ -171,6 +207,45 @@ class TestJointRandomPhase:
         with_dark = ps.joint_random_phase(ps.DetectionParams(2.0, 1.0, 10), 1.0)
         substituted = ps.joint_random_phase(ps.DetectionParams(4.0, 0.0, 10), 0.5)
         assert with_dark.probs == pytest.approx(substituted.probs, abs=1e-15)
+
+    def test_matches_high_node_reference(self):
+        worst = worst_sum = 0.0
+        for energy in (0.0, 0.5, 6.3, 12.0, 30.0, 53.3, 80.0):
+            for v in (0.0, 0.56, 0.98, 1.0):
+                for k in (2, 15, 63, 135):
+                    dist = ps.joint_random_phase(ps.DetectionParams(energy, 0.0, k), v)
+                    reference = phase_average_reference(energy, v, k, 8 * k + 512)
+                    worst = max(worst, np.abs(dist.probs - reference).max())
+                    worst_sum = max(worst_sum, abs(dist.probs.sum() - 1.0))
+        assert worst < 1e-13
+        assert worst_sum < 1e-14
+
+    def test_antidiagonals_are_total_count_poisson(self):
+        # k + k' is Poisson(E) at every phase, so for n < K the table's
+        # n-th anti-diagonal sums to Pois(n; E) whatever |V| is
+        k = 100
+        n = np.arange(k)
+        for energy in (0.5, 6.3, 30.0, 53.3, 80.0):
+            for v in (0.0, 0.56, 0.98, 1.0):
+                table = ps.joint_random_phase(ps.DetectionParams(energy, 0.0, k), v).probs
+                flipped = table[:k, :k][:, ::-1]
+                sums = np.array([np.trace(flipped, offset=k - 1 - i) for i in n])
+                assert sums == pytest.approx(poisson.pmf(n, energy), rel=1e-12, abs=0.0)
+
+    def test_matches_binomial_form_at_low_energy(self):
+        worst = 0.0
+        for energy in (0.5, 2.0, 6.3, 12.0):
+            for v in (0.3, 0.56, 0.98, 1.0):
+                for k in (2, 8, 15):
+                    dist = ps.joint_random_phase(ps.DetectionParams(energy, 0.0, k), v)
+                    worst = max(worst, np.abs(
+                        dist.probs - binomial_random_phase(energy, v, k)).max())
+        assert worst < 1e-11
+
+    def test_high_energy_matches_quadrature_oracle(self):
+        dist = ps.joint_random_phase(ps.DetectionParams(30.0, 0.0, 15), 1.0)
+        oracle = quadrature_random_phase(30.0, 1.0, 15)
+        assert np.abs(dist.probs - oracle).max() < 1e-12
 
     def test_truncation_consistency(self):
         coarse = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 5), 0.56)
