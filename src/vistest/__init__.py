@@ -38,16 +38,17 @@ from .energyopt import (
     coherent_map,
 )
 from .simkit import (
-    TrialOutcome,
     Decision,
     ExperimentConfig,
     ErrorEstimate,
-    sample_outcome,
     sample_dataset,
     log_likelihood_ratio,
     neyman_pearson,
+    error_curve,
     estimate_error,
+    worst_case_curve,
     worst_case_sweep,
+    exact_error,
 )
 from .fingerprint import (
     CodeSpec,

@@ -142,7 +142,8 @@ def cmd_optimize(args):
     scan = energyopt.optimal_energy(args.v1, args.v2, args.truncation,
                                     (args.lo, args.hi), args.tol)
     summary = {"optimum_energy": scan.optimum_energy,
-               "optimum_ratio": scan.optimum_ratio}
+               "optimum_ratio": scan.optimum_ratio,
+               "at_boundary": scan.at_boundary}
     if args.json:
         _emit(_json_summary("optimize", config, summary), args.out)
         return
@@ -150,6 +151,7 @@ def cmd_optimize(args):
     buf.write(_header("optimize", config))
     buf.write(f"# optimum_energy = {format_float(scan.optimum_energy)}\n")
     buf.write(f"# optimum_ratio = {format_float(scan.optimum_ratio)}\n")
+    buf.write(f"# at_boundary = {scan.at_boundary}\n")
     buf.write("energy,info_per_photon\n")
     for e, r in zip(scan.energies, scan.ratios):
         buf.write(f"{format_float(e)},{format_float(r)}\n")
@@ -166,20 +168,23 @@ def cmd_simulate(args):
     buf.write(_header("simulate", config))
     buf.write("N,eps_mean,eps_std,chernoff_bound,refined_bound,band_lo,band_hi\n")
     info = chernoff.chernoff_information(p1.probs, p2.probs)
-    for n in args.n_list:
-        cfg1 = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
-                                       n, args.ensemble, args.seed)
-        cfg2 = simkit.ExperimentConfig(args.v2, args.energy, args.truncation,
-                                       n, args.ensemble, args.seed)
-        estimate = simkit.estimate_error(cfg1, cfg2, p1, p2)
+    n_max = max(args.n_list, default=1)
+    cfg1 = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
+                                   n_max, args.ensemble, args.seed)
+    cfg2 = simkit.ExperimentConfig(args.v2, args.energy, args.truncation,
+                                   n_max, args.ensemble, args.seed)
+    estimates = simkit.error_curve(cfg1, cfg2, p1, p2, args.n_list)
+    if args.band:
+        bands = simkit.worst_case_curve(args.v1, args.band, max(args.band), cfg1,
+                                        args.n_list)
+    for i, (n, estimate) in enumerate(zip(args.n_list, estimates)):
         bound = chernoff.chernoff_bound(info, n)
         try:
             refined = chernoff.refined_bound(p1.probs, p2.probs, n)
         except chernoff.DegeneratePairError:
             refined = math.nan
         if args.band:
-            band = simkit.worst_case_sweep(args.v1, args.band, max(args.band), cfg1)
-            lo, hi = format_float(band.band_lo), format_float(band.band_hi)
+            lo, hi = format_float(bands[i].band_lo), format_float(bands[i].band_hi)
         else:
             lo = hi = ""
         buf.write(f"{n},{format_float(estimate.error_mean)},"

@@ -33,6 +33,7 @@ class EnergyScanResult:
     ratios: np.ndarray = field(repr=False)
     optimum_energy: float
     optimum_ratio: float
+    at_boundary: bool  # the optimum is an end of the search range
 
 
 def adaptive_truncation(energy, floor=15):
@@ -104,7 +105,8 @@ def _scan_pairs(values, pairs, truncation, search_range, tol):
         if ratios[row, best] > opt_ratio:
             opt_e, opt_ratio = energies[best], ratios[row, best]
         results.append(EnergyScanResult(energies, ratios[row], float(opt_e),
-                                        float(opt_ratio)))
+                                        float(opt_ratio),
+                                        opt_e in (energies[0], energies[-1])))
     return results
 
 
@@ -162,12 +164,18 @@ def energy_scan_curves(v1_mag, v2_mag, energies, limited_truncation=2, truncatio
     """Information-per-photon curves over an energy grid for the three
     readout modes: full statistics, K-limited resolution, and the
     count-difference marginal. Returns (joint, limited, difference)
-    arrays aligned with `energies`."""
+    arrays aligned with `energies`. The full and difference curves share
+    one table pair per energy."""
     joint = np.empty(len(energies))
     limited = np.empty(len(energies))
     difference = np.empty(len(energies))
     for i, e in enumerate(energies):
-        joint[i] = info_per_photon(v1_mag, v2_mag, e, truncation, "joint")
         limited[i] = info_per_photon(v1_mag, v2_mag, e, limited_truncation, "truncated")
-        difference[i] = info_per_photon(v1_mag, v2_mag, e, truncation, "difference")
+        params = photostat.DetectionParams(e, 0.0, adaptive_truncation(e, truncation))
+        d1 = photostat.joint_random_phase(params, v1_mag)
+        d2 = photostat.joint_random_phase(params, v2_mag)
+        joint[i] = chernoff.chernoff_information(d1.probs, d2.probs).information / e
+        difference[i] = chernoff.chernoff_information(
+            photostat.marginal_difference(d1).probs,
+            photostat.marginal_difference(d2).probs).information / e
     return joint, limited, difference

@@ -4,31 +4,34 @@ Samples (k, k') outcomes from the random-phase model, applies the
 likelihood-ratio (Neyman-Pearson) decision rule, estimates conditional
 and average error rates over dataset ensembles, and sweeps the true
 visibility below the design point for the worst-case error band.
+`exact_error` brackets the same average error without sampling.
 
-Every dataset draws from its own stream derived from (seed, hypothesis
-key, dataset index), so results do not depend on evaluation order.
+Trials are drawn by inverse CDF from the folded joint table. Each
+conditional run reads one stream, keyed by (seed, hypothesis, band
+index), trial-major: trial t of all M datasets, then trial t + 1. The
+error after N trials is read from the first N trials of every dataset,
+so one pass serves every N of a curve, a single-N run reads a prefix of
+the curve's stream, and the points of one curve are correlated.
 """
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import photostat
 from .util import DomainError
 
-TWO_PI = 2.0 * math.pi
-
 # Floor applied to table cells inside log-likelihoods: keeps zero-
 # probability outcomes decisively ordered without producing NaNs.
 _LOG_FLOOR = 1e-300
 
+# Uniforms drawn per chunk of trials; memory is O(max(M, this)).
+_CHUNK_DRAWS = 1 << 16
 
-class TrialOutcome(NamedTuple):
-    k_plus: int
-    k_minus: int
+# Largest FFT length exact_error accepts (64 MB per real array).
+_MAX_LATTICE = 1 << 23
 
 
 class Decision(enum.Enum):
@@ -75,42 +78,28 @@ class WorstCaseBand:
 
 
 def dataset_rng(seed, *key):
-    """Independent generator for one dataset, derived from the run seed
-    and an integer key path (hypothesis index, dataset index, ...)."""
+    """Independent generator for one stream, derived from the run seed
+    and an integer key path (hypothesis index, band index, ...)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _sample_counts(u, intensities, truncation):
-    """Poisson sampling by inversion (sequential CDF search), clamped at
-    the truncation; exact and deterministic for the means used here."""
-    pmf = np.exp(-intensities)
-    cdf = pmf.copy()
-    counts = np.zeros(len(u), dtype=np.int64)
-    for k in range(truncation):
-        counts += u > cdf
-        pmf = pmf * intensities / (k + 1)
-        cdf += pmf
-    return counts
+def _cell_sampler(energy, vis_magnitude, truncation):
+    """Map uniforms in [0, 1) to flat cell indices of the folded
+    random-phase table, by inverse CDF. A uniform past the rounded total
+    lands on the last cell with positive mass."""
+    params = photostat.DetectionParams(energy, 0.0, truncation)
+    probs = photostat.joint_random_phase(params, vis_magnitude).probs.ravel()
+    cdf = np.cumsum(probs)
+    last = np.flatnonzero(probs)[-1]
+    return lambda u: np.minimum(np.searchsorted(cdf, u, side="right"), last)
 
 
 def sample_dataset(rng, energy, vis_magnitude, truncation, size):
-    """Draw `size` independent trials: a uniform global phase each, then
-    clamped Poisson counts at the two port intensities. Returns an
-    (size, 2) integer array of (k_plus, k_minus) rows."""
-    if energy < 0.0:
-        raise DomainError("energy must be >= 0")
-    vis = photostat.ComplexVisibility(vis_magnitude)
-    phases = rng.uniform(0.0, TWO_PI, size)
-    i_plus = energy * (1.0 + vis.magnitude * np.cos(phases)) / 2.0
-    k_plus = _sample_counts(rng.random(size), i_plus, truncation)
-    k_minus = _sample_counts(rng.random(size), energy - i_plus, truncation)
-    return np.column_stack([k_plus, k_minus])
-
-
-def sample_outcome(rng, energy, vis_magnitude, truncation):
-    """Draw a single random-phase trial outcome."""
-    row = sample_dataset(rng, energy, vis_magnitude, truncation, 1)[0]
-    return TrialOutcome(int(row[0]), int(row[1]))
+    """Draw `size` independent random-phase trials, with counts above
+    the truncation folded into it. Returns an (size, 2) integer array of
+    (k_plus, k_minus) rows."""
+    cells = _cell_sampler(energy, vis_magnitude, truncation)(rng.random(size))
+    return np.column_stack(np.divmod(cells, truncation + 1))
 
 
 def _as_outcome_array(dataset, truncation):
@@ -147,72 +136,152 @@ def neyman_pearson(dataset, p1, p2):
     return Decision.V1 if log_likelihood_ratio(dataset, p1, p2) > 0.0 else Decision.V2
 
 
-def _conditional_error(config, table, truth, hypothesis_key):
-    """Fraction of datasets sampled under `truth` that are misdecided,
-    using the precomputed log-ratio `table` (favoring V1 when > 0)."""
-    n = config.repetitions_per_test
-    k = config.truncation
-    wrong = 0
-    for i in range(config.ensemble_size):
-        rng = dataset_rng(config.seed, *hypothesis_key, i)
-        data = sample_dataset(rng, config.energy, config.true_visibility, k, n)
-        llr = table[data[:, 0], data[:, 1]].sum()
-        decided_v1 = llr > 0.0
-        if decided_v1 != (truth is Decision.V1):
-            wrong += 1
-    return wrong / config.ensemble_size
+def _conditional_curve(config, table, truth, key, n_values):
+    """Fraction of the M datasets sampled under `config` that are
+    misdecided after their first N trials, for each N in n_values, using
+    the log-ratio `table` (favoring V1 when > 0)."""
+    m = config.ensemble_size
+    draw = _cell_sampler(config.energy, config.true_visibility, config.truncation)
+    llr = table.ravel()
+    rng = dataset_rng(config.seed, *key)
+    n_max = max(n_values, default=0)
+    chunk = max(1, _CHUNK_DRAWS // m)
+    v1_true = truth is Decision.V1
+    total = np.zeros(m)
+    wrong = {}
+    for start in range(0, n_max, chunk):
+        # sequential running sums, so the result does not depend on chunk
+        sums = llr[draw(rng.random((min(chunk, n_max - start), m)))]
+        sums[0] += total
+        np.cumsum(sums, axis=0, out=sums)
+        for row, n in enumerate(range(start + 1, start + len(sums) + 1)):
+            if n in n_values:
+                wrong[n] = int(np.count_nonzero((sums[row] > 0.0) != v1_true))
+        total = sums[-1].copy()
+    return [wrong[n] / m for n in n_values]
 
 
-def estimate_error(config_v1, config_v2, p1, p2):
-    """Monte Carlo estimate of the average error probability.
+def _curves(config_v1, configs_v2, table, n_values):
+    """ErrorEstimates [j][n] of the test `table` (favoring V1 when > 0):
+    one V1 conditional, paired with the V2 conditional of each config j,
+    which reads stream (2, j)."""
+    if any(not 1 <= n <= config_v1.repetitions_per_test for n in n_values):
+        raise DomainError(f"every N must lie in [1, {config_v1.repetitions_per_test}]")
+    m = config_v1.ensemble_size
+    eps_v2_given_v1 = _conditional_curve(config_v1, table, Decision.V1, (1, 0), n_values)
+    out = []
+    for j, config in enumerate(configs_v2):
+        row = []
+        for e21, e12 in zip(eps_v2_given_v1, _conditional_curve(
+                config, table, Decision.V2, (2, j), n_values)):
+            mean = (e12 + e21) / 2.0
+            row.append(ErrorEstimate(mean, math.sqrt(mean * (1.0 - mean) / m), e12, e21))
+        out.append(row)
+    return out
 
-    Generates M fresh datasets of N trials under each true hypothesis,
-    applies the Neyman-Pearson rule with the fixed (p1, p2) pair, and
-    returns the two conditional error fractions, their average, and the
-    binomial standard error sqrt(eps(1-eps)/M).
+
+def error_curve(config_v1, config_v2, p1, p2, n_values):
+    """Monte Carlo estimate of the average error probability at each N.
+
+    Draws M datasets of the configs' N trials under each true
+    hypothesis, applies the Neyman-Pearson rule with the fixed (p1, p2)
+    pair after the first n trials of every dataset, for each n in
+    n_values (each within [1, N]), and returns one ErrorEstimate per n:
+    the two conditional error fractions, their average, and
+    sqrt(eps(1-eps)/M). That last figure overstates the standard error
+    of the two-conditional average by up to sqrt(2).
     """
     if (config_v1.repetitions_per_test != config_v2.repetitions_per_test
             or config_v1.ensemble_size != config_v2.ensemble_size):
         raise DomainError("the two conditional runs must share N and M")
     if p1.truncation != p2.truncation:
         raise DomainError("hypothesis tables have different truncation")
-    table = _log_ratio_table(p1, p2)
-    eps_v2_given_v1 = _conditional_error(config_v1, table, Decision.V1, (1, 0))
-    eps_v1_given_v2 = _conditional_error(config_v2, table, Decision.V2, (2, 0))
-    mean = (eps_v1_given_v2 + eps_v2_given_v1) / 2.0
-    std = math.sqrt(mean * (1.0 - mean) / config_v1.ensemble_size)
-    return ErrorEstimate(mean, std, eps_v1_given_v2, eps_v2_given_v1)
+    return _curves(config_v1, [config_v2], _log_ratio_table(p1, p2), n_values)[0]
 
 
-def worst_case_sweep(v1, v2_grid, designed_v2, config):
-    """Error band when the true second visibility ranges below the
-    design point while the test stays fixed at (p(v1), p(designed_v2)).
+def estimate_error(config_v1, config_v2, p1, p2):
+    """error_curve at the configs' own N."""
+    return error_curve(config_v1, config_v2, p1, p2, [config_v1.repetitions_per_test])[0]
+
+
+def worst_case_curve(v1, v2_grid, designed_v2, config, n_values):
+    """Error band at each N in n_values when the true second visibility
+    ranges below the design point while the test stays fixed at
+    (p(v1), p(designed_v2)). Returns one WorstCaseBand per N.
 
     `config` supplies energy, truncation, N, M, and the seed; its
     true_visibility field is ignored (each grid point overrides it).
+    The V1 conditional is drawn once and shared by every grid point.
     """
     v2_grid = np.asarray(v2_grid, dtype=float)
     if len(v2_grid) == 0:
         raise DomainError("empty visibility grid")
     if not math.isclose(float(v2_grid.max()), designed_v2, rel_tol=0.0, abs_tol=1e-12):
         raise DomainError("designed_v2 must equal the maximum of the grid")
-    k = config.truncation
-    params = photostat.DetectionParams(config.energy, 0.0, k)
-    p1 = photostat.joint_random_phase(params, v1)
-    p2 = photostat.joint_random_phase(params, designed_v2)
-    table = _log_ratio_table(p1, p2)
+    params = photostat.DetectionParams(config.energy, 0.0, config.truncation)
+    table = _log_ratio_table(photostat.joint_random_phase(params, v1),
+                             photostat.joint_random_phase(params, designed_v2))
+    per_v2 = _curves(replace(config, true_visibility=v1),
+                     [replace(config, true_visibility=float(v2)) for v2 in v2_grid],
+                     table, n_values)
+    bands = []
+    for estimates in zip(*per_v2):
+        means = [e.error_mean for e in estimates]
+        bands.append(WorstCaseBand(v2_grid, estimates, min(means), max(means)))
+    return bands
 
-    cfg1 = ExperimentConfig(v1, config.energy, k, config.repetitions_per_test,
-                            config.ensemble_size, config.seed)
-    eps_v2_given_v1 = _conditional_error(cfg1, table, Decision.V1, (1, 0))
-    estimates = []
-    for j, v2 in enumerate(v2_grid):
-        cfg2 = ExperimentConfig(float(v2), config.energy, k,
-                                config.repetitions_per_test,
-                                config.ensemble_size, config.seed)
-        eps_v1_given_v2 = _conditional_error(cfg2, table, Decision.V2, (2, j))
-        mean = (eps_v1_given_v2 + eps_v2_given_v1) / 2.0
-        std = math.sqrt(mean * (1.0 - mean) / config.ensemble_size)
-        estimates.append(ErrorEstimate(mean, std, eps_v1_given_v2, eps_v2_given_v1))
-    means = [e.error_mean for e in estimates]
-    return WorstCaseBand(v2_grid, tuple(estimates), min(means), max(means))
+
+def worst_case_sweep(v1, v2_grid, designed_v2, config):
+    """worst_case_curve at the config's own N."""
+    return worst_case_curve(v1, v2_grid, designed_v2, config,
+                            [config.repetitions_per_test])[0]
+
+
+def _lattice_law(probs, llr, rounding, step):
+    """Law of one trial's LLR rounded onto the lattice step * Z: the
+    lowest lattice index and the probabilities from there up."""
+    keep = probs > 0.0
+    index = rounding(llr[keep] / step)
+    base = int(index.min())
+    if index.max() - base >= _MAX_LATTICE:
+        raise DomainError("LLR lattice too fine for this table; use a larger step")
+    return base, np.bincount(index.astype(np.int64) - base, weights=probs[keep])
+
+
+def _at_most_zero(law, n):
+    """P(sum of n lattice draws <= 0), by one real FFT."""
+    base, pmf = law
+    size = n * (len(pmf) - 1) + 1
+    if size > _MAX_LATTICE:
+        raise DomainError(f"lattice of {size} points at N = {n} exceeds {_MAX_LATTICE}; "
+                          "use a larger step")
+    nfft = 1 << (size - 1).bit_length()
+    total = np.fft.irfft(np.fft.rfft(pmf, nfft) ** n, nfft)[:size]
+    return min(1.0, max(0.0, float(total[:max(0, 1 - n * base)].sum())))
+
+
+def exact_error(p1, p2, n_values, step=1e-3):
+    """Certified bracket (lo, hi) on the average error of the
+    likelihood-ratio test after each N in n_values, without sampling.
+
+    eps_N = [P1(S_N <= 0) + P2(S_N > 0)] / 2, with S_N the sum of N
+    per-trial LLRs. Rounding every cell's LLR down (S-) or up (S+) to
+    the lattice step * Z bounds S_N on every path, so
+    lo = [P1(S+ <= 0) + P2(S- > 0)] / 2 <= eps_N <= hi = [P1(S- <= 0)
+    + P2(S+ > 0)] / 2, up to FFT round-off of about 1e-13. The width
+    shrinks about linearly in `step`.
+    """
+    if p1.truncation != p2.truncation:
+        raise DomainError("hypothesis tables have different truncation")
+    if not step > 0.0:
+        raise DomainError("step must be > 0")
+    llr = _log_ratio_table(p1, p2).ravel()
+    laws = [_lattice_law(np.asarray(p.probs, dtype=float).ravel(), llr, rounding, step)
+            for p in (p1, p2) for rounding in (np.floor, np.ceil)]
+    out = []
+    for n in n_values:
+        if n < 1:
+            raise DomainError("N must be >= 1")
+        p1_down, p1_up, p2_down, p2_up = (_at_most_zero(law, n) for law in laws)
+        out.append(((p1_up + 1.0 - p2_down) / 2.0, (p1_down + 1.0 - p2_up) / 2.0))
+    return out

@@ -101,6 +101,13 @@ class TestOptimize:
         doc = json.loads(out)
         assert float(doc["summary"]["optimum_energy"]) == pytest.approx(6.6, abs=0.3)
 
+    def test_at_boundary_reported(self, capsys):
+        _, out, _ = run(capsys, "optimize", "--json", "--tol", "0.2")
+        assert json.loads(out)["summary"]["at_boundary"] is False
+        _, out, _ = run(capsys, "optimize", "--v1", "1.0", "--v2", "0.98", "--tol", "0.2")
+        assert "# at_boundary = True\n" in out
+        assert "# optimum_energy = 30\n" in out
+
     def test_scan_csv(self, capsys):
         code, out, _ = run(capsys, "optimize", "--tol", "0.2")
         assert code == 0
@@ -130,6 +137,14 @@ class TestSimulate:
             fields = row.split(",")
             assert float(fields[3]) <= 0.5
             assert float(fields[4]) < float(fields[3])
+
+    def test_single_n_row_matches_default_list(self, capsys):
+        # every N is read from a prefix of the same per-hypothesis streams
+        args = ("simulate", "--ensemble", "300", "--seed", "7")
+        _, full, _ = run(capsys, *args)
+        _, single, _ = run(capsys, *args, "--n-list", "5")
+        row = lambda text: [l for l in text.split("\n") if l.startswith("5,")]
+        assert row(single) == row(full) and len(row(full)) == 1
 
     def test_band_columns_filled(self, capsys):
         _, out, _ = run(capsys, "simulate", "--n-list", "2", "--ensemble", "100",
@@ -299,6 +314,18 @@ class TestFigures:
         rows = [l for l in out.strip().split("\n") if not l.startswith("#")]
         assert rows[0] == "re_v1,re_v2,info_per_photon"
         assert len(rows) == 26
+
+    def test_scan_curves_build_one_table_pair_per_energy(self, capsys, monkeypatch):
+        # 60 energies, each one full-resolution pair shared by the joint and
+        # difference curves plus one K = 2 pair
+        calls = []
+        build = ps.joint_random_phase
+        monkeypatch.setattr(ps, "joint_random_phase",
+                            lambda *a: calls.append(a) or build(*a))
+        code, out, _ = run(capsys, "figures", "--id", "3")
+        assert code == 0
+        assert len(calls) == 240
+        assert len([l for l in out.strip().split("\n") if not l.startswith("#")]) == 61
 
     def test_simulation_figure_delegates(self, capsys):
         # keep it tiny: override via the shared simulate defaults is not

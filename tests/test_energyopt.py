@@ -80,6 +80,13 @@ class TestOptimalEnergy:
         assert scan.energies[0] == pytest.approx(0.1)
         assert scan.energies[-1] == pytest.approx(30.0)
 
+    def test_search_ending_on_its_bound_is_flagged(self):
+        # the ratio is still rising at the top of the default range
+        edge = eo.optimal_energy(1.0, 0.98)
+        assert edge.at_boundary
+        assert edge.optimum_energy == 30.0
+        assert not eo.optimal_energy(0.98, 0.56).at_boundary
+
     def test_equal_visibilities_rejected(self):
         with pytest.raises(eo.IndistinguishablePairError):
             eo.optimal_energy(0.5, 0.5)
@@ -142,3 +149,15 @@ class TestEnergyScanCurves:
         joint, limited, diff = eo.energy_scan_curves(0.98, 0.56, energies)
         assert joint.shape == limited.shape == diff.shape == energies.shape
         assert np.all(joint >= diff - 1e-15)
+
+    def test_equals_info_per_photon_per_mode(self):
+        energies = [0.3, 6.3, 25.0]
+        joint, limited, diff = eo.energy_scan_curves(0.98, 0.56, energies)
+        for i, e in enumerate(energies):
+            assert joint[i] == eo.info_per_photon(0.98, 0.56, e, 15, "joint")
+            assert limited[i] == eo.info_per_photon(0.98, 0.56, e, 2, "truncated")
+            assert diff[i] == eo.info_per_photon(0.98, 0.56, e, 15, "difference")
+
+    def test_nonpositive_energy_rejected(self):
+        with pytest.raises(DomainError):
+            eo.energy_scan_curves(0.98, 0.56, [1.0, 0.0])
