@@ -69,11 +69,27 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 
 
-def _json_summary(command, config, summary):
-    doc = {"tool": f"vistest {__version__}", "command": command,
-           "config": {k: str(v) for k, v in sorted(config.items())},
-           "summary": summary}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _report(args, command, config, summary, body=None):
+    """Emit a command's summary: as a JSON document with --json, else
+    after the `#` header, as `# key = value` lines ahead of the CSV that
+    `body(buf)` writes or, with no body, as the CSV table itself."""
+    if args.json:
+        doc = {"tool": f"vistest {__version__}", "command": command,
+               "config": {k: str(v) for k, v in sorted(config.items())},
+               "summary": summary}
+        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        return
+    rendered = {key: format_float(value) if isinstance(value, float) else str(value)
+                for key, value in summary.items()}
+    buf = io.StringIO()
+    buf.write(_header(command, config))
+    if body is None:
+        buf.write("quantity,value\n")
+        buf.writelines(f"{key},{value}\n" for key, value in rendered.items())
+    else:
+        buf.writelines(f"# {key} = {value}\n" for key, value in rendered.items())
+        body(buf)
+    _emit(buf.getvalue(), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +111,16 @@ def cmd_dist(args):
     _emit(buf.getvalue(), args.out)
 
 
-def _hypothesis_tables(v1, v2, energy, truncation):
-    params = photostat.DetectionParams(energy, 0.0, truncation)
-    return (photostat.joint_random_phase(params, v1),
-            photostat.joint_random_phase(params, v2))
-
-
 def cmd_chernoff(args):
     config = {"v1": args.v1, "v2": args.v2, "energy": args.energy,
               "truncation": args.truncation, "coherent": args.coherent,
               "marginal_diff": args.marginal_diff, "truncate": args.truncate}
+    if not args.energy > 0.0:
+        raise DomainError("energy must be > 0")
     if args.coherent:
         result = chernoff.chernoff_coherent_closed_form(args.energy, args.v1, args.v2)
     else:
-        p1, p2 = _hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
+        p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
         if args.truncate is not None:
             p1 = photostat.retruncate(p1, args.truncate)
             p2 = photostat.retruncate(p2, args.truncate)
@@ -119,21 +131,12 @@ def cmd_chernoff(args):
             t1, t2 = p1.probs, p2.probs
         result = chernoff.chernoff_information(t1, t2)
     per_photon = math.inf if result.infinite else result.information / args.energy
-    summary = {"information_nats": result.information,
-               "alpha_star": result.alpha_star,
-               "sigma": result.sigma,
-               "infinite": result.infinite,
-               "info_per_photon": per_photon}
-    if args.json:
-        _emit(_json_summary("chernoff", config, summary), args.out)
-        return
-    buf = io.StringIO()
-    buf.write(_header("chernoff", config))
-    buf.write("quantity,value\n")
-    for key, value in summary.items():
-        rendered = format_float(value) if isinstance(value, float) else str(value)
-        buf.write(f"{key},{rendered}\n")
-    _emit(buf.getvalue(), args.out)
+    _report(args, "chernoff", config,
+            {"information_nats": result.information,
+             "alpha_star": result.alpha_star,
+             "sigma": result.sigma,
+             "infinite": result.infinite,
+             "info_per_photon": per_photon})
 
 
 def cmd_optimize(args):
@@ -141,21 +144,16 @@ def cmd_optimize(args):
               "tol": args.tol, "truncation": args.truncation}
     scan = energyopt.optimal_energy(args.v1, args.v2, args.truncation,
                                     (args.lo, args.hi), args.tol)
-    summary = {"optimum_energy": scan.optimum_energy,
-               "optimum_ratio": scan.optimum_ratio,
-               "at_boundary": scan.at_boundary}
-    if args.json:
-        _emit(_json_summary("optimize", config, summary), args.out)
-        return
-    buf = io.StringIO()
-    buf.write(_header("optimize", config))
-    buf.write(f"# optimum_energy = {format_float(scan.optimum_energy)}\n")
-    buf.write(f"# optimum_ratio = {format_float(scan.optimum_ratio)}\n")
-    buf.write(f"# at_boundary = {scan.at_boundary}\n")
-    buf.write("energy,info_per_photon\n")
-    for e, r in zip(scan.energies, scan.ratios):
-        buf.write(f"{format_float(e)},{format_float(r)}\n")
-    _emit(buf.getvalue(), args.out)
+
+    def rows(buf):
+        buf.write("energy,info_per_photon\n")
+        for e, r in zip(scan.energies, scan.ratios):
+            buf.write(f"{format_float(e)},{format_float(r)}\n")
+
+    _report(args, "optimize", config,
+            {"optimum_energy": scan.optimum_energy,
+             "optimum_ratio": scan.optimum_ratio,
+             "at_boundary": scan.at_boundary}, rows)
 
 
 def cmd_simulate(args):
@@ -163,7 +161,7 @@ def cmd_simulate(args):
               "truncation": args.truncation, "n_list": ",".join(map(str, args.n_list)),
               "ensemble": args.ensemble, "seed": args.seed,
               "band": ",".join(map(str, args.band)) if args.band else ""}
-    p1, p2 = _hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
+    p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
     buf = io.StringIO()
     buf.write(_header("simulate", config))
     buf.write("N,eps_mean,eps_std,chernoff_bound,refined_bound,band_lo,band_hi\n")
@@ -175,8 +173,7 @@ def cmd_simulate(args):
                                    n_max, args.ensemble, args.seed)
     estimates = simkit.error_curve(cfg1, cfg2, p1, p2, args.n_list)
     if args.band:
-        bands = simkit.worst_case_curve(args.v1, args.band, max(args.band), cfg1,
-                                        args.n_list)
+        bands = simkit.worst_case_curve(args.v1, args.band, args.v2, cfg1, args.n_list)
     for i, (n, estimate) in enumerate(zip(args.n_list, estimates)):
         bound = chernoff.chernoff_bound(info, n)
         try:
@@ -201,33 +198,28 @@ def cmd_fingerprint(args):
     rate = fingerprint.modified_rate_appended(delta)
     plan = fingerprint._phaseless_plan(args.v1, args.v2, args.eps, args.truncation)
     cross = fingerprint._crossover(*plan, args.eps)
-    summary = {"delta_min": delta,
-               "rate_modified": rate,
-               "rate_gv": fingerprint.gv_rate(delta),
-               "repetitions": cross.repetitions,
-               "total_energy": cross.total_energy,
-               "n_vs_best_classical": cross.n_vs_best_classical,
-               "n_vs_classical_limit": cross.n_vs_classical_limit}
-    if args.json:
-        _emit(_json_summary("fingerprint", config, summary), args.out)
-        return
-    n_values = np.geomspace(1e2, 1e12, 101)
-    curves = fingerprint._revealed_curves(n_values, *plan, args.v1, args.v2, args.eps,
-                                          args.coherent_energy)
-    buf = io.StringIO()
-    buf.write(_header("fingerprint", config))
-    for key, value in summary.items():
-        rendered = format_float(value) if isinstance(value, float) else str(value)
-        buf.write(f"# {key} = {rendered}\n")
-    buf.write("n,I_quantum_incoherent,I_quantum_coherent,I_classical_best,"
-              "I_classical_bound\n")
-    coh = curves["quantum_coherent"]
-    for i, n in enumerate(n_values):
-        coh_text = "" if coh is None else format_float(coh[i])
-        buf.write(f"{format_float(n)},{format_float(curves['quantum_incoherent'][i])},"
-                  f"{coh_text},{format_float(curves['classical_best'][i])},"
-                  f"{format_float(curves['classical_bound'][i])}\n")
-    _emit(buf.getvalue(), args.out)
+
+    def rows(buf):
+        n_values = np.geomspace(1e2, 1e12, 101)
+        curves = fingerprint._revealed_curves(n_values, *plan, args.v1, args.v2,
+                                              args.eps, args.coherent_energy)
+        buf.write("n,I_quantum_incoherent,I_quantum_coherent,I_classical_best,"
+                  "I_classical_bound\n")
+        coh = curves["quantum_coherent"]
+        for i, n in enumerate(n_values):
+            coh_text = "" if coh is None else format_float(coh[i])
+            buf.write(f"{format_float(n)},{format_float(curves['quantum_incoherent'][i])},"
+                      f"{coh_text},{format_float(curves['classical_best'][i])},"
+                      f"{format_float(curves['classical_bound'][i])}\n")
+
+    _report(args, "fingerprint", config,
+            {"delta_min": delta,
+             "rate_modified": rate,
+             "rate_gv": fingerprint.gv_rate(delta),
+             "repetitions": cross.repetitions,
+             "total_energy": cross.total_energy,
+             "n_vs_best_classical": cross.n_vs_best_classical,
+             "n_vs_classical_limit": cross.n_vs_classical_limit}, rows)
 
 
 def cmd_ingest(args):
@@ -253,21 +245,14 @@ def cmd_ingest(args):
         summary["fraction_within_2"] = comparison.fraction_within_2
         summary["tv_distance"] = comparison.tv_distance
         summary["consistent"] = comparison.fraction_within_2 >= 0.9
-    if args.json:
-        _emit(_json_summary("ingest", config, summary), args.out)
-        return
-    buf = io.StringIO()
-    buf.write(_header("ingest", config))
-    for key, value in summary.items():
-        rendered = format_float(value) if isinstance(value, float) else str(value)
-        buf.write(f"# {key} = {rendered}\n")
-    tagio.histogram_to_csv(hist, buf)
-    _emit(buf.getvalue(), args.out)
+    _report(args, "ingest", config, summary, lambda buf: tagio.histogram_to_csv(hist, buf))
 
 
 def cmd_figures(args):
     config = {"id": args.id, "grid_size": args.grid_size, "seed": args.seed,
               "ensemble": args.ensemble, "truncation": args.truncation}
+    if args.grid_size < 1:
+        raise DomainError("grid size must be >= 1")
     buf = io.StringIO()
     buf.write(_header("figures", config))
     if args.id == "2a":

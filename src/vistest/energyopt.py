@@ -4,7 +4,6 @@ Produces the information-per-photon curves and the visibility-map data
 surfaces for the random-phase and coherent scenarios.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +15,7 @@ from .util import DomainError, golden_section
 DEFAULT_SEARCH_RANGE = (0.1, 30.0)
 DEFAULT_TOL = 0.05
 _TAIL_BUDGET = 1e-9
-
-MODES = ("joint", "truncated", "difference")
+MAX_SEARCH_TRUNCATION = 300  # the rule's K at E = 208
 
 
 class IndistinguishablePairError(DomainError):
@@ -36,43 +34,28 @@ class EnergyScanResult:
     at_boundary: bool  # the optimum is an end of the search range
 
 
-def adaptive_truncation(energy, floor=15):
-    """Resolution K keeping the Poisson tail beyond K under ~1e-9."""
-    return max(floor, math.ceil(energy + 8.0 * math.sqrt(energy)))
-
-
-def _poisson_tail(mean, truncation):
-    """P(count > truncation) for a Poisson of the given mean."""
-    return float(pdtrc(truncation, mean))
-
-
-def info_per_photon(v1_mag, v2_mag, energy, truncation=15, mode="joint"):
-    """Chernoff information per detected photon, C/energy.
-
-    mode "joint" uses the full random-phase statistics, raising the
-    resolution above `truncation` if the energy demands it; "truncated"
-    keeps exactly the given resolution (detector-limited readout);
-    "difference" tests on the count-difference marginal of the full
-    statistics.
-    """
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}")
-    if energy <= 0.0:
+def search_truncation(energy, floor=15):
+    """Smallest K >= floor with Poisson tail P(count > K) below 1e-9 at
+    this energy: the resolution of every table the search builds. A K
+    the rule would raise above MAX_SEARCH_TRUNCATION is refused."""
+    if not energy > 0.0:
         raise DomainError("energy must be > 0")
-    if mode == "truncated":
-        k = truncation
-    else:
-        k = adaptive_truncation(energy, truncation)
-    params = photostat.DetectionParams(energy, 0.0, k)
-    d1 = photostat.joint_random_phase(params, v1_mag)
-    d2 = photostat.joint_random_phase(params, v2_mag)
-    if mode == "difference":
-        p1 = photostat.marginal_difference(d1).probs
-        p2 = photostat.marginal_difference(d2).probs
-    else:
-        p1 = d1.probs
-        p2 = d2.probs
-    return chernoff.chernoff_information(p1, p2).information / energy
+    k = floor
+    while not pdtrc(k, energy) < _TAIL_BUDGET:
+        k += 1
+        if k > MAX_SEARCH_TRUNCATION:
+            raise DomainError(f"E = {energy:g} needs a resolution K above the limit "
+                              f"{MAX_SEARCH_TRUNCATION}; energies up to about 208 "
+                              f"can be searched")
+    return k
+
+
+def info_per_photon(v1_mag, v2_mag, energy, truncation=15):
+    """Chernoff information per detected photon, C/energy, of the full
+    random-phase statistics at K = search_truncation(energy, truncation)."""
+    d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, energy,
+                                         search_truncation(energy, truncation))
+    return chernoff.chernoff_information(d1, d2).information / energy
 
 
 def _scan_pairs(values, pairs, truncation, search_range, tol):
@@ -82,14 +65,12 @@ def _scan_pairs(values, pairs, truncation, search_range, tol):
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
-    k = truncation
-    while _poisson_tail(hi, k) >= _TAIL_BUDGET:
-        k += 1
+    search_truncation(hi, truncation)  # refuse the range before any table is built
 
     energies = np.geomspace(lo, hi, 60)
     ratios = np.empty((len(pairs), len(energies)))
     for n, e in enumerate(energies):
-        params = photostat.DetectionParams(e, 0.0, k)
+        params = photostat.DetectionParams(e, 0.0, search_truncation(e, truncation))
         tables = [photostat.joint_random_phase(params, v) for v in values]
         for row, (i, j) in enumerate(pairs):
             ratios[row, n] = chernoff.chernoff_information(
@@ -99,7 +80,7 @@ def _scan_pairs(values, pairs, truncation, search_range, tol):
     for row, (i, j) in enumerate(pairs):
         best = int(np.argmax(ratios[row]))
         opt_e, neg = golden_section(
-            lambda e: -info_per_photon(values[i], values[j], e, k, "truncated"),
+            lambda e: -info_per_photon(values[i], values[j], e, truncation),
             energies[max(0, best - 1)], energies[min(len(energies) - 1, best + 1)], tol=tol)
         opt_ratio = -neg
         if ratios[row, best] > opt_ratio:
@@ -115,9 +96,9 @@ def optimal_energy(v1_mag, v2_mag, truncation=15,
     """Maximize information per photon over the energy per repetition.
 
     Coarse log-spaced scan (60 points) followed by golden-section
-    refinement around the best grid point. The resolution is raised
-    until the Poisson tail at the top of the range is below 1e-9, so
-    the whole scan shares one effectively-untruncated K.
+    refinement around the best grid point. Each energy E is resolved
+    at search_truncation(E, truncation); a range whose top needs K above
+    MAX_SEARCH_TRUNCATION (hi above about 208) is refused.
     """
     if v1_mag == v2_mag:
         raise IndistinguishablePairError("equal visibility magnitudes")
@@ -161,20 +142,20 @@ def coherent_map(grid):
 
 
 def energy_scan_curves(v1_mag, v2_mag, energies, limited_truncation=2, truncation=15):
-    """Information-per-photon curves over an energy grid for the three
-    readout modes: full statistics, K-limited resolution, and the
+    """Information-per-photon curves over an energy grid for three
+    readouts: full statistics, K-limited resolution, and the
     count-difference marginal. Returns (joint, limited, difference)
     arrays aligned with `energies`. The full and difference curves share
-    one table pair per energy."""
+    one table pair per energy, at search_truncation(E, truncation)."""
     joint = np.empty(len(energies))
     limited = np.empty(len(energies))
     difference = np.empty(len(energies))
     for i, e in enumerate(energies):
-        limited[i] = info_per_photon(v1_mag, v2_mag, e, limited_truncation, "truncated")
-        params = photostat.DetectionParams(e, 0.0, adaptive_truncation(e, truncation))
-        d1 = photostat.joint_random_phase(params, v1_mag)
-        d2 = photostat.joint_random_phase(params, v2_mag)
-        joint[i] = chernoff.chernoff_information(d1.probs, d2.probs).information / e
+        d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, e,
+                                             search_truncation(e, truncation))
+        l1, l2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, limited_truncation)
+        joint[i] = chernoff.chernoff_information(d1, d2).information / e
+        limited[i] = chernoff.chernoff_information(l1, l2).information / e
         difference[i] = chernoff.chernoff_information(
             photostat.marginal_difference(d1).probs,
             photostat.marginal_difference(d2).probs).information / e

@@ -149,6 +149,8 @@ def repetitions_needed(chernoff_info, eps):
         chernoff_info = chernoff_info.information
     if chernoff_info <= 0.0:
         raise DomainError("Chernoff information must be > 0")
+    if not eps > 0.0:
+        raise DomainError("error probability must be > 0")
     if math.isinf(chernoff_info):
         return 1
     return max(1, math.ceil(math.log(1.0 / (2.0 * eps)) / chernoff_info))

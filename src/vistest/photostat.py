@@ -238,6 +238,12 @@ def joint_random_phase(params, vis_magnitude):
     return JointPhotocountDistribution(k, (s + s.T) / nodes)
 
 
+def hypothesis_tables(v1_mag, v2_mag, energy, truncation):
+    """Random-phase tables of the two hypotheses at one (energy, K)."""
+    params = DetectionParams(energy, 0.0, truncation)
+    return joint_random_phase(params, v1_mag), joint_random_phase(params, v2_mag)
+
+
 def retruncate(dist, truncation):
     """Reduce a distribution's count resolution by folding into a smaller K."""
     if truncation < 1:

@@ -218,9 +218,8 @@ def worst_case_curve(v1, v2_grid, designed_v2, config, n_values):
         raise DomainError("empty visibility grid")
     if not math.isclose(float(v2_grid.max()), designed_v2, rel_tol=0.0, abs_tol=1e-12):
         raise DomainError("designed_v2 must equal the maximum of the grid")
-    params = photostat.DetectionParams(config.energy, 0.0, config.truncation)
-    table = _log_ratio_table(photostat.joint_random_phase(params, v1),
-                             photostat.joint_random_phase(params, designed_v2))
+    table = _log_ratio_table(*photostat.hypothesis_tables(
+        v1, designed_v2, config.energy, config.truncation))
     per_v2 = _curves(replace(config, true_visibility=v1),
                      [replace(config, true_visibility=float(v2)) for v2 in v2_grid],
                      table, n_values)

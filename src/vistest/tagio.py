@@ -237,8 +237,7 @@ def compare_to_theory(hist, theory):
     return ComparisonResult(residuals, normalized, fraction, tv)
 
 
-def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows,
-                    phase_model="per-window-uniform"):
+def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
     """Generate a synthetic tag stream from the random-phase model.
 
     Per window: a fresh uniform global phase, Poisson counts at the two
@@ -251,8 +250,6 @@ def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows,
         raise DomainError("windows must be >= 1")
     if energy_per_window < 0.0:
         raise DomainError("energy must be >= 0")
-    if phase_model != "per-window-uniform":
-        raise DomainError(f"unknown phase model {phase_model!r}")
     if not 0.0 <= vis_magnitude <= 1.0:
         raise DomainError("visibility magnitude must lie in [0, 1]")
     window = config.window_tenths

@@ -301,6 +301,22 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["chernoff", "--energy", "0"],
+        ["chernoff", "--coherent", "--energy", "0"],
+        ["fingerprint", "--eps", "0"],
+        ["fingerprint", "--eps", "-1"],
+        ["figures", "--id", "2b", "--grid-size", "-1"],
+        ["optimize", "--hi", "inf"],
+        ["optimize", "--hi", "1e4"],
+        # the band's test is designed at --v2, so the band must end there
+        ["simulate", "--n-list", "1", "--ensemble", "10", "--band", "0,0.3"],
+    ])
+    def test_out_of_range_input_is_3(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error:")
+
     def test_unwritable_output_is_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "dist", "--truncation", "2",
                            "--out", str(tmp_path / "no-dir" / "x.csv"))

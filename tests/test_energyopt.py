@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 from vistest import chernoff as ch
 from vistest import energyopt as eo
@@ -9,42 +10,45 @@ from vistest import photostat as ps
 from vistest.util import DomainError
 
 
-class TestAdaptiveTruncation:
-    def test_floor_dominates_low_energy(self):
-        assert eo.adaptive_truncation(0.5) == 15
-        assert eo.adaptive_truncation(0.5, floor=10) == 10
+class TestSearchTruncation:
+    def test_floor_honoured_below_budget(self):
+        assert eo.search_truncation(0.5) == 15
+        assert eo.search_truncation(0.5, floor=10) == 10
+        # a floor above the cap is the caller's own resolution, kept as is
+        assert eo.search_truncation(6.3, floor=400) == 400
         # resolution requirement wins when the floor is tiny
-        assert eo.adaptive_truncation(0.5, floor=4) == 7
+        assert eo.search_truncation(0.5, floor=4) > 4
 
-    def test_scales_with_energy(self):
-        k = eo.adaptive_truncation(30.0)
-        assert k >= 30 + 8 * math.sqrt(30.0) - 1
-        assert eo._poisson_tail(30.0, k) < 1e-9
+    @pytest.mark.parametrize("energy", [0.5, 1.7, 6.3, 30.0, 80.0, 200.0])
+    def test_minimal_above_floor(self, energy):
+        k = eo.search_truncation(energy, floor=1)
+        assert pdtrc(k - 1, energy) >= 1e-9 > pdtrc(k, energy)
+        assert eo.search_truncation(energy) == max(15, k)
+
+    def test_cap_names_the_limit(self):
+        assert eo.search_truncation(208.0) <= eo.MAX_SEARCH_TRUNCATION
+        with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):
+            eo.search_truncation(209.0)
 
 
 class TestInfoPerPhoton:
     def test_mode_consistency_at_high_resolution(self):
-        # joint with floor 15 already exceeds what 6.3 needs beyond K=50
-        joint = eo.info_per_photon(0.98, 0.56, 6.3, 50, "truncated")
-        adaptive = eo.info_per_photon(0.98, 0.56, 6.3, 15, "joint")
-        assert adaptive == pytest.approx(joint, rel=1e-6)
+        # the tail budget already resolves E = 6.3: raising K to 50 moves nothing
+        exact = eo.info_per_photon(0.98, 0.56, 6.3, 50)
+        assert eo.info_per_photon(0.98, 0.56, 6.3) == pytest.approx(exact, rel=1e-9)
 
     def test_truncated_uses_exact_resolution(self):
-        limited = eo.info_per_photon(0.98, 0.56, 6.3, 2, "truncated")
-        params = ps.DetectionParams(6.3, 0.0, 2)
+        # a floor above the rule's K is used as given
+        assert eo.search_truncation(6.3) < 50
+        params = ps.DetectionParams(6.3, 0.0, 50)
         expected = ch.chernoff_information(
-            ps.joint_random_phase(params, 0.98).probs,
-            ps.joint_random_phase(params, 0.56).probs).information / 6.3
-        assert limited == pytest.approx(expected, rel=1e-12)
+            ps.joint_random_phase(params, 0.98),
+            ps.joint_random_phase(params, 0.56)).information / 6.3
+        assert eo.info_per_photon(0.98, 0.56, 6.3, 50) == expected
 
     def test_difference_mode_loses_information(self):
-        joint = eo.info_per_photon(0.98, 0.56, 6.3)
-        diff = eo.info_per_photon(0.98, 0.56, 6.3, mode="difference")
-        assert 0.0 < diff < joint
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DomainError):
-            eo.info_per_photon(0.9, 0.1, 1.0, mode="bogus")
+        _, _, diff = eo.energy_scan_curves(0.98, 0.56, [6.3])
+        assert 0.0 < diff[0] < eo.info_per_photon(0.98, 0.56, 6.3)
 
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(DomainError):
@@ -94,6 +98,20 @@ class TestOptimalEnergy:
     def test_bad_search_range_rejected(self):
         with pytest.raises(DomainError):
             eo.optimal_energy(0.9, 0.1, search_range=(2.0, 1.0))
+
+    @pytest.mark.parametrize("hi", [1e4, math.inf])
+    def test_unresolvable_range_rejected_before_any_table(self, hi, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(ps, "joint_random_phase", refuse)
+        with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):
+            eo.optimal_energy(0.98, 0.56, search_range=(0.1, hi))
+
+    def test_range_below_the_cap_is_searched(self):
+        scan = eo.optimal_energy(0.98, 0.56, search_range=(0.1, 200.0))
+        assert scan.optimum_energy == pytest.approx(6.6, abs=0.2)
+        assert not scan.at_boundary
 
 
 class TestRandomPhaseMap:
@@ -154,9 +172,13 @@ class TestEnergyScanCurves:
         energies = [0.3, 6.3, 25.0]
         joint, limited, diff = eo.energy_scan_curves(0.98, 0.56, energies)
         for i, e in enumerate(energies):
-            assert joint[i] == eo.info_per_photon(0.98, 0.56, e, 15, "joint")
-            assert limited[i] == eo.info_per_photon(0.98, 0.56, e, 2, "truncated")
-            assert diff[i] == eo.info_per_photon(0.98, 0.56, e, 15, "difference")
+            assert joint[i] == eo.info_per_photon(0.98, 0.56, e)
+            d1, d2 = ps.hypothesis_tables(0.98, 0.56, e, 2)
+            assert limited[i] == ch.chernoff_information(d1, d2).information / e
+            d1, d2 = ps.hypothesis_tables(0.98, 0.56, e, eo.search_truncation(e))
+            assert diff[i] == ch.chernoff_information(
+                ps.marginal_difference(d1).probs,
+                ps.marginal_difference(d2).probs).information / e
 
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(DomainError):

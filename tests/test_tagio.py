@@ -212,9 +212,6 @@ class TestSynthesizeTags:
             tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=0)
         with pytest.raises(DomainError):
             tagio.synthesize_tags(rng, 6.3, 1.2, config, windows=1)
-        with pytest.raises(DomainError):
-            tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=1,
-                                  phase_model="locked")
 
 
 class TestBinningConfig:
