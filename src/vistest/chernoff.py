@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import DomainError, golden_section
+from .util import DomainError
 
 _ALPHA_TOL = 1e-10
 _ALPHA_STEP = 1e-13
@@ -127,13 +127,12 @@ def chernoff_coherent_closed_form(energy, re_v1, re_v2):
         raise DomainError("Re(V) must lie in [-1, 1]")
     if re_v1 == re_v2:
         return ChernoffResult(0.0, 0.5, 0.0)
-
-    def objective(alpha):
-        return 0.5 * ((1.0 + re_v1) ** (1.0 - alpha) * (1.0 + re_v2) ** alpha
-                      + (1.0 - re_v1) ** (1.0 - alpha) * (1.0 - re_v2) ** alpha)
-
-    alpha_star, g_min = golden_section(objective, 0.0, 1.0, tol=_ALPHA_TOL)
-    info = energy * (1.0 - g_min)
+    # the objective is sum(p1^(1-a) p2^a) over the two-outcome laws
+    # ((1 + Re V)/2, (1 - Re V)/2), so the generic solve gives its minimum
+    two_port = chernoff_information(*(np.array([1.0 + v, 1.0 - v]) / 2.0
+                                      for v in (re_v1, re_v2)))
+    alpha_star = two_port.alpha_star
+    info = energy if two_port.infinite else -energy * math.expm1(-two_port.information)
 
     # Tilted product-Poisson statistics: per-port intensities interpolate
     # geometrically, and the log-likelihood ratio is linear in the counts.

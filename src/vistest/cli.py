@@ -30,13 +30,6 @@ DEFAULT_SEED = 20170831
 DEFAULT_N_LIST = "1,2,3,4,5,6,7,8,9,10,15,20,30,40,50"
 
 
-def _header(command, config):
-    lines = [f"# vistest {__version__}", f"# command = {command}"]
-    for key in sorted(config):
-        lines.append(f"# {key} = {config[key]}")
-    return "\n".join(lines) + "\n"
-
-
 def _resolve_out(path):
     if path is None:
         return None
@@ -82,7 +75,8 @@ def _report(args, command, config, summary, body=None):
     rendered = {key: format_float(value) if isinstance(value, float) else str(value)
                 for key, value in summary.items()}
     buf = io.StringIO()
-    buf.write(_header(command, config))
+    buf.write(f"# vistest {__version__}\n# command = {command}\n")
+    buf.writelines(f"# {key} = {config[key]}\n" for key in sorted(config))
     if body is None:
         buf.write("quantity,value\n")
         buf.writelines(f"{key},{value}\n" for key, value in rendered.items())
@@ -105,10 +99,7 @@ def cmd_dist(args):
         dist = photostat.joint_fixed_phase(params, vis)
     else:
         dist = photostat.joint_random_phase(params, args.v)
-    buf = io.StringIO()
-    buf.write(_header("dist", config))
-    photostat.distribution_to_csv(dist, buf)
-    _emit(buf.getvalue(), args.out)
+    _report(args, "dist", config, {}, lambda buf: photostat.distribution_to_csv(dist, buf))
 
 
 def cmd_chernoff(args):
@@ -162,32 +153,30 @@ def cmd_simulate(args):
               "ensemble": args.ensemble, "seed": args.seed,
               "band": ",".join(map(str, args.band)) if args.band else ""}
     p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
-    buf = io.StringIO()
-    buf.write(_header("simulate", config))
-    buf.write("N,eps_mean,eps_std,chernoff_bound,refined_bound,band_lo,band_hi\n")
     info = chernoff.chernoff_information(p1.probs, p2.probs)
-    n_max = max(args.n_list, default=1)
-    cfg1 = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
-                                   n_max, args.ensemble, args.seed)
-    cfg2 = simkit.ExperimentConfig(args.v2, args.energy, args.truncation,
-                                   n_max, args.ensemble, args.seed)
-    estimates = simkit.error_curve(cfg1, cfg2, p1, p2, args.n_list)
-    if args.band:
-        bands = simkit.worst_case_curve(args.v1, args.band, args.v2, cfg1, args.n_list)
-    for i, (n, estimate) in enumerate(zip(args.n_list, estimates)):
-        bound = chernoff.chernoff_bound(info, n)
-        try:
-            refined = chernoff.refined_bound(p1.probs, p2.probs, n)
-        except chernoff.DegeneratePairError:
-            refined = math.nan
-        if args.band:
-            lo, hi = format_float(bands[i].band_lo), format_float(bands[i].band_hi)
-        else:
-            lo = hi = ""
-        buf.write(f"{n},{format_float(estimate.error_mean)},"
-                  f"{format_float(estimate.error_std)},{format_float(bound)},"
-                  f"{format_float(refined)},{lo},{hi}\n")
-    _emit(buf.getvalue(), args.out)
+    run = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
+                                  max(args.n_list, default=1), args.ensemble, args.seed)
+    # the printed estimate is the band's member at the design point
+    band = args.band or [args.v2]
+    design = int(np.argmax(band))
+    curve = simkit.worst_case_curve(args.v1, band, args.v2, run, args.n_list)
+
+    def rows(buf):
+        buf.write("N,eps_mean,eps_std,chernoff_bound,refined_bound,band_lo,band_hi\n")
+        for n, point in zip(args.n_list, curve):
+            estimate = point.estimates[design]
+            try:
+                refined = chernoff.refined_bound(p1.probs, p2.probs, n)
+            except chernoff.DegeneratePairError:
+                refined = math.nan
+            lo, hi = ((format_float(point.band_lo), format_float(point.band_hi))
+                      if args.band else ("", ""))
+            buf.write(f"{n},{format_float(estimate.error_mean)},"
+                      f"{format_float(estimate.error_std)},"
+                      f"{format_float(chernoff.chernoff_bound(info, n))},"
+                      f"{format_float(refined)},{lo},{hi}\n")
+
+    _report(args, "simulate", config, {}, rows)
 
 
 def cmd_fingerprint(args):
@@ -253,48 +242,39 @@ def cmd_figures(args):
               "ensemble": args.ensemble, "truncation": args.truncation}
     if args.grid_size < 1:
         raise DomainError("grid size must be >= 1")
-    buf = io.StringIO()
-    buf.write(_header("figures", config))
-    if args.id == "2a":
-        grid = np.linspace(-1.0, 1.0, args.grid_size)
-        table = energyopt.coherent_map(grid)
-        buf.write("re_v1,re_v2,info_per_photon\n")
-        for i, a in enumerate(grid):
-            for j, b in enumerate(grid):
-                buf.write(f"{format_float(a)},{format_float(b)},"
-                          f"{format_float(table[i, j])}\n")
-    elif args.id in ("2b", "2c"):
-        grid = np.linspace(0.0, 1.0, args.grid_size)
-        ratio, energy = energyopt.random_phase_map(grid, args.truncation)
-        buf.write("v1,v2,max_ratio,opt_energy\n")
-        for i, a in enumerate(grid):
-            for j, b in enumerate(grid):
-                buf.write(f"{format_float(a)},{format_float(b)},"
-                          f"{format_float(ratio[i, j])},{format_float(energy[i, j])}\n")
-    elif args.id == "3":
-        energies = np.geomspace(0.1, 30.0, 60)
-        joint, limited, diff = energyopt.energy_scan_curves(
-            DEFAULT_V1, DEFAULT_V2, energies, 2, args.truncation)
-        buf.write("energy,ratio_joint,ratio_k2,ratio_diff\n")
-        for i, e in enumerate(energies):
-            buf.write(f"{format_float(e)},{format_float(joint[i])},"
-                      f"{format_float(limited[i])},{format_float(diff[i])}\n")
-    elif args.id == "4c":
-        sim = argparse.Namespace(
+    if args.id == "4c":
+        return cmd_simulate(argparse.Namespace(
             v1=DEFAULT_V1, v2=DEFAULT_V2, energy=DEFAULT_ENERGY,
             truncation=args.truncation, n_list=_int_list(DEFAULT_N_LIST),
             ensemble=args.ensemble, seed=args.seed,
-            band=[0.0, 0.14, 0.28, 0.42, 0.56], out=args.out)
-        cmd_simulate(sim)
-        return
-    else:  # s2
-        fp = argparse.Namespace(
+            band=[0.0, 0.14, 0.28, 0.42, 0.56], json=False, out=args.out))
+    if args.id == "s2":
+        return cmd_fingerprint(argparse.Namespace(
             v1=DEFAULT_V1, v2=DEFAULT_V2, eps=DEFAULT_EPS,
             truncation=args.truncation, coherent_energy=args.coherent_energy,
-            json=False, out=args.out)
-        cmd_fingerprint(fp)
-        return
-    _emit(buf.getvalue(), args.out)
+            json=False, out=args.out))
+    if args.id == "2a":
+        grid = np.linspace(-1.0, 1.0, args.grid_size)
+        table = energyopt.coherent_map(grid)
+        header = "re_v1,re_v2,info_per_photon"
+        records = [(a, b, table[i, j]) for i, a in enumerate(grid) for j, b in enumerate(grid)]
+    elif args.id in ("2b", "2c"):
+        grid = np.linspace(0.0, 1.0, args.grid_size)
+        ratio, energy = energyopt.random_phase_map(grid, args.truncation)
+        header = "v1,v2,max_ratio,opt_energy"
+        records = [(a, b, ratio[i, j], energy[i, j])
+                   for i, a in enumerate(grid) for j, b in enumerate(grid)]
+    else:  # 3
+        energies = np.geomspace(0.1, 30.0, 60)
+        header = "energy,ratio_joint,ratio_k2,ratio_diff"
+        records = zip(energies, *energyopt.energy_scan_curves(
+            DEFAULT_V1, DEFAULT_V2, energies, 2, args.truncation))
+
+    def rows(buf):
+        buf.write(header + "\n")
+        buf.writelines(",".join(map(format_float, record)) + "\n" for record in records)
+
+    _report(args, "figures", config, {}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +291,7 @@ def build_parser():
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, json=False)
         p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
         p.add_argument("--out", default=None,
                        help=f"output file (relative paths resolve under "

@@ -16,7 +16,7 @@ the curve's stream, and the points of one curve are correlated.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,22 +83,27 @@ def dataset_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _cell_sampler(energy, vis_magnitude, truncation):
-    """Map uniforms in [0, 1) to flat cell indices of the folded
-    random-phase table, by inverse CDF. A uniform past the rounded total
-    lands on the last cell with positive mass."""
-    params = photostat.DetectionParams(energy, 0.0, truncation)
-    probs = photostat.joint_random_phase(params, vis_magnitude).probs.ravel()
+def _cell_sampler(table):
+    """Map uniforms in [0, 1) to flat cell indices of a joint table, by
+    inverse CDF. A uniform past the rounded total lands on the last cell
+    with positive mass."""
+    probs = np.asarray(table.probs).ravel()
     cdf = np.cumsum(probs)
     last = np.flatnonzero(probs)[-1]
     return lambda u: np.minimum(np.searchsorted(cdf, u, side="right"), last)
+
+
+def _random_phase_table(energy, vis_magnitude, truncation):
+    return photostat.joint_random_phase(
+        photostat.DetectionParams(energy, 0.0, truncation), vis_magnitude)
 
 
 def sample_dataset(rng, energy, vis_magnitude, truncation, size):
     """Draw `size` independent random-phase trials, with counts above
     the truncation folded into it. Returns an (size, 2) integer array of
     (k_plus, k_minus) rows."""
-    cells = _cell_sampler(energy, vis_magnitude, truncation)(rng.random(size))
+    table = _random_phase_table(energy, vis_magnitude, truncation)
+    cells = _cell_sampler(table)(rng.random(size))
     return np.column_stack(np.divmod(cells, truncation + 1))
 
 
@@ -136,13 +141,15 @@ def neyman_pearson(dataset, p1, p2):
     return Decision.V1 if log_likelihood_ratio(dataset, p1, p2) > 0.0 else Decision.V2
 
 
-def _conditional_curve(config, table, truth, key, n_values):
-    """Fraction of the M datasets sampled under `config` that are
-    misdecided after their first N trials, for each N in n_values, using
-    the log-ratio `table` (favoring V1 when > 0)."""
+def _conditional_curve(config, source, llr, truth, key, n_values):
+    """Fraction of the M datasets drawn from the table `source` on stream
+    `key` that are misdecided after their first N trials, for each N in
+    n_values, using the log-ratio table `llr` (favoring V1 when > 0)."""
+    if any(not 1 <= n <= config.repetitions_per_test for n in n_values):
+        raise DomainError(f"every N must lie in [1, {config.repetitions_per_test}]")
     m = config.ensemble_size
-    draw = _cell_sampler(config.energy, config.true_visibility, config.truncation)
-    llr = table.ravel()
+    draw = _cell_sampler(source)
+    llr = llr.ravel()
     rng = dataset_rng(config.seed, *key)
     n_max = max(n_values, default=0)
     chunk = max(1, _CHUNK_DRAWS // m)
@@ -161,22 +168,12 @@ def _conditional_curve(config, table, truth, key, n_values):
     return [wrong[n] / m for n in n_values]
 
 
-def _curves(config_v1, configs_v2, table, n_values):
-    """ErrorEstimates [j][n] of the test `table` (favoring V1 when > 0):
-    one V1 conditional, paired with the V2 conditional of each config j,
-    which reads stream (2, j)."""
-    if any(not 1 <= n <= config_v1.repetitions_per_test for n in n_values):
-        raise DomainError(f"every N must lie in [1, {config_v1.repetitions_per_test}]")
-    m = config_v1.ensemble_size
-    eps_v2_given_v1 = _conditional_curve(config_v1, table, Decision.V1, (1, 0), n_values)
+def _paired(eps_v2_given_v1, eps_v1_given_v2, m):
+    """ErrorEstimates of one V1 and one V2 conditional curve."""
     out = []
-    for j, config in enumerate(configs_v2):
-        row = []
-        for e21, e12 in zip(eps_v2_given_v1, _conditional_curve(
-                config, table, Decision.V2, (2, j), n_values)):
-            mean = (e12 + e21) / 2.0
-            row.append(ErrorEstimate(mean, math.sqrt(mean * (1.0 - mean) / m), e12, e21))
-        out.append(row)
+    for e21, e12 in zip(eps_v2_given_v1, eps_v1_given_v2):
+        mean = (e12 + e21) / 2.0
+        out.append(ErrorEstimate(mean, math.sqrt(mean * (1.0 - mean) / m), e12, e21))
     return out
 
 
@@ -196,7 +193,15 @@ def error_curve(config_v1, config_v2, p1, p2, n_values):
         raise DomainError("the two conditional runs must share N and M")
     if p1.truncation != p2.truncation:
         raise DomainError("hypothesis tables have different truncation")
-    return _curves(config_v1, [config_v2], _log_ratio_table(p1, p2), n_values)[0]
+    if not config_v1.truncation == config_v2.truncation == p1.truncation:
+        raise DomainError("the configs' truncation differs from the tables'")
+    llr = _log_ratio_table(p1, p2)
+    sources = [_random_phase_table(c.energy, c.true_visibility, c.truncation)
+               for c in (config_v1, config_v2)]
+    return _paired(
+        _conditional_curve(config_v1, sources[0], llr, Decision.V1, (1, 0), n_values),
+        _conditional_curve(config_v2, sources[1], llr, Decision.V2, (2, 0), n_values),
+        config_v1.ensemble_size)
 
 
 def estimate_error(config_v1, config_v2, p1, p2):
@@ -210,19 +215,26 @@ def worst_case_curve(v1, v2_grid, designed_v2, config, n_values):
     (p(v1), p(designed_v2)). Returns one WorstCaseBand per N.
 
     `config` supplies energy, truncation, N, M, and the seed; its
-    true_visibility field is ignored (each grid point overrides it).
-    The V1 conditional is drawn once and shared by every grid point.
+    true_visibility field is ignored. One table per distinct visibility
+    of v1 and the grid serves both to sample and, at v1 and at the grid
+    maximum, as the test pair. The V1 conditional reads stream (1, 0)
+    once and is shared by every grid point; grid point j reads (2, j).
     """
     v2_grid = np.asarray(v2_grid, dtype=float)
     if len(v2_grid) == 0:
         raise DomainError("empty visibility grid")
+    if not np.all((0.0 <= v2_grid) & (v2_grid <= 1.0)) or not 0.0 <= v1 <= 1.0:
+        raise DomainError("every true visibility must lie in [0, 1]")
     if not math.isclose(float(v2_grid.max()), designed_v2, rel_tol=0.0, abs_tol=1e-12):
         raise DomainError("designed_v2 must equal the maximum of the grid")
-    table = _log_ratio_table(*photostat.hypothesis_tables(
-        v1, designed_v2, config.energy, config.truncation))
-    per_v2 = _curves(replace(config, true_visibility=v1),
-                     [replace(config, true_visibility=float(v2)) for v2 in v2_grid],
-                     table, n_values)
+    tables = {v: _random_phase_table(config.energy, v, config.truncation)
+              for v in dict.fromkeys([v1, *v2_grid.tolist()])}
+    llr = _log_ratio_table(tables[v1], tables[float(v2_grid.max())])
+    eps_v2_given_v1 = _conditional_curve(config, tables[v1], llr, Decision.V1, (1, 0), n_values)
+    per_v2 = [_paired(eps_v2_given_v1, _conditional_curve(
+                  config, tables[v2], llr, Decision.V2, (2, j), n_values),
+                  config.ensemble_size)
+              for j, v2 in enumerate(v2_grid.tolist())]
     bands = []
     for estimates in zip(*per_v2):
         means = [e.error_mean for e in estimates]

@@ -18,6 +18,8 @@ def golden_section(f, a, b, tol=1e-10, max_iter=200):
     iteration, so ~50 iterations reach tol=1e-10 on a unit interval;
     max_iter is a safety cap.
     """
+    if not tol > 0.0:
+        raise DomainError("tol must be > 0")
     if b < a:
         a, b = b, a
     h = b - a

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from vistest import chernoff as ch
 from vistest import photostat as ps
@@ -157,6 +158,23 @@ class TestCoherentClosedForm:
         assert closed.information == pytest.approx(generic.information, abs=1e-6)
         assert closed.alpha_star == pytest.approx(generic.alpha_star, abs=1e-6)
         assert closed.sigma == pytest.approx(generic.sigma, abs=1e-6)
+
+    @pytest.mark.parametrize("re_v1,re_v2", [(0.999, 0.998), (0.98, 0.56), (-0.5, 0.9),
+                                             (0.3, -0.7)])
+    def test_alpha_star_is_root_of_tilted_mean(self, re_v1, re_v2):
+        # f'(a) is the mean of log(p2/p1) under the two-outcome law tilted
+        # by a; the objective is flat near equal visibilities, so only the
+        # root of f' pins alpha* there
+        l1 = np.log([1.0 + re_v1, 1.0 - re_v1])
+        d = np.log([1.0 + re_v2, 1.0 - re_v2]) - l1
+
+        def tilted_mean(a):
+            w = np.exp(l1 + a * d)
+            return float(w @ d / w.sum())
+
+        root = brentq(tilted_mean, 0.0, 1.0, xtol=1e-15)
+        result = ch.chernoff_coherent_closed_form(3.0, re_v1, re_v2)
+        assert abs(result.alpha_star - root) <= 1e-12
 
     def test_degenerate_port_sigma_nan(self):
         result = ch.chernoff_coherent_closed_form(4.0, 1.0, 0.5)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vistest import __version__, energyopt, photostat as ps, tagio
+from vistest import __version__, energyopt, photostat as ps, simkit, tagio
 from vistest.cli import main
 
 
@@ -153,6 +153,48 @@ class TestSimulate:
         fields = row.split(",")
         assert fields[5] != "" and fields[6] != ""
         assert float(fields[5]) <= float(fields[6])
+
+    BAND = ("--band", "0,0.14,0.28,0.42,0.56")
+
+    @pytest.mark.parametrize("seed", [3, 41, 2718, 65537, 90210])
+    def test_estimate_lies_inside_its_band(self, capsys, seed):
+        # the printed estimate is the band's design-point member
+        _, out, _ = run(capsys, "simulate", "--ensemble", "300", "--seed", str(seed), *self.BAND)
+        rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
+        assert len(rows) == 15
+        for row in rows:
+            assert float(row[5]) <= float(row[1]) <= float(row[6]), row
+        band = simkit.worst_case_curve(0.98, [0.0, 0.14, 0.28, 0.42, 0.56], 0.56,
+                                       simkit.ExperimentConfig(0.98, 6.3, 15, 50, 300, seed),
+                                       [int(row[0]) for row in rows])
+        assert [float(row[1]) for row in rows] == [b.estimates[-1].error_mean for b in band]
+
+    def test_band_builds_at_most_8_tables_and_reads_each_stream_once(
+            self, capsys, monkeypatch):
+        tables, streams = [], []
+        build, stream = ps.joint_random_phase, simkit.dataset_rng
+        monkeypatch.setattr(ps, "joint_random_phase",
+                            lambda *a: tables.append(a) or build(*a))
+        monkeypatch.setattr(simkit, "dataset_rng",
+                            lambda *a: streams.append(a) or stream(*a))
+        code, _, _ = run(capsys, "simulate", "--n-list", "1,5", "--ensemble", "50", *self.BAND)
+        assert code == 0
+        # the two bound tables, then one per distinct visibility of {v1} and the band
+        assert len(tables) <= 8
+        assert len(streams) == len(set(streams)) == 6
+
+    def test_without_band_equals_error_curve(self, capsys):
+        n_list = [1, 3, 8]
+        _, out, _ = run(capsys, "simulate", "--n-list", "1,3,8", "--ensemble", "400",
+                        "--seed", "13")
+        rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
+        p1, p2 = ps.hypothesis_tables(0.98, 0.56, 6.3, 15)
+        curve = simkit.error_curve(simkit.ExperimentConfig(0.98, 6.3, 15, 8, 400, 13),
+                                   simkit.ExperimentConfig(0.56, 6.3, 15, 8, 400, 13),
+                                   p1, p2, n_list)
+        assert [(int(r[0]), float(r[1]), float(r[2])) for r in rows] == [
+            (n, e.error_mean, e.error_std) for n, e in zip(n_list, curve)]
+        assert all(r[5] == r[6] == "" for r in rows)
 
 
 class TestFingerprint:
@@ -311,6 +353,11 @@ class TestExitCodes:
         ["optimize", "--hi", "1e4"],
         # the band's test is designed at --v2, so the band must end there
         ["simulate", "--n-list", "1", "--ensemble", "10", "--band", "0,0.3"],
+        ["simulate", "--n-list", "1", "--ensemble", "10", "--v2", "-0.5"],
+        ["simulate", "--n-list", "1", "--ensemble", "10", "--band=-0.2,0.56"],
+        ["optimize", "--tol", "0"],
+        ["optimize", "--tol", "-1"],
+        ["optimize", "--tol", "nan"],
     ])
     def test_out_of_range_input_is_3(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -109,9 +109,9 @@ class TestTableSampler:
     def test_uniform_past_rounded_total_lands_on_positive_cell(self):
         # the cumulative sum may stop just short of 1; the largest uniform
         # must still map to a cell the table can produce
-        draw = sk._cell_sampler(6.3, 0.56, 15)
-        table = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.56).probs.ravel()
-        cells = draw(np.array([0.0, np.nextafter(1.0, 0.0), 1.0]))
+        dist = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.56)
+        table = dist.probs.ravel()
+        cells = sk._cell_sampler(dist)(np.array([0.0, np.nextafter(1.0, 0.0), 1.0]))
         assert cells.max() <= 255
         assert np.all(table[cells] > 0.0)
 
@@ -226,6 +226,13 @@ class TestWorstCaseSweep:
         assert (band.estimates[0].conditional_v1_given_v2
                 <= band.estimates[1].conditional_v1_given_v2)
 
+    # a negative magnitude would otherwise pass as a phase of pi
+    @pytest.mark.parametrize("v1,grid", [(0.98, [-0.2, 0.56]), (-0.1, [0.56])])
+    def test_visibilities_outside_unit_interval_rejected(self, v1, grid):
+        cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
+        with pytest.raises(DomainError):
+            sk.worst_case_sweep(v1, grid, 0.56, cfg)
+
     def test_designed_point_must_be_grid_maximum(self):
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
         with pytest.raises(DomainError):
@@ -266,6 +273,15 @@ class TestErrorCurve:
             sk.error_curve(*configs(10, 50, 1), p1, p2, [5, 11])
         with pytest.raises(DomainError):
             sk.error_curve(*configs(10, 50, 1), p1, p2, [0, 5])
+
+    @pytest.mark.parametrize("truncation", [10, 20])
+    def test_config_truncation_must_match_tables(self, truncation):
+        # sampling at one resolution and testing at another misreads cells
+        p1, p2 = tables()
+        cfg1 = sk.ExperimentConfig(0.98, 6.3, truncation, 5, 50, 1)
+        cfg2 = sk.ExperimentConfig(0.56, 6.3, truncation, 5, 50, 1)
+        with pytest.raises(DomainError):
+            sk.error_curve(cfg1, cfg2, p1, p2, [5])
 
     def test_worst_case_curve_rows_equal_sweeps(self):
         grid = [0.0, 0.28, 0.56]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from vistest.util import format_float, golden_section
+from vistest.util import DomainError, format_float, golden_section
 
 
 class TestGoldenSection:
@@ -27,6 +27,11 @@ class TestGoldenSection:
     def test_degenerate_bracket(self):
         x, fx = golden_section(lambda t: (t - 0.3) ** 2, 0.5, 0.5)
         assert (x, fx) == (0.5, pytest.approx(0.04))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(DomainError):
+            golden_section(lambda t: t * t, 0.0, 1.0, tol=tol)
 
 
 class TestFormatFloat:
