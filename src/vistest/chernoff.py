@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import photostat
 from .util import DomainError
 
 _ALPHA_TOL = 1e-10
@@ -41,8 +42,11 @@ class ChernoffResult:
 
 
 def _as_table(p):
-    probs = getattr(p, "probs", p)
-    return np.asarray(probs, dtype=float).ravel()
+    # a photostat table was checked when built; a raw array is checked here
+    if isinstance(p, (photostat.JointPhotocountDistribution,
+                      photostat.CountDifferenceDistribution)):
+        return p.probs.ravel()
+    return photostat.checked_probabilities(p, np.shape(p)).ravel()
 
 
 def _validate_pair(p1, p2):
@@ -50,11 +54,6 @@ def _validate_pair(p1, p2):
     b = _as_table(p2)
     if a.shape != b.shape:
         raise DomainError(f"distribution shapes differ: {a.shape} vs {b.shape}")
-    for name, t in (("p1", a), ("p2", b)):
-        if np.any(t < 0.0):
-            raise DomainError(f"{name} has negative entries")
-        if abs(t.sum() - 1.0) > 1e-9:
-            raise DomainError(f"{name} sums to {t.sum()!r}, not 1")
     return a, b
 
 
@@ -95,7 +94,8 @@ def _minimum(l1, d):
 
 
 def chernoff_information(p1, p2):
-    """Chernoff information of two distributions on a common outcome set.
+    """Chernoff information of two photostat tables, or two checked
+    probability arrays, on a common outcome set.
 
     Minimizes the convex f(a) = log sum(p1^(1-a) p2^a) over a in [0, 1]
     by Newton steps on f' (the tilted mean of the log-likelihood ratio,
@@ -105,7 +105,7 @@ def chernoff_information(p1, p2):
     the infinite sentinel.
     """
     a, b = _validate_pair(p1, p2)
-    if np.allclose(a, b, rtol=0.0, atol=1e-15):
+    if np.abs(a - b).max() <= 1e-15:
         return ChernoffResult(0.0, 0.5, 0.0)
     mask = (a > 0.0) & (b > 0.0)
     if not np.any(mask):
@@ -185,11 +185,8 @@ def tilted_distribution(p1, p2, alpha):
 
 def relative_entropy(p, q):
     """Relative entropy D(p||q) in nats; +inf when p puts mass where q
-    has none."""
-    a = _as_table(p)
-    b = _as_table(q)
-    if a.shape != b.shape:
-        raise DomainError(f"distribution shapes differ: {a.shape} vs {b.shape}")
+    has none. Arrays are checked as in chernoff_information."""
+    a, b = _validate_pair(p, q)
     support = a > 0.0
     if np.any(b[support] == 0.0):
         return math.inf

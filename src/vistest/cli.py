@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -116,11 +117,9 @@ def cmd_chernoff(args):
             p1 = photostat.retruncate(p1, args.truncate)
             p2 = photostat.retruncate(p2, args.truncate)
         if args.marginal_diff:
-            t1 = photostat.marginal_difference(p1).probs
-            t2 = photostat.marginal_difference(p2).probs
-        else:
-            t1, t2 = p1.probs, p2.probs
-        result = chernoff.chernoff_information(t1, t2)
+            p1 = photostat.marginal_difference(p1)
+            p2 = photostat.marginal_difference(p2)
+        result = chernoff.chernoff_information(p1, p2)
     per_photon = math.inf if result.infinite else result.information / args.energy
     _report(args, "chernoff", config,
             {"information_nats": result.information,
@@ -153,7 +152,7 @@ def cmd_simulate(args):
               "ensemble": args.ensemble, "seed": args.seed,
               "band": ",".join(map(str, args.band)) if args.band else ""}
     p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
-    info = chernoff.chernoff_information(p1.probs, p2.probs)
+    info = chernoff.chernoff_information(p1, p2)
     run = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
                                   max(args.n_list, default=1), args.ensemble, args.seed)
     # the printed estimate is the band's member at the design point
@@ -166,7 +165,7 @@ def cmd_simulate(args):
         for n, point in zip(args.n_list, curve):
             estimate = point.estimates[design]
             try:
-                refined = chernoff.refined_bound(p1.probs, p2.probs, n)
+                refined = chernoff.refined_bound(p1, p2, n)
             except chernoff.DegeneratePairError:
                 refined = math.nan
             lo, hi = ((format_float(point.band_lo), format_float(point.band_hi))
@@ -225,8 +224,6 @@ def cmd_ingest(args):
     if args.theory:
         if len(args.theory) != 2:
             raise DomainError("--theory takes v,energy")
-        if hist.total == 0:
-            raise DomainError("empty histogram: comparison refused")
         v, energy = args.theory
         params = photostat.DetectionParams(energy, 0.0, args.truncation)
         comparison = tagio.compare_to_theory(
@@ -291,6 +288,8 @@ def build_parser():
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
+        # a value such as -0.2,0.56 is a negative list, not an unknown option
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.set_defaults(func=func, json=False)
         p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
         p.add_argument("--out", default=None,

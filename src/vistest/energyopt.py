@@ -65,6 +65,8 @@ def _scan_pairs(values, pairs, truncation, search_range, tol):
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
+    if not tol > 0.0:
+        raise DomainError("tol must be > 0")
     search_truncation(hi, truncation)  # refuse the range before any table is built
 
     energies = np.geomspace(lo, hi, 60)
@@ -114,8 +116,6 @@ def random_phase_map(grid, truncation=15,
     Cell (i, j), i < j, is optimal_energy(grid[i], grid[j]) by construction.
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise DomainError("visibility lattice values must lie in [0, 1]")
     n = len(grid)
     max_ratio = np.full((n, n), np.nan)
     opt_energy = np.full((n, n), np.nan)
@@ -157,6 +157,6 @@ def energy_scan_curves(v1_mag, v2_mag, energies, limited_truncation=2, truncatio
         joint[i] = chernoff.chernoff_information(d1, d2).information / e
         limited[i] = chernoff.chernoff_information(l1, l2).information / e
         difference[i] = chernoff.chernoff_information(
-            photostat.marginal_difference(d1).probs,
-            photostat.marginal_difference(d2).probs).information / e
+            photostat.marginal_difference(d1),
+            photostat.marginal_difference(d2)).information / e
     return joint, limited, difference

@@ -88,6 +88,22 @@ class DetectionParams:
             raise DomainError("truncation must be >= 1")
 
 
+def checked_probabilities(probs, shape):
+    """A read-only float copy of probs, refused unless it has the given
+    shape, every entry is finite and >= 0, and the entries sum to 1 within
+    1e-9 (NaN fails). Every photostat table passes it once, when built."""
+    probs = np.array(probs, dtype=float)
+    if probs.shape != shape:
+        raise DomainError(f"probability table shape {probs.shape} != {shape}")
+    if not np.all((probs >= 0.0) & (probs < math.inf)):
+        raise DomainError("probability entries must be finite and >= 0")
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise DomainError(f"probability table sums to {total!r}, not 1")
+    probs.setflags(write=False)
+    return probs
+
+
 @dataclass(frozen=True)
 class JointPhotocountDistribution:
     """(K+1) x (K+1) probability table over detector count pairs (k, k')."""
@@ -96,16 +112,8 @@ class JointPhotocountDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        expected = (self.truncation + 1, self.truncation + 1)
-        if probs.shape != expected:
-            raise DomainError(f"probability table shape {probs.shape} != {expected}")
-        if np.any(probs < 0.0):
-            raise DomainError("negative probability entry")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise DomainError(f"probability table sums to {probs.sum()!r}, not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        k = self.truncation
+        object.__setattr__(self, "probs", checked_probabilities(self.probs, (k + 1, k + 1)))
 
     def __getitem__(self, idx):
         return self.probs[idx]
@@ -119,11 +127,8 @@ class CountDifferenceDistribution:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (2 * self.truncation + 1,):
-            raise DomainError("difference table has wrong length")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        k = self.truncation
+        object.__setattr__(self, "probs", checked_probabilities(self.probs, (2 * k + 1,)))
 
     def probability(self, dk):
         return self.probs[dk + self.truncation]
@@ -219,7 +224,8 @@ def _fold_tail(table, truncation):
 def joint_random_phase(params, vis_magnitude):
     """Joint count distribution averaged over a uniform global phase.
 
-    Only |V| matters after averaging. Dark counts are folded in first.
+    Only |V| matters after averaging, so |V| outside [0, 1] is refused,
+    not folded into a phase. Dark counts are folded in first.
     Midpoint rule with M = 2K + 64 nodes on [0, pi], exact below K where
     the integrand is e^{-E} times a polynomial in cos(phi) of degree
     <= 2K - 2 (Trefethen & Weideman, SIAM Rev. 56 (2014) 385); the tail
@@ -227,8 +233,9 @@ def joint_random_phase(params, vis_magnitude):
     Node pi - phi swaps the ports of node phi, so P = (S + S^T) / M with
     S summed over half the nodes.
     """
-    vis = ComplexVisibility(vis_magnitude)
-    params, vis = effective_params(params, vis)
+    if not 0.0 <= vis_magnitude <= 1.0 + _MAG_SLACK:
+        raise DomainError(f"random-phase |V| = {vis_magnitude} must lie in [0, 1]")
+    params, vis = effective_params(params, ComplexVisibility(vis_magnitude))
     energy = params.mean_detected_energy
     k = params.truncation
     nodes = 2 * k + 64

@@ -119,9 +119,7 @@ def _as_outcome_array(dataset, truncation):
 
 
 def _log_ratio_table(p1, p2):
-    t1 = np.log(np.maximum(np.asarray(p1.probs, dtype=float), _LOG_FLOOR))
-    t2 = np.log(np.maximum(np.asarray(p2.probs, dtype=float), _LOG_FLOOR))
-    return t1 - t2
+    return np.log(np.maximum(p1.probs, _LOG_FLOOR)) - np.log(np.maximum(p2.probs, _LOG_FLOOR))
 
 
 def log_likelihood_ratio(dataset, p1, p2):
@@ -191,10 +189,8 @@ def error_curve(config_v1, config_v2, p1, p2, n_values):
     if (config_v1.repetitions_per_test != config_v2.repetitions_per_test
             or config_v1.ensemble_size != config_v2.ensemble_size):
         raise DomainError("the two conditional runs must share N and M")
-    if p1.truncation != p2.truncation:
-        raise DomainError("hypothesis tables have different truncation")
-    if not config_v1.truncation == config_v2.truncation == p1.truncation:
-        raise DomainError("the configs' truncation differs from the tables'")
+    if not config_v1.truncation == config_v2.truncation == p1.truncation == p2.truncation:
+        raise DomainError("the configs and the tables must share one truncation")
     llr = _log_ratio_table(p1, p2)
     sources = [_random_phase_table(c.energy, c.true_visibility, c.truncation)
                for c in (config_v1, config_v2)]
@@ -223,8 +219,6 @@ def worst_case_curve(v1, v2_grid, designed_v2, config, n_values):
     v2_grid = np.asarray(v2_grid, dtype=float)
     if len(v2_grid) == 0:
         raise DomainError("empty visibility grid")
-    if not np.all((0.0 <= v2_grid) & (v2_grid <= 1.0)) or not 0.0 <= v1 <= 1.0:
-        raise DomainError("every true visibility must lie in [0, 1]")
     if not math.isclose(float(v2_grid.max()), designed_v2, rel_tol=0.0, abs_tol=1e-12):
         raise DomainError("designed_v2 must equal the maximum of the grid")
     tables = {v: _random_phase_table(config.energy, v, config.truncation)
@@ -287,7 +281,7 @@ def exact_error(p1, p2, n_values, step=1e-3):
     if not step > 0.0:
         raise DomainError("step must be > 0")
     llr = _log_ratio_table(p1, p2).ravel()
-    laws = [_lattice_law(np.asarray(p.probs, dtype=float).ravel(), llr, rounding, step)
+    laws = [_lattice_law(p.probs.ravel(), llr, rounding, step)
             for p in (p1, p2) for rounding in (np.floor, np.ceil)]
     out = []
     for n in n_values:

@@ -9,14 +9,15 @@ class DomainError(ValueError):
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_MAX_ITER = 200
 
 
-def golden_section(f, a, b, tol=1e-10, max_iter=200):
+def golden_section(f, a, b, tol=1e-10):
     """Minimize a unimodal scalar function on [a, b].
 
     Returns (x_min, f(x_min)). The bracket shrinks by 1/phi per
     iteration, so ~50 iterations reach tol=1e-10 on a unit interval;
-    max_iter is a safety cap.
+    _MAX_ITER is a safety cap.
     """
     if not tol > 0.0:
         raise DomainError("tol must be > 0")
@@ -30,7 +31,7 @@ def golden_section(f, a, b, tol=1e-10, max_iter=200):
     d = a + _INVPHI * h
     fc = f(c)
     fd = f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if h <= tol:
             break
         h *= _INVPHI

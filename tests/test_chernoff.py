@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from vistest import chernoff as ch
@@ -70,6 +71,47 @@ class TestChernoffInformation:
         via_obj = ch.chernoff_information(d1, d2)
         via_arr = ch.chernoff_information(d1.probs, d2.probs)
         assert via_obj == via_arr
+
+    # each bad entry leaves the rest of the array summing to 1 or NaN
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_bad_entry_in_raw_array_rejected(self, bad):
+        with pytest.raises(DomainError):
+            ch.chernoff_information([1.0, bad, 0.25], [0.25, 0.5, 0.25])
+        with pytest.raises(DomainError):
+            ch.chernoff_information([0.25, 0.5, 0.25], [1.0, bad, 0.25])
+
+    @pytest.mark.parametrize("gap,identical", [(2.0**-54, True), (1e-14, False)])
+    def test_identical_within_1e_15(self, gap, identical):
+        result = ch.chernoff_information([0.25, 0.75], [0.25 + gap, 0.75 - gap])
+        assert (result == ch.ChernoffResult(0.0, 0.5, 0.0)) == identical
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.1, 30.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(1, 40))
+    def test_tables_and_their_arrays_agree_bit_for_bit(self, energy, v1, v2, k):
+        params = ps.DetectionParams(energy, 0.0, k)
+        d1 = ps.joint_random_phase(params, v1)
+        d2 = ps.joint_random_phase(params, v2)
+        via_obj = ch.chernoff_information(d1, d2)
+        via_arr = ch.chernoff_information(d1.probs, d2.probs)
+        assert repr(via_obj) == repr(via_arr)
+
+    def test_tables_are_not_checked_again(self, monkeypatch):
+        d1 = ps.joint_random_phase(ps.DetectionParams(2.0, 0.0, 8), 0.9)
+        d2 = ps.joint_random_phase(ps.DetectionParams(2.0, 0.0, 8), 0.3)
+        m1, m2 = ps.marginal_difference(d1), ps.marginal_difference(d2)
+
+        def refuse(*args):
+            raise AssertionError("table checked again")
+
+        monkeypatch.setattr(ps, "checked_probabilities", refuse)
+        ch.chernoff_information(d1, d2)
+        ch.chernoff_information(m1, m2)
+        ch.refined_bound(d1, d2, 10)
+        ch.relative_entropy(d1, d2)
+        ch.tilted_distribution(d1, d2, 0.5)
+        with pytest.raises(AssertionError):
+            ch.chernoff_information(d1.probs, d2.probs)
 
 
 @pytest.fixture
@@ -248,6 +290,10 @@ class TestRelativeEntropy:
     def test_zero_mass_in_p_ignored(self):
         assert ch.relative_entropy([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
             math.log(2.0))
+
+    def test_unnormalized_rejected(self):
+        with pytest.raises(DomainError):
+            ch.relative_entropy([0.5, 0.6], [0.5, 0.5])
 
 
 class TestRefinedBound:

@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def make_tag_file(directory, windows=400):
+    rng = np.random.default_rng(12)
+    config = tagio.BinningConfig()
+    stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=windows)
+    path = directory / "tags.csv"
+    with open(path, "w") as f:
+        tagio.write_tags(stream, f)
+    return path
+
+
 class TestDist:
     def test_stdout_table(self, capsys):
         code, out, err = run(capsys, "dist", "--v", "0.56", "--energy", "6.3",
@@ -29,6 +39,15 @@ class TestDist:
         k, kp, prob = lines[data_start].split(",")
         expected = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 3), 0.56)
         assert float(prob) == expected.probs[0, 0]
+
+    def test_fixed_phase_keeps_negative_visibility(self, capsys):
+        # Re V < 0 is a real setting when the phase is locked
+        code, out, _ = run(capsys, "dist", "--v", "-0.5", "--fixed-phase", "0.3",
+                           "--truncation", "2")
+        assert code == 0
+        _, flipped, _ = run(capsys, "dist", "--v", "0.5", "--fixed-phase", "0.3",
+                            "--truncation", "2")
+        assert out.split("k,kprime,prob")[1] != flipped.split("k,kprime,prob")[1]
 
     def test_fixed_phase_variant(self, capsys):
         code, out, _ = run(capsys, "dist", "--v", "1.0", "--energy", "2.0",
@@ -232,17 +251,8 @@ class TestFingerprint:
 
 
 class TestIngest:
-    def make_tag_file(self, tmp_path, windows=400):
-        rng = np.random.default_rng(12)
-        config = tagio.BinningConfig()
-        stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=windows)
-        path = tmp_path / "tags.csv"
-        with open(path, "w") as f:
-            tagio.write_tags(stream, f)
-        return path
-
     def test_histogram_output(self, capsys, tmp_path):
-        path = self.make_tag_file(tmp_path)
+        path = make_tag_file(tmp_path)
         code, out, _ = run(capsys, "ingest", "--tags", str(path), "--json")
         assert code == 0
         doc = json.loads(out)
@@ -250,7 +260,7 @@ class TestIngest:
         assert doc["summary"]["total_outcomes"] == doc["summary"]["windows"]
 
     def test_theory_comparison(self, capsys, tmp_path):
-        path = self.make_tag_file(tmp_path, windows=2000)
+        path = make_tag_file(tmp_path, windows=2000)
         code, out, _ = run(capsys, "ingest", "--tags", str(path),
                            "--theory", "0.56,6.3", "--json")
         assert code == 0
@@ -332,6 +342,9 @@ class TestConfigFile:
         assert "json" in err
 
 
+TAGS = "<tag file>"
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -358,8 +371,18 @@ class TestExitCodes:
         ["optimize", "--tol", "0"],
         ["optimize", "--tol", "-1"],
         ["optimize", "--tol", "nan"],
+        # a negative list is a value, not an unknown option
+        ["simulate", "--n-list", "1", "--ensemble", "10", "--band", "-0.2,0.56"],
+        # a random-phase |V| has no sign to fold into a phase
+        ["dist", "--v", "-0.5"],
+        ["chernoff", "--v1", "-0.98"],
+        ["optimize", "--v1", "-0.98"],
+        ["ingest", "--tags", TAGS, "--theory=-0.56,6.3"],
+        ["ingest", "--tags", TAGS, "--theory", "-0.56,6.3"],
     ])
-    def test_out_of_range_input_is_3(self, capsys, argv):
+    def test_out_of_range_input_is_3(self, capsys, tmp_path, argv):
+        if TAGS in argv:
+            argv = [str(make_tag_file(tmp_path)) if a == TAGS else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert err.startswith("error:")

@@ -108,6 +108,15 @@ class TestOptimalEnergy:
         with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):
             eo.optimal_energy(0.98, 0.56, search_range=(0.1, hi))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bad_tol_rejected_before_any_table(self, tol, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(ps, "joint_random_phase", refuse)
+        with pytest.raises(DomainError, match="tol"):
+            eo.optimal_energy(0.98, 0.56, tol=tol)
+
     def test_range_below_the_cap_is_searched(self):
         scan = eo.optimal_energy(0.98, 0.56, search_range=(0.1, 200.0))
         assert scan.optimum_energy == pytest.approx(6.6, abs=0.2)

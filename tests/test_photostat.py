@@ -176,7 +176,42 @@ class TestJointFixedPhase:
         assert dist.probs[2, 3] == pytest.approx(expected, rel=1e-12)
 
 
+class TestTableContract:
+    # each bad entry leaves the rest of the table summing to 1 or NaN
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_bad_entry_refused_by_both_table_types(self, bad):
+        with pytest.raises(DomainError):
+            ps.JointPhotocountDistribution(1, [[1.0, bad], [0.25, 0.0]])
+        with pytest.raises(DomainError):
+            ps.CountDifferenceDistribution(1, [1.0, bad, 0.25])
+
+    def test_unnormalized_difference_table_refused(self):
+        with pytest.raises(DomainError):
+            ps.CountDifferenceDistribution(1, [0.5, 0.25, 0.0])
+
+    def test_wrong_shape_refused(self):
+        with pytest.raises(DomainError):
+            ps.JointPhotocountDistribution(2, np.full((2, 2), 0.25))
+        with pytest.raises(DomainError):
+            ps.CountDifferenceDistribution(2, [0.5, 0.5])
+
+    def test_table_read_only(self):
+        dist = ps.CountDifferenceDistribution(1, [0.25, 0.5, 0.25])
+        assert not dist.probs.flags.writeable
+
+
 class TestJointRandomPhase:
+    # random-phase averaging keeps only |V|, so no sign can be folded
+    @pytest.mark.parametrize("v", [-0.5, -1e-12, 1.0 + 1e-6, 1.5, math.nan])
+    def test_magnitude_outside_unit_interval_refused(self, v):
+        with pytest.raises(DomainError):
+            ps.joint_random_phase(ps.DetectionParams(2.0, 0.0, 4), v)
+
+    def test_float_noise_above_one_is_one(self):
+        params = ps.DetectionParams(2.0, 0.0, 4)
+        assert np.array_equal(ps.joint_random_phase(params, 1.0 + 1e-12).probs,
+                              ps.joint_random_phase(params, 1.0).probs)
+
     def test_p00_is_exp_minus_energy(self):
         for energy in (0.5, 2.0, 6.3):
             for v in (0.0, 0.56, 1.0):
