@@ -29,6 +29,7 @@ from .chernoff import (
     tilted_distribution,
     relative_entropy,
     refined_bound,
+    refined_bound_from,
 )
 from .energyopt import (
     EnergyScanResult,

@@ -196,9 +196,13 @@ def relative_entropy(p, q):
 def refined_bound(p1, p2, repetitions):
     """Second-order refinement of the Chernoff bound:
     exp(-NC) / (sqrt(2 pi N) * 2 * alpha*(1-alpha*) * sigma)."""
+    return refined_bound_from(chernoff_information(p1, p2), repetitions)
+
+
+def refined_bound_from(result, repetitions):
+    """refined_bound from a ChernoffResult already solved for the pair."""
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
-    result = chernoff_information(p1, p2)
     if result.infinite or result.information == 0.0:
         raise DegeneratePairError("refined bound needs 0 < C < inf")
     a = result.alpha_star

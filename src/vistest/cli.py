@@ -158,14 +158,15 @@ def cmd_simulate(args):
     # the printed estimate is the band's member at the design point
     band = args.band or [args.v2]
     design = int(np.argmax(band))
-    curve = simkit.worst_case_curve(args.v1, band, args.v2, run, args.n_list)
+    curve = simkit.worst_case_curve(args.v1, band, args.v2, run, args.n_list,
+                                    tables={args.v1: p1, args.v2: p2})
 
     def rows(buf):
         buf.write("N,eps_mean,eps_std,chernoff_bound,refined_bound,band_lo,band_hi\n")
         for n, point in zip(args.n_list, curve):
             estimate = point.estimates[design]
             try:
-                refined = chernoff.refined_bound(p1, p2, n)
+                refined = chernoff.refined_bound_from(info, n)
             except chernoff.DegeneratePairError:
                 refined = math.nan
             lo, hi = ((format_float(point.band_lo), format_float(point.band_hi))
@@ -288,8 +289,8 @@ def build_parser():
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        # a value such as -0.2,0.56 is a negative list, not an unknown option
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # a value such as -0.2,0.56, -inf or -nan is a value, not an unknown option
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         p.set_defaults(func=func, json=False)
         p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
         p.add_argument("--out", default=None,

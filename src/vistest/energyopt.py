@@ -4,10 +4,10 @@ Produces the information-per-photon curves and the visibility-map data
 surfaces for the random-phase and coherent scenarios.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import pdtrc
 
 from . import chernoff, photostat
 from .util import DomainError, golden_section
@@ -40,14 +40,17 @@ def search_truncation(energy, floor=15):
     the rule would raise above MAX_SEARCH_TRUNCATION is refused."""
     if not energy > 0.0:
         raise DomainError("energy must be > 0")
-    k = floor
-    while not pdtrc(k, energy) < _TAIL_BUDGET:
-        k += 1
-        if k > MAX_SEARCH_TRUNCATION:
-            raise DomainError(f"E = {energy:g} needs a resolution K above the limit "
-                              f"{MAX_SEARCH_TRUNCATION}; energies up to about 208 "
-                              f"can be searched")
-    return k
+    floor = max(floor, 0)  # every K < 0 has tail 1
+    top = max(floor, MAX_SEARCH_TRUNCATION)
+    if math.isfinite(energy):
+        # P(count > K) for K = 0..top, summed from the far end
+        tails = np.cumsum(photostat.poisson_counts(energy, top + 1)[::-1])[-2::-1]
+        fits = np.flatnonzero(tails[floor:] < _TAIL_BUDGET)
+        if len(fits):
+            return floor + int(fits[0])
+    raise DomainError(f"E = {energy:g} needs a resolution K above the limit "
+                      f"{MAX_SEARCH_TRUNCATION}; energies up to about 208 "
+                      f"can be searched")
 
 
 def info_per_photon(v1_mag, v2_mag, energy, truncation=15):

@@ -6,12 +6,12 @@ count-difference marginal, and the waveplate mapping used to dial in an
 arbitrary complex visibility on the bench.
 """
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .util import DomainError, format_float
 
@@ -161,15 +161,52 @@ def effective_params(params, vis):
     return eff, ComplexVisibility(vis.magnitude * scale, vis.phase)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_law_terms(size):
+    """Read-only rows (c, -log c!, -1) for counts c = 0..size-1: log P(c)
+    at rate I is this row times (log I, 1, I). Callers ask for powers
+    of two, so a process computes few of them."""
+    out = np.array([(c, -math.lgamma(c + 1.0), -1.0) for c in range(size)])
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _series_stops(k):
+    """For j = 1, 2, ...: the largest log(rate) at which the tail series
+    P(K) + P(K + 1) + ... may stop after P(K + j). Past P(K + j) each
+    term is at most rate / (K + j + 1) < K / (K + j + 1) times the one
+    before, so the rest is at most P(K + j) (K + j + 1) / (j + 1); a stop
+    keeps that below 1e-18 of P(K). The j range suffices for any rate < K,
+    and the entries increase with j."""
+    j = np.arange(1.0, 20 * math.isqrt(k) + 60)
+    stops = (math.log(1e-18) + np.cumsum(np.log(k + j))
+             - np.log((k + j + 1) / (j + 1))) / j
+    stops.setflags(write=False)
+    return stops
+
+
 def _port_counts(intensities, truncation):
     """Rows of Poisson count probabilities, one per intensity: columns
-    0..K-1 hold the Poisson law and column K the tail P(count >= K)."""
-    k = np.arange(truncation)
-    rates = intensities[:, np.newaxis]
-    rows = np.empty((len(intensities), truncation + 1))
-    rows[:, :truncation] = np.exp(xlogy(k, rates) - rates - gammaln(k + 1))
-    rows[:, truncation] = pdtrc(truncation - 1, intensities)
-    return rows
+    0..K-1 hold the Poisson law and column K the tail P(count >= K).
+
+    The law is exp(k log I - I - log k!) with 0 log 0 = 0. Below I = K
+    the tail is summed term by term from P(K) until the rest is below
+    1e-18 of it; at I >= K it is one minus the law."""
+    k = truncation
+    rate_terms = np.ones((3, len(intensities)))  # (log I, 1, I) per intensity
+    # log 0 as a finite stand-in, so 0 log 0 = 0 and P(c >= 1) at rate 0 is 0
+    rate_terms[0] = -1e300
+    np.log(intensities, out=rate_terms[0], where=intensities > 0.0)
+    rate_terms[2] = intensities
+    # rates at or above K take the complement, so K bounds the span
+    span = int(np.searchsorted(_series_stops(k), min(rate_terms[0].max(), math.log(k)),
+                               side="right")) + 1
+    counts = k + 1 + span
+    laws = _log_law_terms(1 << (counts - 1).bit_length())[:counts] @ rate_terms
+    np.exp(laws, out=laws)  # one column per intensity
+    laws[k] = np.where(intensities < k, laws[k:].sum(axis=0), 1.0 - laws[:k].sum(axis=0))
+    return laws[:k + 1].T
 
 
 def poisson_counts(intensity, truncation):
@@ -207,7 +244,7 @@ def cosine_moment(j):
         return 0.0
     if j <= 1000:
         return math.comb(j, j // 2) / 2.0**j
-    return math.exp(gammaln(j + 1) - 2.0 * gammaln(j // 2 + 1) - j * math.log(2.0))
+    return math.exp(math.lgamma(j + 1) - 2.0 * math.lgamma(j // 2 + 1) - j * math.log(2.0))
 
 
 def _fold_tail(table, truncation):

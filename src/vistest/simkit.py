@@ -205,7 +205,7 @@ def estimate_error(config_v1, config_v2, p1, p2):
     return error_curve(config_v1, config_v2, p1, p2, [config_v1.repetitions_per_test])[0]
 
 
-def worst_case_curve(v1, v2_grid, designed_v2, config, n_values):
+def worst_case_curve(v1, v2_grid, designed_v2, config, n_values, tables=None):
     """Error band at each N in n_values when the true second visibility
     ranges below the design point while the test stays fixed at
     (p(v1), p(designed_v2)). Returns one WorstCaseBand per N.
@@ -213,16 +213,20 @@ def worst_case_curve(v1, v2_grid, designed_v2, config, n_values):
     `config` supplies energy, truncation, N, M, and the seed; its
     true_visibility field is ignored. One table per distinct visibility
     of v1 and the grid serves both to sample and, at v1 and at the grid
-    maximum, as the test pair. The V1 conditional reads stream (1, 0)
-    once and is shared by every grid point; grid point j reads (2, j).
+    maximum, as the test pair; `tables` may map visibilities to tables
+    the caller already built at config's energy and truncation. The V1
+    conditional reads stream (1, 0) once and is shared by every grid
+    point; grid point j reads (2, j).
     """
     v2_grid = np.asarray(v2_grid, dtype=float)
     if len(v2_grid) == 0:
         raise DomainError("empty visibility grid")
     if not math.isclose(float(v2_grid.max()), designed_v2, rel_tol=0.0, abs_tol=1e-12):
         raise DomainError("designed_v2 must equal the maximum of the grid")
-    tables = {v: _random_phase_table(config.energy, v, config.truncation)
-              for v in dict.fromkeys([v1, *v2_grid.tolist()])}
+    tables = dict(tables or {})
+    for v in [v1, *v2_grid.tolist()]:
+        if v not in tables:
+            tables[v] = _random_phase_table(config.energy, v, config.truncation)
     llr = _log_ratio_table(tables[v1], tables[float(v2_grid.max())])
     eps_v2_given_v1 = _conditional_curve(config, tables[v1], llr, Decision.V1, (1, 0), n_values)
     per_v2 = [_paired(eps_v2_given_v1, _conditional_curve(

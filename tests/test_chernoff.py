@@ -311,6 +311,14 @@ class TestRefinedBound:
         r400 = ch.refined_bound(p1, p2, 400)
         assert r400 / r100 == pytest.approx(math.exp(-300.0 * c) / 2.0, rel=1e-9)
 
+    def test_from_result_equals_from_tables(self):
+        p1, p2 = product_poisson_pair(6.3, 0.98, 0.56, truncation=30)
+        result = ch.chernoff_information(p1, p2)
+        for n in (1, 10, 50):
+            assert ch.refined_bound_from(result, n) == ch.refined_bound(p1, p2, n)
+        with pytest.raises(DomainError):
+            ch.refined_bound_from(result, 0)
+
     def test_degenerate_pairs_rejected(self):
         p = np.array([0.5, 0.5])
         with pytest.raises(ch.DegeneratePairError):

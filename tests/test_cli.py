@@ -1,12 +1,18 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vistest import __version__, energyopt, photostat as ps, simkit, tagio
+from vistest import __version__, chernoff, energyopt, photostat as ps, simkit, tagio
 from vistest.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -198,9 +204,21 @@ class TestSimulate:
                             lambda *a: streams.append(a) or stream(*a))
         code, _, _ = run(capsys, "simulate", "--n-list", "1,5", "--ensemble", "50", *self.BAND)
         assert code == 0
-        # the two bound tables, then one per distinct visibility of {v1} and the band
+        # the (v1, v2) pair, shared by the bounds and the sampler, then one table
+        # per other distinct visibility of the band
         assert len(tables) <= 8
         assert len(streams) == len(set(streams)) == 6
+
+    def test_builds_the_pair_once_and_solves_it_once(self, capsys, monkeypatch):
+        tables, solves = [], []
+        build, solve = ps.joint_random_phase, chernoff.chernoff_information
+        monkeypatch.setattr(ps, "joint_random_phase",
+                            lambda *a: tables.append(a) or build(*a))
+        monkeypatch.setattr(chernoff, "chernoff_information",
+                            lambda *a: solves.append(a) or solve(*a))
+        code, _, _ = run(capsys, "simulate", "--ensemble", "100")
+        assert code == 0
+        assert (len(tables), len(solves)) == (2, 1)
 
     def test_without_band_equals_error_curve(self, capsys):
         n_list = [1, 3, 8]
@@ -379,6 +397,10 @@ class TestExitCodes:
         ["optimize", "--v1", "-0.98"],
         ["ingest", "--tags", TAGS, "--theory=-0.56,6.3"],
         ["ingest", "--tags", TAGS, "--theory", "-0.56,6.3"],
+        # -inf and -nan are values too
+        ["dist", "--energy", "-inf"],
+        ["optimize", "--lo", "-inf"],
+        ["chernoff", "--energy", "-nan"],
     ])
     def test_out_of_range_input_is_3(self, capsys, tmp_path, argv):
         if TAGS in argv:
@@ -421,3 +443,40 @@ class TestFigures:
         rows = [l for l in out.strip().split("\n") if not l.startswith("#")]
         assert rows[0] == "v1,v2,max_ratio,opt_energy"
         assert len(rows) == 10
+
+
+class TestNoScipyAtRunTime:
+    """scipy is a test dependency only; the program runs on numpy."""
+
+    @staticmethod
+    def python(code, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_cli_import_loads_no_scipy(self):
+        done = self.python("import sys, vistest.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        commands = [
+            ["dist", "--truncation", "4"],
+            ["chernoff", "--json"],
+            ["optimize", "--hi", "5"],
+            ["simulate", "--n-list", "1,2", "--ensemble", "50"],
+            ["fingerprint", "--json"],
+            ["ingest", "--tags", str(make_tag_file(tmp_path, windows=50)),
+             "--theory", "0.56,6.3"],
+            ["figures", "--id", "2b", "--grid-size", "3"],
+        ]
+        done = self.python(
+            "import json, os, sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now fails\n"
+            "from vistest.cli import main\n"
+            "codes = [main(argv + ['--out', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n",
+            json.dumps(commands))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0] * len(commands)

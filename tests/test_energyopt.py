@@ -25,6 +25,27 @@ class TestSearchTruncation:
         assert pdtrc(k - 1, energy) >= 1e-9 > pdtrc(k, energy)
         assert eo.search_truncation(energy) == max(15, k)
 
+    @pytest.mark.parametrize("floor", [1, 2, 15, 50, 299, 300, 301, 400])
+    def test_equals_the_pdtrc_rule(self, floor):
+        # the rule as first written: step K up from the floor until
+        # pdtrc(K, E) < 1e-9, refusing a K stepped past the cap
+        def pdtrc_rule(energy):
+            if not energy > 0.0:
+                return None
+            ks = np.arange(floor, max(floor, eo.MAX_SEARCH_TRUNCATION) + 1)
+            fits = np.flatnonzero(pdtrc(ks, energy) < 1e-9)
+            return int(ks[fits[0]]) if len(fits) else None
+
+        def rule(energy):
+            try:
+                return eo.search_truncation(energy, floor)
+            except DomainError:
+                return None
+
+        energies = np.concatenate([np.geomspace(1e-6, 1e4, 4000),
+                                   np.linspace(207.9, 209.0, 12), [math.inf, math.nan]])
+        assert [rule(e) for e in energies] == [pdtrc_rule(e) for e in energies]
+
     def test_cap_names_the_limit(self):
         assert eo.search_truncation(208.0) <= eo.MAX_SEARCH_TRUNCATION
         with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):

@@ -152,6 +152,31 @@ class TestPoissonCounts:
             ps.poisson_counts(1.0, 0)
 
 
+class TestPoissonKernel:
+    """The numpy kernel against scipy.stats.poisson, a test-only oracle."""
+
+    @pytest.mark.parametrize("below_k_only", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 15, 63, 135, 300])
+    def test_rows_match_scipy(self, k, below_k_only):
+        # below K the tail is a series whose length the call's largest
+        # rate sets; at or above K it is the complement
+        rates = np.concatenate([[0.0, 1e-300, 1e-12],
+                                np.linspace(0.0, 2 * k + 5, 301),
+                                np.linspace(0.0, 400.0, 301)])
+        if below_k_only:
+            rates = rates[rates < k]
+        rows = ps._port_counts(rates, k)
+        reference = np.hstack([poisson.pmf(np.arange(k), rates[:, None]),
+                               poisson.sf(k - 1, rates)[:, None]])
+        # atol only covers entries near or below the smallest normal double
+        np.testing.assert_allclose(rows, reference, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("k", [1, 15, 300])
+    def test_rate_zero_is_exact(self, k):
+        row = ps._port_counts(np.array([0.0]), k)[0]
+        assert row[0] == 1.0 and not row[1:].any()
+
+
 class TestJointFixedPhase:
     def test_dark_port_at_unit_visibility(self):
         dist = ps.joint_fixed_phase(
@@ -306,6 +331,13 @@ class TestCosineMoment:
         assert ps.cosine_moment(1) == 0.0
         assert ps.cosine_moment(2) == 0.5
         assert ps.cosine_moment(4) == pytest.approx(3.0 / 8.0)
+
+    @pytest.mark.parametrize("j", [1002, 5000])
+    def test_high_order_from_log_gamma(self, j):
+        assert ps.cosine_moment(j) == pytest.approx(
+            math.exp(gammaln(j + 1) - 2.0 * gammaln(j // 2 + 1) - j * math.log(2.0)),
+            rel=1e-12)
+        assert ps.cosine_moment(j) == pytest.approx(math.sqrt(2.0 / (math.pi * j)), rel=1e-3)
 
     @given(st.integers(0, 200))
     def test_matches_quadrature(self, j):

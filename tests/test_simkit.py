@@ -233,6 +233,19 @@ class TestWorstCaseSweep:
         with pytest.raises(DomainError):
             sk.worst_case_sweep(v1, grid, 0.56, cfg)
 
+    def test_given_tables_are_used_not_rebuilt(self, monkeypatch):
+        cfg = sk.ExperimentConfig(0.0, 6.3, 15, 4, 300, 5)
+        built = sk.worst_case_curve(0.98, [0.28, 0.56], 0.56, cfg, [1, 4])
+        p1, p2 = tables()
+        builds = []
+        build = ps.joint_random_phase
+        monkeypatch.setattr(ps, "joint_random_phase", lambda *a: builds.append(a) or build(*a))
+        given = sk.worst_case_curve(0.98, [0.28, 0.56], 0.56, cfg, [1, 4],
+                                    tables={0.98: p1, 0.56: p2})
+        assert [a[1] for a in builds] == [0.28]
+        assert ([(b.estimates, b.band_lo, b.band_hi) for b in given]
+                == [(b.estimates, b.band_lo, b.band_hi) for b in built])
+
     def test_designed_point_must_be_grid_maximum(self):
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
         with pytest.raises(DomainError):
