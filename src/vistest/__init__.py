@@ -15,7 +15,6 @@ from .photostat import (
     poisson_counts,
     joint_fixed_phase,
     joint_random_phase,
-    cosine_moment,
     marginal_difference,
     retruncate,
     waveplate_visibility,

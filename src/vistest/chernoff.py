@@ -160,9 +160,7 @@ def chernoff_bound(information, repetitions):
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
     if isinstance(information, ChernoffResult):
-        if information.infinite:
-            return 0.0
-        information = information.information
+        information = information.information  # math.inf when infinite
     if math.isinf(information):
         return 0.0
     return math.exp(-repetitions * information) / 2.0

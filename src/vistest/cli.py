@@ -183,15 +183,12 @@ def cmd_fingerprint(args):
     config = {"v1": args.v1, "v2": args.v2, "eps": args.eps,
               "truncation": args.truncation,
               "coherent_energy": args.coherent_energy}
-    delta = fingerprint.delta_from_visibilities(args.v1, args.v2)
-    rate = fingerprint.modified_rate_appended(delta)
-    plan = fingerprint._phaseless_plan(args.v1, args.v2, args.eps, args.truncation)
-    cross = fingerprint._crossover(*plan, args.eps)
+    plan = fingerprint.plan(args.v1, args.v2, args.eps, args.truncation)
+    cross = plan.crossover()
 
     def rows(buf):
         n_values = np.geomspace(1e2, 1e12, 101)
-        curves = fingerprint._revealed_curves(n_values, *plan, args.v1, args.v2,
-                                              args.eps, args.coherent_energy)
+        curves = plan.revealed_curves(n_values, args.coherent_energy)
         buf.write("n,I_quantum_incoherent,I_quantum_coherent,I_classical_best,"
                   "I_classical_bound\n")
         coh = curves["quantum_coherent"]
@@ -202,9 +199,9 @@ def cmd_fingerprint(args):
                       f"{format_float(curves['classical_bound'][i])}\n")
 
     _report(args, "fingerprint", config,
-            {"delta_min": delta,
-             "rate_modified": rate,
-             "rate_gv": fingerprint.gv_rate(delta),
+            {"delta_min": plan.delta_min,
+             "rate_modified": plan.rate,
+             "rate_gv": fingerprint.gv_rate(plan.delta_min),
              "repetitions": cross.repetitions,
              "total_energy": cross.total_energy,
              "n_vs_best_classical": cross.n_vs_best_classical,
@@ -240,17 +237,15 @@ def cmd_figures(args):
               "ensemble": args.ensemble, "truncation": args.truncation}
     if args.grid_size < 1:
         raise DomainError("grid size must be >= 1")
-    if args.id == "4c":
-        return cmd_simulate(argparse.Namespace(
-            v1=DEFAULT_V1, v2=DEFAULT_V2, energy=DEFAULT_ENERGY,
-            truncation=args.truncation, n_list=_int_list(DEFAULT_N_LIST),
-            ensemble=args.ensemble, seed=args.seed,
-            band=[0.0, 0.14, 0.28, 0.42, 0.56], json=False, out=args.out))
-    if args.id == "s2":
-        return cmd_fingerprint(argparse.Namespace(
-            v1=DEFAULT_V1, v2=DEFAULT_V2, eps=DEFAULT_EPS,
-            truncation=args.truncation, coherent_energy=args.coherent_energy,
-            json=False, out=args.out))
+    if args.id in ("4c", "s2"):
+        # each delegate runs at its own command's defaults
+        argv = (["simulate", "--ensemble", str(args.ensemble), "--seed", str(args.seed),
+                 "--band", "0,0.14,0.28,0.42,0.56"] if args.id == "4c" else
+                ["fingerprint"] + ([] if args.coherent_energy is None else
+                                   ["--coherent-energy", repr(args.coherent_energy)]))
+        delegate = build_parser().parse_args(argv + ["--truncation", str(args.truncation)])
+        delegate.out = args.out
+        return delegate.func(delegate)
     if args.id == "2a":
         grid = np.linspace(-1.0, 1.0, args.grid_size)
         table = energyopt.coherent_map(grid)

@@ -4,7 +4,6 @@ Produces the information-per-photon curves and the visibility-map data
 surfaces for the random-phase and coherent scenarios.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,19 +35,23 @@ class EnergyScanResult:
 
 def search_truncation(energy, floor=15):
     """Smallest K >= floor with Poisson tail P(count > K) below 1e-9 at
-    this energy: the resolution of every table the search builds. A K
-    the rule would raise above MAX_SEARCH_TRUNCATION is refused."""
-    if not energy > 0.0:
+    this energy: the resolution of every table the search builds. An
+    array of energies gets a list of K, one each, from one Poisson-law
+    call. A floor below 1, or a K the rule would raise above
+    MAX_SEARCH_TRUNCATION, is refused; the latter names the largest energy."""
+    energies = np.asarray(energy, dtype=float)
+    if not np.all(energies > 0.0):
         raise DomainError("energy must be > 0")
-    floor = max(floor, 0)  # every K < 0 has tail 1
+    if floor < 1:
+        raise DomainError("truncation must be >= 1")
     top = max(floor, MAX_SEARCH_TRUNCATION)
-    if math.isfinite(energy):
+    if np.all(np.isfinite(energies)):
         # P(count > K) for K = 0..top, summed from the far end
-        tails = np.cumsum(photostat.poisson_counts(energy, top + 1)[::-1])[-2::-1]
-        fits = np.flatnonzero(tails[floor:] < _TAIL_BUDGET)
-        if len(fits):
-            return floor + int(fits[0])
-    raise DomainError(f"E = {energy:g} needs a resolution K above the limit "
+        laws = photostat.poisson_counts(energies, top + 1)
+        fits = np.cumsum(laws[..., ::-1], axis=-1)[..., -2::-1][..., floor:] < _TAIL_BUDGET
+        if np.all(fits.any(axis=-1)):
+            return (floor + fits.argmax(axis=-1)).tolist()
+    raise DomainError(f"E = {energies.max():g} needs a resolution K above the limit "
                       f"{MAX_SEARCH_TRUNCATION}; energies up to about 208 "
                       f"can be searched")
 
@@ -70,12 +73,12 @@ def _scan_pairs(values, pairs, truncation, search_range, tol):
         raise DomainError("search range must satisfy 0 < lo < hi")
     if not tol > 0.0:
         raise DomainError("tol must be > 0")
-    search_truncation(hi, truncation)  # refuse the range before any table is built
-
-    energies = np.geomspace(lo, hi, 60)
+    with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
+        energies = np.geomspace(lo, hi, 60)
+    resolutions = search_truncation(energies, truncation)  # refuses before any table is built
     ratios = np.empty((len(pairs), len(energies)))
-    for n, e in enumerate(energies):
-        params = photostat.DetectionParams(e, 0.0, search_truncation(e, truncation))
+    for n, (e, k) in enumerate(zip(energies, resolutions)):
+        params = photostat.DetectionParams(e, 0.0, k)
         tables = [photostat.joint_random_phase(params, v) for v in values]
         for row, (i, j) in enumerate(pairs):
             ratios[row, n] = chernoff.chernoff_information(
@@ -153,9 +156,8 @@ def energy_scan_curves(v1_mag, v2_mag, energies, limited_truncation=2, truncatio
     joint = np.empty(len(energies))
     limited = np.empty(len(energies))
     difference = np.empty(len(energies))
-    for i, e in enumerate(energies):
-        d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, e,
-                                             search_truncation(e, truncation))
+    for i, (e, k) in enumerate(zip(energies, search_truncation(energies, truncation))):
+        d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, k)
         l1, l2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, limited_truncation)
         joint[i] = chernoff.chernoff_information(d1, d2).information / e
         limited[i] = chernoff.chernoff_information(l1, l2).information / e

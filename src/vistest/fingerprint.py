@@ -190,70 +190,84 @@ def _bisect_log_n(f, lo, hi):
     return math.exp(0.5 * (a + b))
 
 
-def _phaseless_plan(v1, v2, eps, truncation):
-    """(code rate, optimal energy per repetition, repetitions) of the phaseless protocol."""
-    rate = modified_rate_appended(delta_from_visibilities(v1, v2))
+@dataclass(frozen=True)
+class FingerprintPlan:
+    """Resources of the phaseless protocol for one visibility pair: the
+    promised minimum distance, the appended-code rate, the photons per
+    repetition that maximise Chernoff information per photon, and the
+    repetitions that bring the Chernoff bound down to eps."""
+
+    v1: float
+    v2: float
+    eps: float
+    delta_min: float
+    rate: float
+    energy: float
+    repetitions: int
+
+    def crossover(self):
+        """CrossoverResult: the lengths n where quantum_revealed(n) meets
+        each classical benchmark."""
+        def meet(benchmark):
+            return _bisect_log_n(
+                lambda n: quantum_revealed(n, self.rate, self.energy, self.repetitions)
+                - benchmark(n, self.eps), *_CROSSOVER_RANGE)
+
+        return CrossoverResult(meet(best_classical), meet(classical_lower_bound),
+                               self.repetitions, self.repetitions * self.energy)
+
+    def revealed_curves(self, n_values, coherent_energy=None):
+        """Revealed-information curves versus input length.
+
+        Returns a dict of lists keyed by 'quantum_incoherent',
+        'quantum_coherent', 'classical_best', and 'classical_bound'. The
+        coherent curve needs an explicit per-repetition photon number and
+        is None when coherent_energy is not supplied (its budget is a free
+        choice, never defaulted). Entries where a curve is undefined
+        (pulse count below 2) are NaN.
+        """
+        def curve(f):
+            out = []
+            for n in n_values:
+                try:
+                    out.append(f(n))
+                except DomainError:
+                    out.append(math.nan)
+            return out
+
+        result = {
+            "quantum_incoherent": curve(
+                lambda n: quantum_revealed(n, self.rate, self.energy, self.repetitions)),
+            "classical_best": curve(lambda n: best_classical(n, self.eps)),
+            "classical_bound": curve(lambda n: classical_lower_bound(n, self.eps)),
+            "quantum_coherent": None,
+        }
+        if coherent_energy is not None:
+            rate_coh = gv_rate(self.delta_min)
+            info_coh = chernoff.chernoff_coherent_closed_form(coherent_energy, self.v1, self.v2)
+            reps_coh = repetitions_needed(info_coh, self.eps)
+            result["quantum_coherent"] = curve(
+                lambda n: quantum_revealed(n, rate_coh, coherent_energy, reps_coh))
+        return result
+
+
+def plan(v1, v2, eps, truncation=15):
+    """FingerprintPlan of the phaseless protocol: the appended-code rate
+    from the visibility pair, the energy per repetition from one energy
+    search, and the repetitions from the Chernoff bound."""
+    delta = delta_from_visibilities(v1, v2)
     scan = energyopt.optimal_energy(v1, v2, truncation)
-    reps = repetitions_needed(scan.optimum_ratio * scan.optimum_energy, eps)
-    return rate, scan.optimum_energy, reps
+    return FingerprintPlan(v1, v2, eps, delta, modified_rate_appended(delta),
+                           scan.optimum_energy,
+                           repetitions_needed(scan.optimum_ratio * scan.optimum_energy, eps))
 
 
 def crossover(v1, v2, eps, truncation=15):
-    """Quantum-advantage thresholds for the phaseless protocol.
-
-    Derives the appended-code rate from the visibility pair, picks the
-    energy per repetition maximizing Chernoff information per photon,
-    sizes the repetition count from the Chernoff bound, and solves
-    quantum_revealed(n) = benchmark(n) for both classical benchmarks.
-    """
-    return _crossover(*_phaseless_plan(v1, v2, eps, truncation), eps)
-
-
-def _crossover(rate, energy, reps, eps):
-    n_best = _bisect_log_n(
-        lambda n: quantum_revealed(n, rate, energy, reps) - best_classical(n, eps),
-        *_CROSSOVER_RANGE)
-    n_limit = _bisect_log_n(
-        lambda n: quantum_revealed(n, rate, energy, reps) - classical_lower_bound(n, eps),
-        *_CROSSOVER_RANGE)
-    return CrossoverResult(n_best, n_limit, reps, reps * energy)
+    """Quantum-advantage thresholds for the phaseless protocol:
+    plan(v1, v2, eps, truncation).crossover()."""
+    return plan(v1, v2, eps, truncation).crossover()
 
 
 def revealed_curves(n_values, v1, v2, eps, coherent_energy=None, truncation=15):
-    """Revealed-information curves versus input length.
-
-    Returns a dict of arrays keyed by 'quantum_incoherent',
-    'quantum_coherent', 'classical_best', and 'classical_bound'. The
-    coherent curve needs an explicit per-repetition photon number and is
-    None when coherent_energy is not supplied (its budget is a free
-    choice, never defaulted). Entries where a curve is undefined
-    (pulse count below 2) are NaN.
-    """
-    return _revealed_curves(n_values, *_phaseless_plan(v1, v2, eps, truncation),
-                            v1, v2, eps, coherent_energy)
-
-
-def _revealed_curves(n_values, rate_inc, energy_inc, reps_inc, v1, v2, eps, coherent_energy):
-    def curve(f):
-        out = []
-        for n in n_values:
-            try:
-                out.append(f(n))
-            except DomainError:
-                out.append(math.nan)
-        return out
-
-    result = {
-        "quantum_incoherent": curve(
-            lambda n: quantum_revealed(n, rate_inc, energy_inc, reps_inc)),
-        "classical_best": curve(lambda n: best_classical(n, eps)),
-        "classical_bound": curve(lambda n: classical_lower_bound(n, eps)),
-        "quantum_coherent": None,
-    }
-    if coherent_energy is not None:
-        rate_coh = gv_rate(delta_from_visibilities(v1, v2))
-        info_coh = chernoff.chernoff_coherent_closed_form(coherent_energy, v1, v2)
-        reps_coh = repetitions_needed(info_coh, eps)
-        result["quantum_coherent"] = curve(
-            lambda n: quantum_revealed(n, rate_coh, coherent_energy, reps_coh))
-    return result
+    """plan(v1, v2, eps, truncation).revealed_curves(n_values, coherent_energy)."""
+    return plan(v1, v2, eps, truncation).revealed_curves(n_values, coherent_energy)

@@ -210,16 +210,18 @@ def _port_counts(intensities, truncation):
 
 
 def poisson_counts(intensity, truncation):
-    """Truncated Poisson count probabilities of length truncation + 1.
+    """Truncated Poisson count probabilities of length truncation + 1,
+    one such row per intensity when given an array of them.
 
     Entries 0..K-1 follow the Poisson law at the given intensity; the
     K-th entry absorbs the tail so the sequence sums to 1.
     """
     if truncation < 1:
         raise DomainError("truncation must be >= 1")
-    if not (math.isfinite(intensity) and intensity >= 0.0):
+    intensity = np.asarray(intensity, dtype=float)
+    if not np.all(np.isfinite(intensity) & (intensity >= 0.0)):
         raise DomainError("intensity must be finite and >= 0")
-    return _port_counts(np.array([float(intensity)]), truncation)[0]
+    return _port_counts(intensity.ravel(), truncation).reshape(intensity.shape + (truncation + 1,))
 
 
 def joint_fixed_phase(params, vis):
@@ -233,18 +235,6 @@ def joint_fixed_phase(params, vis):
     k = params.truncation
     probs = np.outer(poisson_counts(i_plus, k), poisson_counts(i_minus, k))
     return JointPhotocountDistribution(k, probs)
-
-
-def cosine_moment(j):
-    """Average of cos(phi)**j over a uniform phase: 0 for odd j,
-    binom(j, j/2)/2**j for even j."""
-    if j < 0:
-        raise DomainError("moment order must be >= 0")
-    if j % 2 == 1:
-        return 0.0
-    if j <= 1000:
-        return math.comb(j, j // 2) / 2.0**j
-    return math.exp(math.lgamma(j + 1) - 2.0 * math.lgamma(j // 2 + 1) - j * math.log(2.0))
 
 
 def _fold_tail(table, truncation):

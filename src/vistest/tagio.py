@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import DomainError, format_float
+from .util import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,8 +101,9 @@ def _parse_timestamp_tenths(text, line_number):
 def parse_tags(source):
     """Parse a tag CSV stream (file object or iterable of lines).
 
-    Requires the `channel,timestamp_ns` header, channels in {0, 1}, and
-    non-decreasing timestamps; violations report the offending line.
+    Requires the `channel,timestamp_ns` header (a file without it, even
+    an empty one, is refused), channels in {0, 1}, and non-decreasing
+    timestamps; violations report the offending line.
     """
     records_ch = []
     records_ts = []
@@ -133,6 +134,8 @@ def parse_tags(source):
         previous = ts
         records_ch.append(channel)
         records_ts.append(ts)
+    if not saw_header:
+        raise TagFormatError(line_number + 1, f"expected header {TAG_HEADER!r}, found none")
     return TagStream(np.array(records_ch, dtype=np.int64),
                      np.array(records_ts, dtype=np.int64))
 
@@ -158,13 +161,9 @@ def bin_counts(stream, config, duration_ns=None):
         n_windows = int(duration_ns * 10) // window
     elif stream.duration_tenths is not None:
         n_windows = stream.duration_tenths // window
-    elif len(stream) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    else:
-        n_windows = int(stream.timestamps_tenths.max()) // window + 1
+    else:  # an empty stream has no window
+        n_windows = int(stream.timestamps_tenths.max(initial=-1)) // window + 1
     counts = np.zeros((n_windows, 2), dtype=np.int64)
-    if n_windows == 0 or len(stream) == 0:
-        return counts
     window_idx = stream.timestamps_tenths // window
     keep = window_idx < n_windows
     for channel in (0, 1):

@@ -297,6 +297,13 @@ class TestIngest:
         assert code == 3
         assert "error:" in err
 
+    def test_empty_file_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, out, err = run(capsys, "ingest", "--tags", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "expected header" in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -401,6 +408,10 @@ class TestExitCodes:
         ["dist", "--energy", "-inf"],
         ["optimize", "--lo", "-inf"],
         ["chernoff", "--energy", "-nan"],
+        # an energy search's resolution floor is refused below 1, not clamped
+        ["optimize", "--truncation", "-7"],
+        ["fingerprint", "--truncation", "0"],
+        ["figures", "--id", "2b", "--grid-size", "3", "--truncation", "0"],
     ])
     def test_out_of_range_input_is_3(self, capsys, tmp_path, argv):
         if TAGS in argv:
@@ -434,6 +445,16 @@ class TestFigures:
         assert code == 0
         assert len(calls) == 240
         assert len([l for l in out.strip().split("\n") if not l.startswith("#")]) == 61
+
+    @pytest.mark.parametrize("figure,command", [
+        (["--id", "4c", "--ensemble", "300", "--seed", "5"],
+         ["simulate", "--band", "0,0.14,0.28,0.42,0.56", "--ensemble", "300", "--seed", "5"]),
+        (["--id", "s2", "--coherent-energy", "2"], ["fingerprint", "--coherent-energy", "2"]),
+    ])
+    def test_delegating_figure_equals_its_command(self, capsys, figure, command):
+        code, out, _ = run(capsys, "figures", *figure)
+        assert code == 0
+        assert (0, out) == run(capsys, *command)[:2]
 
     def test_simulation_figure_delegates(self, capsys):
         # keep it tiny: override via the shared simulate defaults is not

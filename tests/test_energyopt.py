@@ -51,6 +51,40 @@ class TestSearchTruncation:
         with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):
             eo.search_truncation(209.0)
 
+    @pytest.mark.parametrize("floor", [1, 2, 15, 50, 299, 300, 400])
+    def test_one_call_over_an_array_equals_one_call_per_energy(self, floor):
+        ranges = [np.geomspace(lo, hi, 60) for lo, hi in [
+            (0.1, 30.0), (1e-6, 1e-3), (0.5, 80.0), (1.0, 208.0), (30.0, 208.0),
+            (0.1, 200.0), (150.0, 208.0)]]
+        if floor == 15:
+            ranges.append(np.geomspace(1e-6, 208.0, 4000))
+        for energies in ranges:
+            assert eo.search_truncation(energies, floor) == [
+                eo.search_truncation(e, floor) for e in energies]
+
+    def test_array_refusal_names_the_largest_energy(self):
+        with pytest.raises(DomainError, match="E = 250 needs"):
+            eo.search_truncation([1.0, 250.0, 209.0, 6.3])
+        with pytest.raises(DomainError, match="energy must be > 0"):
+            eo.search_truncation([1.0, 0.0])
+
+    @pytest.mark.parametrize("floor", [0, -7])
+    def test_floor_below_one_refused(self, floor):
+        with pytest.raises(DomainError, match="truncation must be >= 1"):
+            eo.search_truncation(0.5, floor)
+
+    def test_scan_resolves_every_energy_in_one_call(self, monkeypatch):
+        calls = []
+        resolve = eo.search_truncation
+        monkeypatch.setattr(eo, "search_truncation",
+                            lambda *a: calls.append(np.ndim(a[0])) or resolve(*a))
+        with pytest.raises(DomainError, match="E = 209 needs"):
+            eo.optimal_energy(0.98, 0.56, search_range=(0.1, 209.0))
+        eo.optimal_energy(0.98, 0.56)
+        # one array call per scan; the golden-section refinement asks per energy
+        assert calls.count(1) == 2
+        assert all(ndim == 0 for ndim in calls if ndim != 1)
+
 
 class TestInfoPerPhoton:
     def test_mode_consistency_at_high_resolution(self):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from vistest import energyopt as eo
 from vistest import fingerprint as fp
 from vistest.util import DomainError
 
@@ -165,6 +166,31 @@ class TestCrossover:
         # with a huge photon budget the protocol never beats the bound
         with pytest.raises(fp.CrossoverNotFoundError):
             fp._bisect_log_n(lambda n: 1.0, 10.0, 1e12)
+
+
+@pytest.fixture(scope="module")
+def plan():
+    return fp.plan(0.98, 0.56, 1e-4)
+
+
+class TestPlan:
+    def test_fields(self, plan):
+        delta = fp.delta_from_visibilities(0.98, 0.56)
+        scan = eo.optimal_energy(0.98, 0.56)
+        assert (plan.v1, plan.v2, plan.eps, plan.delta_min) == (0.98, 0.56, 1e-4, delta)
+        assert plan.rate == fp.modified_rate_appended(delta)
+        assert plan.energy == scan.optimum_energy
+        assert plan.repetitions == fp.repetitions_needed(
+            scan.optimum_ratio * scan.optimum_energy, 1e-4)
+
+    def test_views_equal_the_module_functions(self, plan, result):
+        assert plan.crossover() == result
+        assert plan.revealed_curves([1e4, 1e8], 3.0) == fp.revealed_curves(
+            [1e4, 1e8], 0.98, 0.56, 1e-4, coherent_energy=3.0)
+
+    def test_is_frozen(self, plan):
+        with pytest.raises(AttributeError):
+            plan.repetitions = 1
 
 
 class TestRevealedCurves:

@@ -151,6 +151,20 @@ class TestPoissonCounts:
         with pytest.raises(DomainError):
             ps.poisson_counts(1.0, 0)
 
+    def test_one_row_per_intensity(self):
+        rates = [[0.0, 0.5], [6.3, 40.0]]
+        rows = ps.poisson_counts(rates, 20)
+        assert rows.shape == (2, 2, 21)
+        for i in range(2):
+            for j in range(2):
+                assert rows[i, j] == pytest.approx(ps.poisson_counts(rates[i][j], 20),
+                                                   rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25])
+    def test_bad_entry_in_array_rejected(self, bad):
+        with pytest.raises(DomainError):
+            ps.poisson_counts([1.0, bad], 5)
+
 
 class TestPoissonKernel:
     """The numpy kernel against scipy.stats.poisson, a test-only oracle."""
@@ -323,27 +337,6 @@ class TestRetruncate:
     def test_noop_at_same_truncation(self):
         dist = ps.joint_random_phase(ps.DetectionParams(2.0, 0.0, 4), 0.3)
         assert ps.retruncate(dist, 4) is dist
-
-
-class TestCosineMoment:
-    def test_values(self):
-        assert ps.cosine_moment(0) == 1.0
-        assert ps.cosine_moment(1) == 0.0
-        assert ps.cosine_moment(2) == 0.5
-        assert ps.cosine_moment(4) == pytest.approx(3.0 / 8.0)
-
-    @pytest.mark.parametrize("j", [1002, 5000])
-    def test_high_order_from_log_gamma(self, j):
-        assert ps.cosine_moment(j) == pytest.approx(
-            math.exp(gammaln(j + 1) - 2.0 * gammaln(j // 2 + 1) - j * math.log(2.0)),
-            rel=1e-12)
-        assert ps.cosine_moment(j) == pytest.approx(math.sqrt(2.0 / (math.pi * j)), rel=1e-3)
-
-    @given(st.integers(0, 200))
-    def test_matches_quadrature(self, j):
-        phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        assert ps.cosine_moment(j) == pytest.approx(
-            float(np.mean(np.cos(phi) ** j)), abs=1e-12)
 
 
 class TestMarginalDifference:

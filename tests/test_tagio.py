@@ -23,11 +23,17 @@ class TestParseTags:
         assert records[1] == tagio.TagRecord(1, 1033)
         assert records[2].timestamp_ns == pytest.approx(200.0)
 
-    def test_empty_file_gives_empty_stream(self):
-        assert len(make_stream("")) == 0
+    @pytest.mark.parametrize("text,line", [("", 1), ("\n  \n\n", 4)],
+                             ids=["empty", "blank-lines"])
+    def test_file_without_header_rejected(self, text, line):
+        # an empty or blank file is not an empty stream: it has no header
+        with pytest.raises(tagio.TagFormatError, match="expected header") as err:
+            make_stream(text)
+        assert err.value.line_number == line
 
     def test_header_only(self):
         assert len(make_stream(HEADER)) == 0
+        assert len(make_stream("\n" + HEADER + "\n")) == 0
 
     def test_missing_header_reports_line_1(self):
         with pytest.raises(tagio.TagFormatError) as err:
@@ -106,6 +112,12 @@ class TestBinCounts:
     def test_empty_stream(self):
         counts = tagio.bin_counts(make_stream(HEADER), tagio.BinningConfig())
         assert counts.shape == (0, 2)
+        assert counts.dtype == np.int64
+
+    def test_empty_stream_over_a_duration_gives_empty_windows(self):
+        counts = tagio.bin_counts(make_stream(HEADER), tagio.BinningConfig(),
+                                  duration_ns=160_000)
+        assert counts.tolist() == [[0, 0], [0, 0]]
 
 
 class TestHistogram:
