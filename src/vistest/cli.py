@@ -212,7 +212,7 @@ def cmd_ingest(args):
     config = {"tags": args.tags, "window": args.window,
               "truncation": args.truncation,
               "theory": ",".join(map(str, args.theory)) if args.theory else ""}
-    with open(args.tags, "r", encoding="utf-8") as f:
+    with open(args.tags, "rb") as f:
         stream = tagio.parse_tags(f)
     binning = tagio.BinningConfig(window_ns=args.window, truncation=args.truncation)
     outcomes = tagio.bin_counts(stream, binning)

@@ -125,18 +125,18 @@ def bpsk_overlap(phases_a, phases_b):
 def classical_lower_bound(n, eps):
     """Bits any classical protocol must reveal:
     (1 - 2 sqrt(eps)) (sqrt(n / (2 ln 2)) - 1)."""
-    _check_benchmark_args(n, eps)
+    _check_benchmark_args(eps, n)
     return (1.0 - 2.0 * math.sqrt(eps)) * (math.sqrt(n / (2.0 * math.log(2.0))) - 1.0)
 
 
 def best_classical(n, eps):
     """Bits revealed by the best known classical protocol:
     4 ceil(log2(1/eps) / 2) sqrt(n)."""
-    _check_benchmark_args(n, eps)
+    _check_benchmark_args(eps, n)
     return 4.0 * math.ceil(0.5 * math.log2(1.0 / eps)) * math.sqrt(n)
 
 
-def _check_benchmark_args(n, eps):
+def _check_benchmark_args(eps, n=1):
     if n < 1:
         raise DomainError("input length must be >= 1")
     if not 0.0 < eps < 0.25:
@@ -254,7 +254,8 @@ class FingerprintPlan:
 def plan(v1, v2, eps, truncation=15):
     """FingerprintPlan of the phaseless protocol: the appended-code rate
     from the visibility pair, the energy per repetition from one energy
-    search, and the repetitions from the Chernoff bound."""
+    search, and the repetitions from the Chernoff bound; eps is checked first."""
+    _check_benchmark_args(eps)
     delta = delta_from_visibilities(v1, v2)
     scan = energyopt.optimal_energy(v1, v2, truncation)
     return FingerprintPlan(v1, v2, eps, delta, modified_rate_appended(delta),

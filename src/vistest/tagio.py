@@ -10,6 +10,7 @@ Timestamps are stored internally as integer tenths of nanoseconds so a
 on-disk format is decimal nanoseconds with one optional decimal digit.
 """
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -81,63 +82,101 @@ class TagStream:
             yield TagRecord(int(ch), int(ts))
 
 
-def _parse_timestamp_tenths(text, line_number):
-    """Decimal nanoseconds with at most one fractional digit -> tenths."""
-    whole, dot, frac = text.strip().partition(".")
+_CHUNK_BYTES = 1 << 18  # sets the parse's memory: 4 MiB chunks doubled its peak
+_MAX_DIGITS = 17  # integer digits of a timestamp, so that its tenths fit in int64
+
+
+def _parse_line(raw, line_number, expect_header=False):
+    """One line (bytes, no newline): None if blank, the header where one is
+    expected, else (channel, tenths). It defines the format and every error."""
     try:
-        value = int(whole) * 10
-    except ValueError:
-        raise TagFormatError(line_number, f"bad timestamp {text!r}") from None
-    if dot:
-        if len(frac) != 1 or not frac.isdigit():
-            raise TagFormatError(
-                line_number, f"timestamp {text!r} needs exactly one decimal digit")
-        value += int(frac)
-    if value < 0:
-        raise TagFormatError(line_number, "negative timestamp")
-    return value
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        raise TagFormatError(line_number, "not valid UTF-8") from None
+    if expect_header or not line:
+        if line and line != TAG_HEADER:
+            raise TagFormatError(line_number, f"expected header {TAG_HEADER!r}")
+        return line or None
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise TagFormatError(line_number, f"expected 2 fields, got {len(parts)}")
+    channel, text = parts
+    if channel.strip() not in ("0", "1"):
+        raise TagFormatError(line_number, f"channel {channel!r} not in {{0, 1}}")
+    whole, dot, frac = text.strip().partition(".")
+    if not (whole.isascii() and whole.isdigit() and len(whole) <= _MAX_DIGITS):
+        raise TagFormatError(line_number, f"bad timestamp {text!r}")
+    if dot and not (len(frac) == 1 and frac.isascii() and frac.isdigit()):
+        raise TagFormatError(line_number, f"timestamp {text!r} needs exactly one decimal digit")
+    return int(channel), int(whole) * 10 + int(frac or 0)
+
+
+def _chunks(source):
+    """The source as bytes in pieces of whole lines of about _CHUNK_BYTES."""
+    if not hasattr(source, "read"):  # an iterable of str or bytes lines
+        source = io.BytesIO(b"".join((line.encode("utf-8") if isinstance(line, str) else line)
+                                     .rstrip(b"\n") + b"\n" for line in source))
+    tail = b""
+    while piece := source.read(_CHUNK_BYTES):
+        data = tail + (piece.encode("utf-8") if isinstance(piece, str) else piece)
+        head, newline, tail = data.rpartition(b"\n")
+        yield head + newline
+    yield tail + b"\n" if tail else b""
 
 
 def parse_tags(source):
-    """Parse a tag CSV stream (file object or iterable of lines).
-
-    Requires the `channel,timestamp_ns` header (a file without it, even
-    an empty one, is refused), channels in {0, 1}, and non-decreasing
-    timestamps; violations report the offending line.
+    """Parse a tag CSV stream: a binary or text file object, read in chunks
+    of about 256 KiB, or an iterable of str or bytes lines. Requires the
+    `channel,timestamp_ns` header (a file without it, even an empty one, is
+    refused), channels in {0, 1}, and non-decreasing timestamps; the first
+    violation in the file reports its line. Lines [01],[0-9]{1,17}(.[0-9])?
+    (LF or CRLF) decode together in numpy, any other one by one.
     """
-    records_ch = []
-    records_ts = []
-    previous = -1
-    line_number = 0
-    saw_header = False
-    for raw in source:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line_number += 1
-        line = raw.strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != TAG_HEADER:
-                raise TagFormatError(line_number, f"expected header {TAG_HEADER!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TagFormatError(line_number, f"expected 2 fields, got {len(parts)}")
-        if parts[0].strip() not in ("0", "1"):
-            raise TagFormatError(line_number, f"channel {parts[0]!r} not in {{0, 1}}")
-        channel = int(parts[0])
-        ts = _parse_timestamp_tenths(parts[1], line_number)
-        if ts < previous:
-            raise TagFormatError(line_number, "timestamps decrease")
-        previous = ts
-        records_ch.append(channel)
-        records_ts.append(ts)
+    parts, previous, number, saw_header = [], -1, 0, False
+    for data in _chunks(source):
+        buf = np.frombuffer(data, np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        starts = np.concatenate(([0], ends + 1))[:-1]
+        ends = ends - (buf[ends - 1] == ord("\r"))  # a CRLF line's content ends at the CR
+        while not saw_header and len(ends):
+            number += 1
+            saw_header = bool(_parse_line(data[starts[0]:ends[0]], number, expect_header=True))
+            starts, ends = starts[1:], ends[1:]
+        tenth = buf[np.maximum(ends - 2, starts)] == ord(".")
+        digits = ends - starts - 2 - 2 * tenth
+        ch = buf[starts] - ord("0")  # uint8: a byte below "0" wraps above 1
+        keep = ((ch <= 1) & (buf[np.minimum(starts + 1, ends)] == ord(","))
+                & (np.add.reduceat((buf - ord("0")) <= 9, starts, dtype=np.int32)
+                   == ends - starts - 1 - tenth)  # all digits but the comma and the dot
+                & (digits >= 1) & (digits <= _MAX_DIGITS))
+        lead, count, whole = starts[keep] + 2, digits[keep], np.zeros(keep.sum(), np.int64)
+        for column in range(count.max(initial=0)):  # Horner, one digit column a pass
+            step = whole * 10 + (buf[np.minimum(lead + column, lead + count - 1)] - ord("0"))
+            whole = np.where(column < count, step, whole)
+        ts = np.zeros(len(starts), np.int64)
+        ts[keep] = whole * 10 + np.where(tenth[keep], buf[ends[keep] - 1] - ord("0"), 0)
+        error = None
+        for i in np.flatnonzero(~keep):  # the lines outside the grammar, one by one
+            try:
+                record = _parse_line(data[starts[i]:ends[i]], number + 1 + int(i))
+            except TagFormatError as exc:
+                keep[i:], error = False, exc
+                break
+            if record:
+                keep[i] = True
+                ch[i], ts[i] = record
+        down = np.flatnonzero(np.diff(ts[keep], prepend=previous) < 0)
+        if down.size:  # a decrease before the first bad line is the first offence
+            raise TagFormatError(number + 1 + int(np.flatnonzero(keep)[down[0]]),
+                                 "timestamps decrease")
+        if error is not None:
+            raise error
+        parts.append((ch[keep], ts[keep]))
+        previous = ts[keep][-1] if keep.any() else previous
+        number += len(ends)
     if not saw_header:
-        raise TagFormatError(line_number + 1, f"expected header {TAG_HEADER!r}, found none")
-    return TagStream(np.array(records_ch, dtype=np.int64),
-                     np.array(records_ts, dtype=np.int64))
+        raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
+    return TagStream(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def write_tags(stream, out):

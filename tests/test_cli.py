@@ -292,6 +292,18 @@ class TestIngest:
         assert code == 3
         assert "error:" in err and "line 2" in err
 
+    @pytest.mark.parametrize("line,message", [
+        (b"1,1\xff0", "not valid UTF-8"),
+        (b"1,9999999999999999999999", "bad timestamp"),
+        (b"1,+2000", "bad timestamp"),
+    ], ids=["invalid-utf8", "beyond-int64", "signed"])
+    def test_refused_line_exit_3(self, capsys, tmp_path, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"channel,timestamp_ns\n0,100\n" + line + b"\n")
+        code, out, err = run(capsys, "ingest", "--tags", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: line 3:") and message in err
+
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "ingest", "--tags", str(tmp_path / "nope.csv"))
         assert code == 3

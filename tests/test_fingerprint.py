@@ -188,6 +188,15 @@ class TestPlan:
         assert plan.revealed_curves([1e4, 1e8], 3.0) == fp.revealed_curves(
             [1e4, 1e8], 0.98, 0.56, 1e-4, coherent_energy=3.0)
 
+    @pytest.mark.parametrize("eps", [0.3, 0.25, 0.0, -1.0, math.nan])
+    def test_eps_refused_before_the_search(self, monkeypatch, eps):
+        def search(*args, **kwargs):
+            raise AssertionError("energy search ran")
+
+        monkeypatch.setattr(eo, "optimal_energy", search)
+        with pytest.raises(DomainError, match=r"error probability must lie in \(0, 0.25\)"):
+            fp.plan(0.98, 0.56, eps)
+
     def test_is_frozen(self, plan):
         with pytest.raises(AttributeError):
             plan.repetitions = 1

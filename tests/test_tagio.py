@@ -1,7 +1,9 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vistest import photostat as ps
 from vistest import tagio
@@ -76,6 +78,124 @@ class TestParseTags:
         again = make_stream(buf.getvalue())
         assert np.array_equal(again.channels, stream.channels)
         assert np.array_equal(again.timestamps_tenths, stream.timestamps_tenths)
+
+    @pytest.mark.parametrize("timestamp", ["1_000", "+2000", "-0", "-5", "\u0661\u0660\u0660",
+                                           "1e3", "0x10", ".5", ""])
+    def test_timestamp_outside_the_grammar_rejected(self, timestamp):
+        with pytest.raises(tagio.TagFormatError, match="bad timestamp") as err:
+            make_stream(HEADER + "0,100\n1," + timestamp + "\n")
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("line", [" 0 , 100.5 ", "\t0,100.5", "0,100.5\r", "0,\t100.5  "])
+    def test_surrounding_whitespace_accepted(self, line):
+        stream = make_stream(HEADER + "\n" + line + "\n\n0,100.5\r\n")
+        assert stream.channels.tolist() == [0, 0]
+        assert stream.timestamps_tenths.tolist() == [1005, 1005]
+
+    def test_seventeen_integer_digits_is_the_limit(self):
+        # 17 digits keep every timestamp's tenths below 1e18 < 2**63
+        stream = make_stream(HEADER + "1,99999999999999999.9\n")
+        assert stream.timestamps_tenths.tolist() == [10**18 - 1]
+        with pytest.raises(tagio.TagFormatError, match="bad timestamp") as err:
+            make_stream(HEADER + "0,1\n1,100000000000000000\n")
+        assert err.value.line_number == 3
+
+    def test_last_line_without_newline(self):
+        stream = make_stream(HEADER + "0,100\n1,103.3")
+        assert stream.timestamps_tenths.tolist() == [1000, 1033]
+        with pytest.raises(tagio.TagFormatError) as err:
+            make_stream(HEADER + "0,100\n1,13")
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("first,second,message", [
+        ("0,50", "2,900", "timestamps decrease"),
+        ("2,500", "0,50", "channel"),
+    ], ids=["decrease-first", "bad-channel-first"])
+    def test_first_offending_line_reported(self, first, second, message):
+        # line 5 fails one check and line 9 another: the earlier is reported
+        lines = ["0,100", "1,200", "0,300", first, "1,600", "0,700", "1,800", second]
+        with pytest.raises(tagio.TagFormatError, match=message) as err:
+            make_stream(HEADER + "\n".join(lines) + "\n")
+        assert err.value.line_number == 5
+
+    def test_one_line_parser_sees_only_lines_outside_the_grammar(self, monkeypatch):
+        seen, parse_line = [], tagio._parse_line
+
+        def spy(raw, *args, **kwargs):
+            seen.append(raw)
+            return parse_line(raw, *args, **kwargs)
+
+        monkeypatch.setattr(tagio, "_parse_line", spy)
+        stream = make_stream(HEADER + "0,100\n1,103.3\r\n\n 0,200\n1,99999999999999999.9\n")
+        assert len(stream) == 4
+        assert seen == [HEADER.strip().encode(), b"", b" 0,200"]
+
+    def test_iterable_of_lines(self):
+        lines = [HEADER.strip(), b"0,100", "1,103.3\n", b"\n"]
+        stream = tagio.parse_tags(lines)
+        assert stream.timestamps_tenths.tolist() == [1000, 1033]
+
+
+def reference_parse(text):
+    """Each line through the one-line parser in a Python loop."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    channels, tenths, saw_header = [], [], False
+    for number, line in enumerate(lines, 1):
+        record = tagio._parse_line(line.encode(), number, expect_header=not saw_header)
+        if record is None:
+            continue
+        if not saw_header:
+            saw_header = True
+            continue
+        if tenths and record[1] < tenths[-1]:
+            raise tagio.TagFormatError(number, "timestamps decrease")
+        channels.append(record[0])
+        tenths.append(record[1])
+    if not saw_header:
+        raise tagio.TagFormatError(len(lines) + 1,
+                                   f"expected header {tagio.TAG_HEADER!r}, found none")
+    return channels, tenths
+
+
+@st.composite
+def tag_texts(draw):
+    """A tag file mixing canonical lines with the other accepted forms
+    (whitespace, CRLF, blank lines), and now and then an offence."""
+    near_limit = st.integers(10**18 - 20, 10**18 + 20)  # 17 or 18 integer digits
+    stamps = sorted(draw(st.lists(st.integers(0, 10**7) | near_limit, max_size=30)))
+    if len(stamps) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(stamps) - 2))
+        stamps[i], stamps[i + 1] = stamps[i + 1], stamps[i]
+    lines = [""] * draw(st.integers(0, 2)) + [HEADER.strip()]
+    forms = st.sampled_from(["{},{}.{}", "{},{}", " {} ,{}.{} ", "{},{}.{}\r", "{},{}\r", "\t{},{}"])
+    for ts in stamps:
+        channel = draw(st.sampled_from("0" * 15 + "1" * 15 + "2"))
+        lines.append(draw(forms).format(channel, ts // 10, ts % 10))
+        lines += [""] * draw(st.integers(0, 1)) + ["  "] * draw(st.integers(0, 1))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=tag_texts(), chunk=st.integers(1, 64), binary=st.booleans())
+    def test_same_records_or_same_error(self, text, chunk, binary):
+        try:
+            expected = reference_parse(text)
+        except tagio.TagFormatError as exc:
+            expected = exc
+        source = io.BytesIO(text.encode()) if binary else io.StringIO(text)
+        with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
+            try:
+                stream = tagio.parse_tags(source)
+            except tagio.TagFormatError as exc:
+                assert str(exc) == str(expected)
+                assert exc.line_number == expected.line_number
+                return
+        assert not isinstance(expected, Exception), expected
+        assert stream.channels.tolist() == expected[0]
+        assert stream.timestamps_tenths.tolist() == expected[1]
 
 
 class TestBinCounts:
