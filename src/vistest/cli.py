@@ -215,10 +215,8 @@ def cmd_ingest(args):
     with open(args.tags, "rb") as f:
         stream = tagio.parse_tags(f)
     binning = tagio.BinningConfig(window_ns=args.window, truncation=args.truncation)
-    outcomes = tagio.bin_counts(stream, binning)
-    hist = tagio.histogram(outcomes, args.truncation)
-    summary = {"tags": len(stream), "windows": int(len(outcomes)),
-               "total_outcomes": hist.total}
+    hist = tagio.tally(stream, binning)
+    summary = {"tags": len(stream), "windows": hist.total, "total_outcomes": hist.total}
     if args.theory:
         if len(args.theory) != 2:
             raise DomainError("--theory takes v,energy")

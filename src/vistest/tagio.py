@@ -65,21 +65,25 @@ class BinningConfig:
 
 
 class TagStream:
-    """A time-sorted detection record stream backed by flat arrays."""
+    """A time-sorted detection record stream in blocks of uint8 channels, int64 tenths."""
 
-    def __init__(self, channels, timestamps_tenths, duration_tenths=None):
-        self.channels = np.asarray(channels, dtype=np.int64)
-        self.timestamps_tenths = np.asarray(timestamps_tenths, dtype=np.int64)
-        if self.channels.shape != self.timestamps_tenths.shape:
-            raise DomainError("channel and timestamp arrays differ in length")
+    def __init__(self, channels, timestamps_tenths, duration_tenths=None, *, blocks=None):
+        self.blocks = blocks or [(np.asarray(channels, dtype=np.uint8),
+                                  np.asarray(timestamps_tenths, dtype=np.int64))]
+        if any(ch.shape != ts.shape or ch.max(initial=0) > 1 or (ts[1:] < ts[:-1]).any()
+               for ch, ts in self.blocks):  # the windows are found as runs of sorted tags
+            raise DomainError("channels must be 0 or 1, one to a timestamp, in time order")
         self.duration_tenths = duration_tenths
 
+    channels = property(lambda self: np.concatenate([ch for ch, _ in self.blocks]))
+    timestamps_tenths = property(lambda self: np.concatenate([ts for _, ts in self.blocks]))
+
     def __len__(self):
-        return len(self.channels)
+        return sum(len(ts) for _, ts in self.blocks)
 
     def __iter__(self):
-        for ch, ts in zip(self.channels, self.timestamps_tenths):
-            yield TagRecord(int(ch), int(ts))
+        for ch, ts in self.blocks:
+            yield from map(TagRecord, ch.tolist(), ts.tolist())
 
 
 _CHUNK_BYTES = 1 << 18  # sets the parse's memory: 4 MiB chunks doubled its peak
@@ -130,8 +134,8 @@ def parse_tags(source):
     `channel,timestamp_ns` header (a file without it, even an empty one, is
     refused), channels in {0, 1}, and non-decreasing timestamps; the first
     violation in the file reports its line. Lines [01],[0-9]{1,17}(.[0-9])?
-    (LF or CRLF) decode together in numpy, any other one by one.
-    """
+    (LF or CRLF) decode together in numpy, any other one by one. Each chunk's
+    tags stay one block of the stream: none is copied whole."""
     parts, previous, number, saw_header = [], -1, 0, False
     for data in _chunks(source):
         buf = np.frombuffer(data, np.uint8)
@@ -176,7 +180,7 @@ def parse_tags(source):
         number += len(ends)
     if not saw_header:
         raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
-    return TagStream(*(np.concatenate(column) for column in zip(*parts)))
+    return TagStream(None, None, blocks=parts)
 
 
 def write_tags(stream, out):
@@ -195,20 +199,48 @@ def bin_counts(stream, config, duration_ns=None):
     window containing the last tag closes the stream (the stream's own
     recorded duration, if any, takes precedence).
     """
-    window = config.window_tenths
-    if duration_ns is not None:
-        n_windows = int(duration_ns * 10) // window
-    elif stream.duration_tenths is not None:
-        n_windows = stream.duration_tenths // window
-    else:  # an empty stream has no window
-        n_windows = int(stream.timestamps_tenths.max(initial=-1)) // window + 1
+    n_windows, runs = _windows(stream, config, duration_ns)
     counts = np.zeros((n_windows, 2), dtype=np.int64)
-    window_idx = stream.timestamps_tenths // window
-    keep = window_idx < n_windows
-    for channel in (0, 1):
-        sel = keep & (stream.channels == channel)
-        counts[:, channel] = np.bincount(window_idx[sel], minlength=n_windows)
+    for index, run in runs:
+        counts[index] = run
     return np.minimum(counts, config.truncation)
+
+
+def tally(stream, config, duration_ns=None):
+    """histogram(bin_counts(stream, config, duration_ns), truncation), storing no empty window."""
+    n_windows, runs = _windows(stream, config, duration_ns)
+    counts = np.zeros((config.truncation + 1,) * 2, np.int64)
+    for index, run in runs:
+        counts += histogram(run, config.truncation).counts
+        counts[0, 0] -= len(index)
+    counts[0, 0] += n_windows  # the empty windows
+    return EmpiricalHistogram(config.truncation, counts)
+
+
+def _windows(stream, config, duration_ns):
+    """bin_counts' window count, and the occupied windows block by block: indices
+    and unclamped (k_plus, k_minus) counts, the open one carried across blocks."""
+    window = config.window_tenths
+    duration = stream.duration_tenths if duration_ns is None else int(duration_ns * 10)
+    last = max((int(ts[-1]) for _, ts in stream.blocks if len(ts)), default=-1)
+    n_windows = last // window + 1 if duration is None else duration // window  # 0 if no tag
+
+    def runs():
+        index, tail = -1, np.zeros((1, 2), np.int64)  # the open window (none yet), its counts
+        for ch, ts in stream.blocks:
+            w = ts // window
+            ends = np.r_[0, np.flatnonzero(w != np.r_[index, w[:-1]]), len(w)]  # run bounds
+            minus = np.diff(np.r_[0, np.cumsum(ch, dtype=np.int64)][ends])  # channels are 0 or 1
+            counts = np.c_[np.diff(ends) - minus, minus]
+            counts[:1] += tail  # run 0 continues the open window
+            index = np.r_[index, w[ends[1:-1]]]
+            keep = (index[:-1] >= 0) & (index[:-1] < n_windows)
+            yield index[:-1][keep], counts[:-1][keep]
+            index, tail = index[-1], counts[-1:]
+        if 0 <= index < n_windows:
+            yield np.array([index]), tail
+
+    return n_windows, runs()
 
 
 @dataclass(frozen=True)
@@ -305,7 +337,7 @@ def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
         window_of_tag = np.repeat(np.arange(windows, dtype=np.int64), counts[:, channel])
         offsets = rng.integers(0, slots, size=n) * config.resolution_tenths
         ts = window_of_tag * window + offsets
-        parts.append((np.full(n, channel, dtype=np.int64), ts))
+        parts.append((np.full(n, channel, dtype=np.uint8), ts))
     channels = np.concatenate([p[0] for p in parts])
     timestamps = np.concatenate([p[1] for p in parts])
     order = np.lexsort((channels, timestamps))

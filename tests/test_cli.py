@@ -304,6 +304,26 @@ class TestIngest:
         assert (code, out) == (3, "")
         assert err.startswith("error: line 3:") and message in err
 
+    def test_window_count_does_not_size_memory(self, capsys, tmp_path):
+        # 2.5e11 windows of 4 ns: empty windows are counted, never stored
+        path = tmp_path / "sparse.csv"
+        path.write_text("channel,timestamp_ns\n0,5\n1,7.5\n0,1000000000000\n")
+        code, out, err = run(capsys, "ingest", "--tags", str(path), "--window", "4")
+        assert (code, err) == (0, "")
+        assert "# windows = 250000000001\n" in out
+        assert "# total_outcomes = 250000000001\n" in out
+        assert "\n0,0,249999999999\n" in out and "\n1,1,1\n" in out and "\n1,0,1\n" in out
+
+    def test_header_only_file(self, capsys, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("channel,timestamp_ns\n")
+        code, out, _ = run(capsys, "ingest", "--tags", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["summary"] == {"tags": 0, "windows": 0, "total_outcomes": 0}
+        code, out, err = run(capsys, "ingest", "--tags", str(path), "--theory", "0.56,6.3")
+        assert (code, out) == (3, "")
+        assert "empty histogram" in err
+
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "ingest", "--tags", str(tmp_path / "nope.csv"))
         assert code == 3

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -238,6 +239,136 @@ class TestBinCounts:
         counts = tagio.bin_counts(make_stream(HEADER), tagio.BinningConfig(),
                                   duration_ns=160_000)
         assert counts.tolist() == [[0, 0], [0, 0]]
+
+
+def reference_tally(tags, config, duration_ns=None):
+    """The histogram of (channel, tenths) tags by the window rule, one tag at
+    a time, with the empty windows counted, not stored."""
+    window, size = config.window_tenths, config.truncation + 1
+    if duration_ns is not None:
+        n_windows = duration_ns * 10 // window
+    else:
+        n_windows = tags[-1][1] // window + 1 if tags else 0
+    occupied = {}
+    for channel, ts in tags:
+        if ts // window < n_windows:
+            occupied.setdefault(ts // window, [0, 0])[channel] += 1
+    counts = np.zeros((size, size), np.int64)
+    counts[0, 0] = n_windows - len(occupied)
+    for plus, minus in occupied.values():
+        counts[min(plus, config.truncation), min(minus, config.truncation)] += 1
+    return counts
+
+
+@st.composite
+def tally_cases(draw):
+    """Sorted tags with bursts (counts above K) and gaps of up to about 1e7
+    windows, a small window and truncation, and sometimes a duration."""
+    window_ns = draw(st.integers(4, 60))
+    gaps = st.just(0) | st.integers(0, 20 * window_ns) | st.integers(0, 10**8 * window_ns)
+    ts, tags = 0, []
+    for gap, channel in draw(st.lists(st.tuples(gaps, st.integers(0, 1)), max_size=40)):
+        ts += gap
+        tags.append((channel, ts))
+    config = tagio.BinningConfig(window_ns=window_ns, truncation=draw(st.integers(1, 3)))
+    end = tags[-1][1] // 10 if tags else 0
+    duration_ns = draw(st.none() | st.integers(0, 2 * end + 100 * window_ns))
+    return tags, config, duration_ns
+
+
+def check_tally(tags, config, duration_ns=None, chunk=24):
+    """Parse the tags in chunks of `chunk` bytes and check the tally against
+    the reference and, where the windows are few, against bin_counts."""
+    text = HEADER + "".join(f"{ch},{ts // 10}.{ts % 10}\n" for ch, ts in tags)
+    with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
+        stream = make_stream(text)
+    hist = tagio.tally(stream, config, duration_ns)
+    expected = reference_tally(tags, config, duration_ns)
+    assert len(stream) == len(tags)
+    assert hist.truncation == config.truncation
+    assert hist.counts.tolist() == expected.tolist()
+    if hist.total <= 10**5:
+        counts = tagio.bin_counts(stream, config, duration_ns)
+        assert len(counts) == hist.total
+        assert hist.counts.tolist() == tagio.histogram(counts, config.truncation).counts.tolist()
+    return hist
+
+
+class TestTally:
+    @settings(max_examples=300, deadline=None)
+    @given(case=tally_cases(), chunk=st.integers(8, 48))
+    def test_equals_histogram_of_bin_counts(self, case, chunk):
+        # chunks of a few dozen bytes: windows straddle the block ends
+        check_tally(*case, chunk=chunk)
+
+    def test_header_only(self):
+        hist = check_tally([], tagio.BinningConfig())
+        assert hist.total == 0
+
+    def test_single_tag(self):
+        hist = check_tally([(1, 1_000_000)], tagio.BinningConfig())
+        assert hist.total == 2 and hist.counts[0, 0] == 1 and hist.counts[0, 1] == 1
+
+    def test_counts_clamped_at_truncation(self):
+        tags = [(0, 10 * i) for i in range(20)] + [(1, 200 + i) for i in range(4)]
+        hist = check_tally(tags, tagio.BinningConfig(truncation=3), chunk=9)
+        assert hist.counts.tolist() == [[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, 1]]
+
+    def test_long_gaps(self):
+        # about 1e12 windows of 4 ns, most of them empty
+        tags = [(0, 50), (1, 75), (1, 4 * 10**16), (0, 4 * 10**16 + 39), (0, 4 * 10**16 + 40)]
+        hist = check_tally(tags, tagio.BinningConfig(window_ns=4))
+        assert hist.total == 10**15 + 2
+        assert hist.counts[0, 0] == 10**15 - 1
+
+    def test_stream_built_from_arrays(self):
+        stream = tagio.TagStream([0, 1, 1, 0], [5, 7, 900_000, 900_001],
+                                 duration_tenths=3 * 800_000)
+        hist = tagio.tally(stream, tagio.BinningConfig())
+        expected = tagio.histogram(tagio.bin_counts(stream, tagio.BinningConfig()), 15)
+        assert hist.counts.tolist() == expected.counts.tolist()
+        assert len(stream.blocks) == 1 and stream.channels.dtype == np.uint8
+
+    @pytest.mark.parametrize("channels,stamps",
+                             [([0, 2], [1, 2]), ([0, 1], [1]), ([0, 1], [2, 1])],
+                             ids=["channel-2", "lengths-differ", "unsorted"])
+    def test_stream_from_arrays_checked(self, channels, stamps):
+        # the tally sums a window's channels and finds windows as runs of sorted tags
+        with pytest.raises(DomainError, match="channels must be 0 or 1"):
+            tagio.TagStream(np.array(channels), stamps)
+
+
+def synthetic_tag_bytes(tags, seed=3):
+    """A tag file of `tags` tags about 12.7 us apart, as bytes."""
+    rng = np.random.default_rng(seed)
+    stamps = np.cumsum(rng.integers(0, 254_000, size=tags))
+    lines = map("{},{}.{}".format, rng.integers(0, 2, size=tags).tolist(),
+                (stamps // 10).tolist(), (stamps % 10).tolist())
+    return (HEADER + "\n".join(lines) + "\n").encode()
+
+
+def parse_and_tally_peak(data, window_ns):
+    """The tracemalloc peak, in bytes, of parse_tags plus tally on data."""
+    tracemalloc.start()
+    try:
+        tagio.tally(tagio.parse_tags(io.BytesIO(data)), tagio.BinningConfig(window_ns=window_ns))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIngestMemory:
+    def test_grows_by_at_most_12_bytes_per_tag(self):
+        # the blocks hold 9 bytes a tag (uint8 channel, int64 tenths)
+        n = 100_000
+        small, large = (parse_and_tally_peak(synthetic_tag_bytes(size), 80_000)
+                        for size in (n, 4 * n))
+        assert (large - small) / (3 * n) <= 12
+
+    def test_window_size_does_not_size_memory(self):
+        # at 4 ns, about 1.6e9 windows, nearly each tag in its own
+        data = synthetic_tag_bytes(200_000)
+        assert abs(parse_and_tally_peak(data, 4) - parse_and_tally_peak(data, 80_000)) <= 2**20
 
 
 class TestHistogram:
