@@ -7,7 +7,6 @@ error.
 """
 
 import argparse
-import io
 import json
 import math
 import os
@@ -63,28 +62,38 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 
 
-def _report(args, command, config, summary, body=None):
+# parsed-option entries that say how to run, not what was computed
+_NOT_ECHOED = ("command", "func", "json", "out", "config")
+
+
+def _cell(value):
+    """The one rendering of a summary value or CSV cell: 17 significant
+    digits for a float, an empty cell for None."""
+    if isinstance(value, float):
+        return format_float(value)
+    return "" if value is None else str(value)
+
+
+def _report(args, summary, header=None, rows=()):
     """Emit a command's summary: as a JSON document with --json, else
-    after the `#` header, as `# key = value` lines ahead of the CSV that
-    `body(buf)` writes or, with no body, as the CSV table itself."""
+    after the `#` echo of every option, as `# key = value` lines ahead of
+    the `header` CSV of `rows` or, with no header, as the CSV table
+    itself."""
+    config = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+              for key, value in sorted(vars(args).items()) if key not in _NOT_ECHOED}
     if args.json:
-        doc = {"tool": f"vistest {__version__}", "command": command,
-               "config": {k: str(v) for k, v in sorted(config.items())},
-               "summary": summary}
+        doc = {"tool": f"vistest {__version__}", "command": args.command,
+               "config": config, "summary": summary}
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         return
-    rendered = {key: format_float(value) if isinstance(value, float) else str(value)
-                for key, value in summary.items()}
-    buf = io.StringIO()
-    buf.write(f"# vistest {__version__}\n# command = {command}\n")
-    buf.writelines(f"# {key} = {config[key]}\n" for key in sorted(config))
-    if body is None:
-        buf.write("quantity,value\n")
-        buf.writelines(f"{key},{value}\n" for key, value in rendered.items())
+    lines = [f"vistest {__version__}", f"command = {args.command}"]
+    lines += [f"{key} = {value}" for key, value in config.items()]
+    if header is None:
+        header, rows = "quantity,value", summary.items()
     else:
-        buf.writelines(f"# {key} = {value}\n" for key, value in rendered.items())
-        body(buf)
-    _emit(buf.getvalue(), args.out)
+        lines += [f"{key} = {_cell(value)}" for key, value in summary.items()]
+    text = "".join(f"# {line}\n" for line in lines) + header + "\n"
+    _emit(text + "".join(",".join(map(_cell, row)) + "\n" for row in rows), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +101,17 @@ def _report(args, command, config, summary, body=None):
 
 
 def cmd_dist(args):
-    config = {"v": args.v, "energy": args.energy, "truncation": args.truncation,
-              "dark": args.dark, "fixed_phase": args.fixed_phase}
     params = photostat.DetectionParams(args.energy, args.dark, args.truncation)
     if args.fixed_phase is not None:
         vis = photostat.ComplexVisibility(args.v, args.fixed_phase)
         dist = photostat.joint_fixed_phase(params, vis)
     else:
         dist = photostat.joint_random_phase(params, args.v)
-    _report(args, "dist", config, {}, lambda buf: photostat.distribution_to_csv(dist, buf))
+    _report(args, {}, "k,kprime,prob",
+            ((k, kp, dist.probs[k, kp]) for k, kp in np.ndindex(dist.probs.shape)))
 
 
 def cmd_chernoff(args):
-    config = {"v1": args.v1, "v2": args.v2, "energy": args.energy,
-              "truncation": args.truncation, "coherent": args.coherent,
-              "marginal_diff": args.marginal_diff, "truncate": args.truncate}
     if not args.energy > 0.0:
         raise DomainError("energy must be > 0")
     if args.coherent:
@@ -121,36 +126,23 @@ def cmd_chernoff(args):
             p2 = photostat.marginal_difference(p2)
         result = chernoff.chernoff_information(p1, p2)
     per_photon = math.inf if result.infinite else result.information / args.energy
-    _report(args, "chernoff", config,
-            {"information_nats": result.information,
-             "alpha_star": result.alpha_star,
-             "sigma": result.sigma,
-             "infinite": result.infinite,
-             "info_per_photon": per_photon})
+    _report(args, {"information_nats": result.information,
+                   "alpha_star": result.alpha_star,
+                   "sigma": result.sigma,
+                   "infinite": result.infinite,
+                   "info_per_photon": per_photon})
 
 
 def cmd_optimize(args):
-    config = {"v1": args.v1, "v2": args.v2, "lo": args.lo, "hi": args.hi,
-              "tol": args.tol, "truncation": args.truncation}
     scan = energyopt.optimal_energy(args.v1, args.v2, args.truncation,
                                     (args.lo, args.hi), args.tol)
-
-    def rows(buf):
-        buf.write("energy,info_per_photon\n")
-        for e, r in zip(scan.energies, scan.ratios):
-            buf.write(f"{format_float(e)},{format_float(r)}\n")
-
-    _report(args, "optimize", config,
-            {"optimum_energy": scan.optimum_energy,
-             "optimum_ratio": scan.optimum_ratio,
-             "at_boundary": scan.at_boundary}, rows)
+    _report(args, {"optimum_energy": scan.optimum_energy,
+                   "optimum_ratio": scan.optimum_ratio,
+                   "at_boundary": scan.at_boundary},
+            "energy,info_per_photon", zip(scan.energies, scan.ratios))
 
 
 def cmd_simulate(args):
-    config = {"v1": args.v1, "v2": args.v2, "energy": args.energy,
-              "truncation": args.truncation, "n_list": ",".join(map(str, args.n_list)),
-              "ensemble": args.ensemble, "seed": args.seed,
-              "band": ",".join(map(str, args.band)) if args.band else ""}
     p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
     info = chernoff.chernoff_information(p1, p2)
     run = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
@@ -160,58 +152,39 @@ def cmd_simulate(args):
     design = int(np.argmax(band))
     curve = simkit.worst_case_curve(args.v1, band, args.v2, run, args.n_list,
                                     tables={args.v1: p1, args.v2: p2})
-
-    def rows(buf):
-        buf.write("N,eps_mean,eps_std,chernoff_bound,refined_bound,band_lo,band_hi\n")
-        for n, point in zip(args.n_list, curve):
-            estimate = point.estimates[design]
-            try:
-                refined = chernoff.refined_bound_from(info, n)
-            except chernoff.DegeneratePairError:
-                refined = math.nan
-            lo, hi = ((format_float(point.band_lo), format_float(point.band_hi))
-                      if args.band else ("", ""))
-            buf.write(f"{n},{format_float(estimate.error_mean)},"
-                      f"{format_float(estimate.error_std)},"
-                      f"{format_float(chernoff.chernoff_bound(info, n))},"
-                      f"{format_float(refined)},{lo},{hi}\n")
-
-    _report(args, "simulate", config, {}, rows)
+    records = []
+    for n, point in zip(args.n_list, curve):
+        estimate = point.estimates[design]
+        try:
+            refined = chernoff.refined_bound_from(info, n)
+        except chernoff.DegeneratePairError:
+            refined = math.nan
+        edges = (point.band_lo, point.band_hi) if args.band else (None, None)
+        records.append((n, estimate.error_mean, estimate.error_std,
+                        chernoff.chernoff_bound(info, n), refined, *edges))
+    _report(args, {}, "N,eps_mean,eps_std,chernoff_bound,refined_bound,band_lo,band_hi",
+            records)
 
 
 def cmd_fingerprint(args):
-    config = {"v1": args.v1, "v2": args.v2, "eps": args.eps,
-              "truncation": args.truncation,
-              "coherent_energy": args.coherent_energy}
     plan = fingerprint.plan(args.v1, args.v2, args.eps, args.truncation)
     cross = plan.crossover()
-
-    def rows(buf):
-        n_values = np.geomspace(1e2, 1e12, 101)
-        curves = plan.revealed_curves(n_values, args.coherent_energy)
-        buf.write("n,I_quantum_incoherent,I_quantum_coherent,I_classical_best,"
-                  "I_classical_bound\n")
-        coh = curves["quantum_coherent"]
-        for i, n in enumerate(n_values):
-            coh_text = "" if coh is None else format_float(coh[i])
-            buf.write(f"{format_float(n)},{format_float(curves['quantum_incoherent'][i])},"
-                      f"{coh_text},{format_float(curves['classical_best'][i])},"
-                      f"{format_float(curves['classical_bound'][i])}\n")
-
-    _report(args, "fingerprint", config,
-            {"delta_min": plan.delta_min,
-             "rate_modified": plan.rate,
-             "rate_gv": fingerprint.gv_rate(plan.delta_min),
-             "repetitions": cross.repetitions,
-             "total_energy": cross.total_energy,
-             "n_vs_best_classical": cross.n_vs_best_classical,
-             "n_vs_classical_limit": cross.n_vs_classical_limit}, rows)
+    n_values = np.geomspace(1e2, 1e12, 101)
+    curves = plan.revealed_curves(n_values, args.coherent_energy)
+    coherent = curves["quantum_coherent"] or [None] * len(n_values)
+    _report(args, {"delta_min": plan.delta_min,
+                   "rate_modified": plan.rate,
+                   "rate_gv": fingerprint.gv_rate(plan.delta_min),
+                   "repetitions": cross.repetitions,
+                   "total_energy": cross.total_energy,
+                   "n_vs_best_classical": cross.n_vs_best_classical,
+                   "n_vs_classical_limit": cross.n_vs_classical_limit},
+            "n,I_quantum_incoherent,I_quantum_coherent,I_classical_best,I_classical_bound",
+            zip(n_values, curves["quantum_incoherent"], coherent,
+                curves["classical_best"], curves["classical_bound"]))
 
 
 def cmd_ingest(args):
-    config = {"tags": args.tags, "window": args.window,
-              "truncation": args.truncation,
-              "theory": ",".join(map(str, args.theory)) if args.theory else ""}
     with open(args.tags, "rb") as f:
         stream = tagio.parse_tags(f)
     binning = tagio.BinningConfig(window_ns=args.window, truncation=args.truncation)
@@ -227,12 +200,11 @@ def cmd_ingest(args):
         summary["fraction_within_2"] = comparison.fraction_within_2
         summary["tv_distance"] = comparison.tv_distance
         summary["consistent"] = comparison.fraction_within_2 >= 0.9
-    _report(args, "ingest", config, summary, lambda buf: tagio.histogram_to_csv(hist, buf))
+    _report(args, summary, "k,kprime,count",
+            ((k, kp, hist.counts[k, kp]) for k, kp in np.ndindex(hist.counts.shape)))
 
 
 def cmd_figures(args):
-    config = {"id": args.id, "grid_size": args.grid_size, "seed": args.seed,
-              "ensemble": args.ensemble, "truncation": args.truncation}
     if args.grid_size < 1:
         raise DomainError("grid size must be >= 1")
     if args.id in ("4c", "s2"):
@@ -260,12 +232,7 @@ def cmd_figures(args):
         header = "energy,ratio_joint,ratio_k2,ratio_diff"
         records = zip(energies, *energyopt.energy_scan_curves(
             DEFAULT_V1, DEFAULT_V2, energies, 2, args.truncation))
-
-    def rows(buf):
-        buf.write(header + "\n")
-        buf.writelines(",".join(map(format_float, record)) + "\n" for record in records)
-
-    _report(args, "figures", config, {}, rows)
+    _report(args, {}, header, records)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +294,7 @@ def build_parser():
     p.add_argument("--n-list", type=_int_list, default=_int_list(DEFAULT_N_LIST))
     p.add_argument("--ensemble", type=int, default=DEFAULT_ENSEMBLE)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--band", type=_float_list, default=None,
+    p.add_argument("--band", type=_float_list, default=[],
                    help="true-v2 grid for the worst-case envelope")
 
     p = command("fingerprint", cmd_fingerprint, "fingerprinting resource plan")
@@ -341,7 +308,7 @@ def build_parser():
     p = command("ingest", cmd_ingest, "bin a tag file and histogram it")
     p.add_argument("--tags", required=True)
     p.add_argument("--window", type=int, default=80_000)
-    p.add_argument("--theory", type=_float_list, default=None,
+    p.add_argument("--theory", type=_float_list, default=[],
                    help="v,energy of the model to compare against")
     p.add_argument("--json", action="store_true")
 

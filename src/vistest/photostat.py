@@ -7,13 +7,12 @@ arbitrary complex visibility on the bench.
 """
 
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import DomainError, format_float
+from .util import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -311,17 +310,3 @@ def visibility_from_amplitudes(amp_a, amp_b, modal_overlap=1.0):
     if abs(modal_overlap) > 1.0 + _MAG_SLACK:
         raise DomainError("modal overlap magnitude exceeds 1")
     return ComplexVisibility.from_complex(2.0 * amp_a * amp_b.conjugate() / norm * modal_overlap)
-
-
-def distribution_to_csv(dist, out=None):
-    """Write a joint distribution as `k,kprime,prob` rows in row-major
-    order with 17 significant digits. Returns the CSV text when out is
-    None, otherwise writes to the given text file object."""
-    buffer = out if out is not None else io.StringIO()
-    buffer.write("k,kprime,prob\n")
-    for k in range(dist.truncation + 1):
-        for kp in range(dist.truncation + 1):
-            buffer.write(f"{k},{kp},{format_float(dist.probs[k, kp])}\n")
-    if out is None:
-        return buffer.getvalue()
-    return None

@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise DomainError("true_visibility must lie in [0, 1]")
         if self.repetitions_per_test < 1 or self.ensemble_size < 1:
             raise DomainError("repetitions_per_test and ensemble_size must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .util import DomainError
 TWO_PI = 2.0 * math.pi
 
 TAG_HEADER = "channel,timestamp_ns"
-HISTOGRAM_HEADER = "k,kprime,count"
 
 
 class TagFormatError(ValueError):
@@ -265,13 +264,6 @@ def histogram(outcomes, truncation):
     size = truncation + 1
     flat = np.bincount(outcomes[:, 0] * size + outcomes[:, 1], minlength=size * size)
     return EmpiricalHistogram(truncation, flat.reshape(size, size))
-
-
-def histogram_to_csv(hist, out):
-    out.write(HISTOGRAM_HEADER + "\n")
-    for k in range(hist.truncation + 1):
-        for kp in range(hist.truncation + 1):
-            out.write(f"{k},{kp},{hist.counts[k, kp]}\n")
 
 
 @dataclass(frozen=True)

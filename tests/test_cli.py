@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from vistest import __version__, chernoff, energyopt, photostat as ps, simkit, tagio
-from vistest.cli import main
+from vistest.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,6 +78,19 @@ class TestDist:
         code, _, _ = run(capsys, "dist", "--truncation", "2", "--out", "rel.csv")
         assert code == 0
         assert (tmp_path / "rel.csv").exists()
+
+    def test_csv_cells(self, capsys):
+        code, out, _ = run(capsys, "dist", "--energy", "1", "--v", "0.5", "--truncation", "1")
+        assert code == 0
+        lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
+        assert lines[0] == "k,kprime,prob"
+        assert len(lines) == 5
+        k, kp, prob = lines[1].split(",")
+        assert (k, kp) == ("0", "0")
+        expected = ps.joint_random_phase(ps.DetectionParams(1.0, 0.0, 1), 0.5).probs[0, 0]
+        assert float(prob) == expected
+        assert prob == f"{expected:.17g}"
+        assert len(prob.replace(".", "").replace("-", "").lstrip("0")) >= 15
 
     def test_absolute_path_ignores_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VISTEST_OUTPUT_DIR", str(tmp_path / "unused"))
@@ -285,6 +299,14 @@ class TestIngest:
         doc = json.loads(out)
         assert doc["summary"]["consistent"] is True
 
+    def test_csv_cells(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("channel,timestamp_ns\n1,5\n")
+        code, out, _ = run(capsys, "ingest", "--tags", str(path), "--truncation", "1")
+        assert code == 0
+        assert "".join(l for l in out.splitlines(keepends=True) if not l.startswith("#")) == \
+            "k,kprime,count\n0,0,0\n0,1,1\n1,0,0\n1,1,0\n"
+
     def test_malformed_tags_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("channel,timestamp_ns\n5,100\n")
@@ -402,6 +424,54 @@ class TestConfigFile:
 TAGS = "<tag file>"
 
 
+# one quick invocation of each command
+ECHO_ARGV = {
+    "dist": ["--truncation", "1"],
+    "chernoff": ["--truncation", "4"],
+    "optimize": ["--hi", "2"],
+    "simulate": ["--n-list", "1", "--ensemble", "10"],
+    "fingerprint": [],
+    "ingest": ["--tags", TAGS],
+    "figures": ["--id", "2a", "--grid-size", "2"],
+}
+
+
+def subparsers():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestEcho:
+    def test_every_command_is_probed(self):
+        assert set(ECHO_ARGV) == set(subparsers())
+
+    @pytest.mark.parametrize("command", sorted(ECHO_ARGV))
+    def test_echo_lists_every_option(self, capsys, tmp_path, command):
+        sub = subparsers()[command]
+        dests = {a.dest for a in sub._actions} - {"help", "out", "config", "json"}
+        argv = [str(make_tag_file(tmp_path)) if a == TAGS else a for a in ECHO_ARGV[command]]
+        code, out, _ = run(capsys, command, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == f"# command = {command}"
+        comments = [l for l in lines[2:] if l.startswith("# ")]
+        if "--json" not in sub._option_string_actions:
+            assert {l[2:].partition(" = ")[0] for l in comments} == dests
+            return
+        code, out, _ = run(capsys, command, *argv, "--json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert set(config) == dests
+        # the echo leads; summary lines, if any, follow it
+        assert comments[:len(dests)] == [f"# {k} = {v}" for k, v in sorted(config.items())]
+
+    def test_figures_echo_coherent_energy(self, capsys):
+        code, out, _ = run(capsys, "figures", "--id", "2b", "--grid-size", "3",
+                           "--coherent-energy", "5")
+        assert code == 0
+        assert "# coherent_energy = 5.0\n" in out
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -444,6 +514,9 @@ class TestExitCodes:
         ["optimize", "--truncation", "-7"],
         ["fingerprint", "--truncation", "0"],
         ["figures", "--id", "2b", "--grid-size", "3", "--truncation", "0"],
+        # a seed must be one a SeedSequence takes
+        ["simulate", "--seed", "-1"],
+        ["figures", "--id", "4c", "--seed", "-1"],
     ])
     def test_out_of_range_input_is_3(self, capsys, tmp_path, argv):
         if TAGS in argv:

@@ -404,15 +404,3 @@ class TestVisibilityFromAmplitudes:
         with pytest.raises(DomainError):
             ps.visibility_from_amplitudes(0.0, 0.0)
 
-
-class TestCsvExport:
-    def test_format(self):
-        dist = ps.joint_random_phase(ps.DetectionParams(1.0, 0.0, 1), 0.5)
-        text = ps.distribution_to_csv(dist)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,kprime,prob"
-        assert len(lines) == 5
-        k, kp, prob = lines[1].split(",")
-        assert (k, kp) == ("0", "0")
-        assert float(prob) == dist.probs[0, 0]
-        assert len(prob.replace(".", "").replace("-", "").lstrip("0")) >= 15

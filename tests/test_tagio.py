@@ -386,12 +386,6 @@ class TestHistogram:
         with pytest.raises(DomainError):
             tagio.histogram([(-1, 0)], truncation=3)
 
-    def test_csv_format(self):
-        hist = tagio.histogram([(0, 1)], truncation=1)
-        buf = io.StringIO()
-        tagio.histogram_to_csv(hist, buf)
-        assert buf.getvalue() == "k,kprime,count\n0,0,0\n0,1,1\n1,0,0\n1,1,0\n"
-
 
 class TestCompareToTheory:
     def test_exact_match_has_zero_residuals(self):
