@@ -191,14 +191,9 @@ def relative_entropy(p, q):
     return float(np.sum(a[support] * (np.log(a[support]) - np.log(b[support]))))
 
 
-def refined_bound(p1, p2, repetitions):
-    """Second-order refinement of the Chernoff bound:
-    exp(-NC) / (sqrt(2 pi N) * 2 * alpha*(1-alpha*) * sigma)."""
-    return refined_bound_from(chernoff_information(p1, p2), repetitions)
-
-
-def refined_bound_from(result, repetitions):
-    """refined_bound from a ChernoffResult already solved for the pair."""
+def refined_bound(result, repetitions):
+    """Second-order refinement of the Chernoff bound, from a solved
+    ChernoffResult: exp(-NC) / (sqrt(2 pi N) * 2 * alpha*(1-alpha*) * sigma)."""
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
     if result.infinite or result.information == 0.0:

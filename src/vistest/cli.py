@@ -156,7 +156,7 @@ def cmd_simulate(args):
     for n, point in zip(args.n_list, curve):
         estimate = point.estimates[design]
         try:
-            refined = chernoff.refined_bound_from(info, n)
+            refined = chernoff.refined_bound(info, n)
         except chernoff.DegeneratePairError:
             refined = math.nan
         edges = (point.band_lo, point.band_hi) if args.band else (None, None)

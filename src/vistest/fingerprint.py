@@ -28,17 +28,6 @@ class CrossoverNotFoundError(DomainError):
 
 
 @dataclass(frozen=True)
-class CodeSpec:
-    """Fingerprinting code parameters: minimum relative Hamming distance
-    and the achievable rate; modified marks the appended-bits
-    construction used for random-phase operation."""
-
-    delta_min: float
-    rate: float
-    modified: bool
-
-
-@dataclass(frozen=True)
 class CrossoverResult:
     """Input lengths where the phaseless protocol beats the classical
     benchmarks, with the repetition count and total photon budget used."""
@@ -85,14 +74,6 @@ def modified_rate(delta_min):
     if not 0.0 <= delta_min < 0.5:
         raise DomainError("delta_min must lie in [0, 0.5)")
     return modified_rate_appended(delta_min / (1.0 + delta_min))
-
-
-def code_spec(delta_min, modified=False):
-    """CodeSpec at the given minimum relative distance; the modified
-    flag selects the appended-bits construction (delta_min is then the
-    appended code's own distance)."""
-    rate = modified_rate_appended(delta_min) if modified else gv_rate(delta_min)
-    return CodeSpec(delta_min, rate, modified)
 
 
 def delta_from_visibilities(v1, v2):

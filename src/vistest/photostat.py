@@ -114,9 +114,6 @@ class JointPhotocountDistribution:
         k = self.truncation
         object.__setattr__(self, "probs", checked_probabilities(self.probs, (k + 1, k + 1)))
 
-    def __getitem__(self, idx):
-        return self.probs[idx]
-
 
 @dataclass(frozen=True)
 class CountDifferenceDistribution:

@@ -226,6 +226,8 @@ def worst_case_curve(v1, v2_grid, designed_v2, config, n_values, tables=None):
     if not math.isclose(float(v2_grid.max()), designed_v2, rel_tol=0.0, abs_tol=1e-12):
         raise DomainError("designed_v2 must equal the maximum of the grid")
     tables = dict(tables or {})
+    if any(t.truncation != config.truncation for t in tables.values()):
+        raise DomainError("the config and the tables must share one truncation")
     for v in [v1, *v2_grid.tolist()]:
         if v not in tables:
             tables[v] = _random_phase_table(config.energy, v, config.truncation)

@@ -110,7 +110,7 @@ def test_criterion_06_error_rate_curves():
             ok = False
             details.append(f"N={n} exceeds bound")
         if n >= 30:
-            ratio = est.error_mean / ch.refined_bound(p1.probs, p2.probs, n)
+            ratio = est.error_mean / ch.refined_bound(info, n)
             details.append(f"N={n} ratio {ratio:.2f}")
             if not 0.5 <= ratio <= 1.5:
                 ok = False

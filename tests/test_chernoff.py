@@ -107,7 +107,7 @@ class TestChernoffInformation:
         monkeypatch.setattr(ps, "checked_probabilities", refuse)
         ch.chernoff_information(d1, d2)
         ch.chernoff_information(m1, m2)
-        ch.refined_bound(d1, d2, 10)
+        ch.refined_bound(ch.chernoff_information(d1, d2), 10)
         ch.relative_entropy(d1, d2)
         ch.tilted_distribution(d1, d2, 0.5)
         with pytest.raises(AssertionError):
@@ -301,27 +301,25 @@ class TestRefinedBound:
         p1, p2 = product_poisson_pair(6.3, 0.98, 0.56, truncation=30)
         result = ch.chernoff_information(p1, p2)
         for n in (10, 50, 200):
-            refined = ch.refined_bound(p1, p2, n)
+            refined = ch.refined_bound(result, n)
             assert 0.0 < refined < ch.chernoff_bound(result, n)
 
     def test_sqrt_n_prefactor_scaling(self):
         p1, p2 = product_poisson_pair(6.3, 0.98, 0.56, truncation=30)
-        c = ch.chernoff_information(p1, p2).information
-        r100 = ch.refined_bound(p1, p2, 100)
-        r400 = ch.refined_bound(p1, p2, 400)
-        assert r400 / r100 == pytest.approx(math.exp(-300.0 * c) / 2.0, rel=1e-9)
-
-    def test_from_result_equals_from_tables(self):
-        p1, p2 = product_poisson_pair(6.3, 0.98, 0.56, truncation=30)
         result = ch.chernoff_information(p1, p2)
-        for n in (1, 10, 50):
-            assert ch.refined_bound_from(result, n) == ch.refined_bound(p1, p2, n)
+        r100 = ch.refined_bound(result, 100)
+        r400 = ch.refined_bound(result, 400)
+        assert r400 / r100 == pytest.approx(math.exp(-300.0 * result.information) / 2.0,
+                                            rel=1e-9)
+
+    def test_bad_repetitions(self):
+        p1, p2 = product_poisson_pair(6.3, 0.98, 0.56, truncation=30)
         with pytest.raises(DomainError):
-            ch.refined_bound_from(result, 0)
+            ch.refined_bound(ch.chernoff_information(p1, p2), 0)
 
     def test_degenerate_pairs_rejected(self):
         p = np.array([0.5, 0.5])
         with pytest.raises(ch.DegeneratePairError):
-            ch.refined_bound(p, p, 10)
+            ch.refined_bound(ch.chernoff_information(p, p), 10)
         with pytest.raises(ch.DegeneratePairError):
-            ch.refined_bound([1.0, 0.0], [0.0, 1.0], 10)
+            ch.refined_bound(ch.chernoff_information([1.0, 0.0], [0.0, 1.0]), 10)

@@ -49,11 +49,6 @@ class TestRates:
         with pytest.raises(DomainError):
             fp.modified_rate_appended(1.0 / 3.0)
 
-    def test_code_spec(self):
-        spec = fp.code_spec(0.2143, modified=True)
-        assert spec.modified
-        assert spec.rate == pytest.approx(fp.modified_rate_appended(0.2143))
-
 
 class TestVisibilityMaps:
     def test_delta_from_visibilities(self):

@@ -246,6 +246,15 @@ class TestWorstCaseSweep:
         assert ([(b.estimates, b.band_lo, b.band_hi) for b in given]
                 == [(b.estimates, b.band_lo, b.band_hi) for b in built])
 
+    # cells of a K-table read through a 16 x 16 log-ratio table score as other (k, k')
+    @pytest.mark.parametrize("truncation", [10, 20])
+    def test_given_tables_at_another_truncation_rejected(self, truncation):
+        cfg = sk.ExperimentConfig(0.0, 6.3, truncation, 1, 50, 1)
+        p1, p2 = tables()
+        with pytest.raises(DomainError, match="one truncation"):
+            sk.worst_case_curve(0.98, [0.28, 0.56], 0.56, cfg, [1],
+                                tables={0.98: p1, 0.56: p2})
+
     def test_designed_point_must_be_grid_maximum(self):
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
         with pytest.raises(DomainError):
@@ -370,9 +379,10 @@ class TestExactError:
     def test_ratio_to_refined_bound(self):
         # the Bahadur-Rao refinement approaches the exact error from above
         p1, p2 = tables()
+        info = ch.chernoff_information(p1, p2)
         for n, expected in ((30, 0.85), (40, 0.88), (50, 0.90)):
             lo, hi = sk.exact_error(p1, p2, [n])[0]
-            refined = ch.refined_bound(p1.probs, p2.probs, n)
+            refined = ch.refined_bound(info, n)
             assert lo / refined == pytest.approx(expected, abs=0.02)
             assert lo / refined <= hi / refined < 0.92
 
