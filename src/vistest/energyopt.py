@@ -15,6 +15,7 @@ DEFAULT_SEARCH_RANGE = (0.1, 30.0)
 DEFAULT_TOL = 0.05
 _TAIL_BUDGET = 1e-9
 MAX_SEARCH_TRUNCATION = 300  # the rule's K at E = 208
+_COARSE = (*range(0, 60, 6), 59)  # the map's shared indices of the 60-point scan
 
 
 class IndistinguishablePairError(DomainError):
@@ -64,10 +65,28 @@ def info_per_photon(v1_mag, v2_mag, energy, truncation=15):
     return chernoff.chernoff_information(d1, d2).information / energy
 
 
-def _scan_pairs(values, pairs, truncation, search_range, tol):
+def _scan_argmax(ratio):
+    """np.argmax of the 60 scan ratios, read through ratio(n). When the
+    ratios at _COARSE rise strictly to their largest and then fall
+    strictly, a unimodal scan peaks between the coarse indices beside it,
+    where integer ternary search (Kiefer 1953) finds it; else all are read."""
+    coarse = [ratio(n) for n in _COARSE]
+    top, steps = int(np.argmax(coarse)), np.diff(coarse)
+    if not (np.all(steps[:top] > 0.0) and np.all(steps[top:] < 0.0)):
+        return int(np.argmax([ratio(n) for n in range(_COARSE[-1] + 1)]))
+    a = _COARSE[top - 1] + 1 if top > 0 else 0
+    b = _COARSE[top + 1] - 1 if top < len(_COARSE) - 1 else _COARSE[-1]
+    while b - a > 2:
+        m1, m2 = a + (b - a) // 3, b - (b - a) // 3
+        a, b = (m1 + 1, b) if ratio(m1) < ratio(m2) else (a, m2 - 1)
+    return max(range(a, b + 1), key=ratio)
+
+
+def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
     """EnergyScanResult for each (i, j) in pairs, values[i] against
-    values[j]. At each scan energy every value's table is built once and
-    shared by the pairs; each pair is then refined on its own."""
+    values[j]. At each shared scan energy (all, or _COARSE's if optimum_only)
+    every value's table is built once for all pairs; each pair then solves
+    what its argmax needs, leaving other ratios NaN, and is refined alone."""
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
@@ -76,17 +95,25 @@ def _scan_pairs(values, pairs, truncation, search_range, tol):
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
         energies = np.geomspace(lo, hi, 60)
     resolutions = search_truncation(energies, truncation)  # refuses before any table is built
-    ratios = np.empty((len(pairs), len(energies)))
-    for n, (e, k) in enumerate(zip(energies, resolutions)):
-        params = photostat.DetectionParams(e, 0.0, k)
+    ratios = np.full((len(pairs), len(energies)), np.nan)
+    if not pairs:
+        return []
+    for n in _COARSE if optimum_only else range(len(energies)):
+        params = photostat.DetectionParams(energies[n], 0.0, resolutions[n])
         tables = [photostat.joint_random_phase(params, v) for v in values]
         for row, (i, j) in enumerate(pairs):
             ratios[row, n] = chernoff.chernoff_information(
-                tables[i], tables[j]).information / e
+                tables[i], tables[j]).information / energies[n]
 
     results = []
     for row, (i, j) in enumerate(pairs):
-        best = int(np.argmax(ratios[row]))
+        def ratio(n):
+            if np.isnan(ratios[row, n]):
+                d1, d2 = photostat.hypothesis_tables(values[i], values[j],
+                                                     energies[n], resolutions[n])
+                ratios[row, n] = chernoff.chernoff_information(d1, d2).information / energies[n]
+            return ratios[row, n]
+        best = _scan_argmax(ratio) if optimum_only else int(np.argmax(ratios[row]))
         opt_e, neg = golden_section(
             lambda e: -info_per_photon(values[i], values[j], e, truncation),
             energies[max(0, best - 1)], energies[min(len(energies) - 1, best + 1)], tol=tol)
@@ -119,14 +146,16 @@ def random_phase_map(grid, truncation=15,
 
     Returns (max_ratio, argmax_energy) matrices, symmetric in the two
     visibilities; diagonal cells are NaN-flagged as indistinguishable.
-    Cell (i, j), i < j, is optimal_energy(grid[i], grid[j]) by construction.
+    Cell (i, j), i < j, is optimal_energy(grid[i], grid[j]): both take the
+    same scan argmax wherever the pair's scan is unimodal (_scan_argmax).
     """
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
     max_ratio = np.full((n, n), np.nan)
     opt_energy = np.full((n, n), np.nan)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j]]
-    for (i, j), res in zip(pairs, _scan_pairs(grid, pairs, truncation, search_range, tol)):
+    for (i, j), res in zip(pairs, _scan_pairs(grid, pairs, truncation, search_range, tol,
+                                              optimum_only=True)):
         max_ratio[i, j] = max_ratio[j, i] = res.optimum_ratio
         opt_energy[i, j] = opt_energy[j, i] = res.optimum_energy
     return max_ratio, opt_energy

@@ -22,6 +22,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_builds_and_solves(monkeypatch):
+    """Record the arguments of every table build and Chernoff solve."""
+    tables, solves = [], []
+    build, solve = ps.joint_random_phase, chernoff.chernoff_information
+    monkeypatch.setattr(ps, "joint_random_phase", lambda *a: tables.append(a) or build(*a))
+    monkeypatch.setattr(chernoff, "chernoff_information",
+                        lambda *a: solves.append(a) or solve(*a))
+    return tables, solves
+
+
 def make_tag_file(directory, windows=400):
     rng = np.random.default_rng(12)
     config = tagio.BinningConfig()
@@ -154,6 +164,12 @@ class TestOptimize:
         assert rows[0] == "energy,info_per_photon"
         assert len(rows) == 61
 
+    def test_scan_solves_every_energy(self, capsys, monkeypatch):
+        # 60 scan energies and 9 refinement evaluations, each from a table pair
+        tables, solves = count_builds_and_solves(monkeypatch)
+        assert run(capsys, "optimize")[0] == 0
+        assert (len(solves), len(tables)) == (69, 138)
+
 
 class TestSimulate:
     # the refined bound only undercuts exp(-NC)/2 once N is moderately
@@ -224,12 +240,7 @@ class TestSimulate:
         assert len(streams) == len(set(streams)) == 6
 
     def test_builds_the_pair_once_and_solves_it_once(self, capsys, monkeypatch):
-        tables, solves = [], []
-        build, solve = ps.joint_random_phase, chernoff.chernoff_information
-        monkeypatch.setattr(ps, "joint_random_phase",
-                            lambda *a: tables.append(a) or build(*a))
-        monkeypatch.setattr(chernoff, "chernoff_information",
-                            lambda *a: solves.append(a) or solve(*a))
+        tables, solves = count_builds_and_solves(monkeypatch)
         code, _, _ = run(capsys, "simulate", "--ensemble", "100")
         assert code == 0
         assert (len(tables), len(solves)) == (2, 1)
@@ -550,6 +561,18 @@ class TestFigures:
         assert code == 0
         assert len(calls) == 240
         assert len([l for l in out.strip().split("\n") if not l.startswith("#")]) == 61
+
+    @pytest.mark.parametrize("grid_size,most_solves,most_tables", [(1, 0, 0), (5, 300, 400)])
+    def test_map_solves_only_what_each_optimum_needs(self, capsys, monkeypatch, grid_size,
+                                                     most_solves, most_tables):
+        # 11 shared scan energies, a short search per pair, then the refinement;
+        # solving all 60 energies took 704 solves and 508 tables at grid 5, and
+        # 60 tables for a one-value grid, which has no pair to solve
+        tables, solves = count_builds_and_solves(monkeypatch)
+        code, _, _ = run(capsys, "figures", "--id", "2b", "--grid-size", str(grid_size))
+        assert code == 0
+        assert len(solves) <= most_solves
+        assert len(tables) <= most_tables
 
     @pytest.mark.parametrize("figure,command", [
         (["--id", "4c", "--ensemble", "300", "--seed", "5"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import pdtrc
 
 from vistest import chernoff as ch
@@ -189,15 +190,50 @@ class TestRandomPhaseMap:
         assert energy[off] == pytest.approx(energy.T[off])
         assert np.all(ratio[off] > 0.0)
 
-    def test_cells_equal_per_pair_optimum(self):
-        grid = np.array([0.0, 0.5, 1.0])
-        ratio, energy = eo.random_phase_map(grid, tol=0.2)
-        for i in range(3):
-            for j in range(3):
+    @pytest.mark.parametrize("floor", [1, 15])
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_cells_equal_per_pair_optimum(self, size, floor):
+        grid = np.linspace(0.0, 1.0, size)
+        ratio, energy = eo.random_phase_map(grid, floor)
+        for i in range(size):
+            for j in range(size):
                 if i != j:
-                    scan = eo.optimal_energy(grid[i], grid[j], tol=0.2)
-                    assert ratio[i, j] == pytest.approx(scan.optimum_ratio, rel=1e-12)
-                    assert energy[i, j] == pytest.approx(scan.optimum_energy, rel=1e-12)
+                    scan = eo.optimal_energy(grid[i], grid[j], floor)
+                    assert (ratio[i, j], energy[i, j]) == (scan.optimum_ratio,
+                                                           scan.optimum_energy)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 60),
+           st.floats(0.05, 80.0, exclude_min=True), st.floats(0.05, 80.0, exclude_min=True))
+    def test_optimum_only_scan_keeps_the_full_scan_argmax(self, v1, v2, floor, a, b):
+        assume(v1 != v2 and a != b)
+        search_range = (min(a, b), max(a, b))
+        full, = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL)
+        lazy, = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL,
+                               optimum_only=True)
+        # the points the lazy path solved carry the full scan's bits, so its
+        # search reads what the search below reads
+        solved = ~np.isnan(lazy.ratios)
+        assert np.array_equal(lazy.ratios[solved], full.ratios[solved])
+        assert eo._scan_argmax(full.ratios.__getitem__) == np.argmax(full.ratios)
+        assert (lazy.optimum_energy, lazy.optimum_ratio) == (full.optimum_energy,
+                                                             full.optimum_ratio)
+
+    def test_scan_argmax_of_a_unimodal_scan(self):
+        # a flat top of two points keeps np.argmax's first index
+        index = np.arange(60.0)
+        for peak in range(60):
+            scan = np.where(index <= peak, index - peak, 1.3 * (peak + 1 - index))
+            read = []
+            assert eo._scan_argmax(lambda n: read.append(n) or scan[n]) == np.argmax(scan)
+            assert len(set(read)) <= 11 + 8
+
+    def test_scan_argmax_reads_a_non_unimodal_scan_in_full(self):
+        # coarse samples that fall and rise again: the peak may lie anywhere
+        scan = np.cos(np.arange(60) / 4.0) + np.arange(60) / 200.0
+        read = []
+        assert eo._scan_argmax(lambda n: read.append(n) or scan[n]) == np.argmax(scan)
+        assert set(read) == set(range(60))
 
     def test_lattice_out_of_range_rejected(self):
         with pytest.raises(DomainError):
