@@ -81,10 +81,12 @@ def _report(args, summary, header=None, rows=()):
     itself."""
     config = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
               for key, value in sorted(vars(args).items()) if key not in _NOT_ECHOED}
-    if args.json:
+    if args.json:  # a NaN or infinity has no JSON form: it is written null
+        summary = {key: None if isinstance(value, float) and not math.isfinite(value)
+                   else value for key, value in summary.items()}
         doc = {"tool": f"vistest {__version__}", "command": args.command,
                "config": config, "summary": summary}
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
         return
     lines = [f"vistest {__version__}", f"command = {args.command}"]
     lines += [f"{key} = {value}" for key, value in config.items()]
@@ -150,7 +152,7 @@ def cmd_simulate(args):
     # the printed estimate is the band's member at the design point
     band = args.band or [args.v2]
     design = int(np.argmax(band))
-    curve = simkit.worst_case_curve(args.v1, band, args.v2, run, args.n_list,
+    curve = simkit.worst_case_sweep(args.v1, band, args.v2, run, args.n_list,
                                     tables={args.v1: p1, args.v2: p2})
     records = []
     for n, point in zip(args.n_list, curve):
@@ -168,15 +170,16 @@ def cmd_simulate(args):
 
 def cmd_fingerprint(args):
     plan = fingerprint.plan(args.v1, args.v2, args.eps, args.truncation)
-    cross = plan.crossover()
+    cross = fingerprint.crossover(plan)
     n_values = np.geomspace(1e2, 1e12, 101)
-    curves = plan.revealed_curves(n_values, args.coherent_energy)
+    curves = fingerprint.revealed_curves(plan, n_values, args.coherent_energy)
     coherent = curves["quantum_coherent"] or [None] * len(n_values)
     _report(args, {"delta_min": plan.delta_min,
                    "rate_modified": plan.rate,
                    "rate_gv": fingerprint.gv_rate(plan.delta_min),
                    "repetitions": cross.repetitions,
                    "total_energy": cross.total_energy,
+                   "at_boundary": plan.at_boundary,
                    "n_vs_best_classical": cross.n_vs_best_classical,
                    "n_vs_classical_limit": cross.n_vs_classical_limit},
             "n,I_quantum_incoherent,I_quantum_coherent,I_classical_best,I_classical_bound",
@@ -228,7 +231,7 @@ def cmd_figures(args):
         records = [(a, b, ratio[i, j], energy[i, j])
                    for i, a in enumerate(grid) for j, b in enumerate(grid)]
     else:  # 3
-        energies = np.geomspace(0.1, 30.0, 60)
+        energies = np.geomspace(*energyopt.DEFAULT_SEARCH_RANGE, energyopt.SCAN_POINTS)
         header = "energy,ratio_joint,ratio_k2,ratio_diff"
         records = zip(energies, *energyopt.energy_scan_curves(
             DEFAULT_V1, DEFAULT_V2, energies, 2, args.truncation))

@@ -15,7 +15,8 @@ DEFAULT_SEARCH_RANGE = (0.1, 30.0)
 DEFAULT_TOL = 0.05
 _TAIL_BUDGET = 1e-9
 MAX_SEARCH_TRUNCATION = 300  # the rule's K at E = 208
-_COARSE = (*range(0, 60, 6), 59)  # the map's shared indices of the 60-point scan
+SCAN_POINTS = 60  # log-spaced energies of the scan ahead of the refinement
+_COARSE = (*range(0, SCAN_POINTS, 6), SCAN_POINTS - 1)  # the map's shared scan indices
 
 
 class IndistinguishablePairError(DomainError):
@@ -93,7 +94,7 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
     if not tol > 0.0:
         raise DomainError("tol must be > 0")
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
-        energies = np.geomspace(lo, hi, 60)
+        energies = np.geomspace(lo, hi, SCAN_POINTS)
     resolutions = search_truncation(energies, truncation)  # refuses before any table is built
     ratios = np.full((len(pairs), len(energies)), np.nan)
     if not pairs:

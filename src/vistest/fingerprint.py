@@ -184,52 +184,8 @@ class FingerprintPlan:
     delta_min: float
     rate: float
     energy: float
+    at_boundary: bool  # the energy is an end of the search range
     repetitions: int
-
-    def crossover(self):
-        """CrossoverResult: the lengths n where quantum_revealed(n) meets
-        each classical benchmark."""
-        def meet(benchmark):
-            return _bisect_log_n(
-                lambda n: quantum_revealed(n, self.rate, self.energy, self.repetitions)
-                - benchmark(n, self.eps), *_CROSSOVER_RANGE)
-
-        return CrossoverResult(meet(best_classical), meet(classical_lower_bound),
-                               self.repetitions, self.repetitions * self.energy)
-
-    def revealed_curves(self, n_values, coherent_energy=None):
-        """Revealed-information curves versus input length.
-
-        Returns a dict of lists keyed by 'quantum_incoherent',
-        'quantum_coherent', 'classical_best', and 'classical_bound'. The
-        coherent curve needs an explicit per-repetition photon number and
-        is None when coherent_energy is not supplied (its budget is a free
-        choice, never defaulted). Entries where a curve is undefined
-        (pulse count below 2) are NaN.
-        """
-        def curve(f):
-            out = []
-            for n in n_values:
-                try:
-                    out.append(f(n))
-                except DomainError:
-                    out.append(math.nan)
-            return out
-
-        result = {
-            "quantum_incoherent": curve(
-                lambda n: quantum_revealed(n, self.rate, self.energy, self.repetitions)),
-            "classical_best": curve(lambda n: best_classical(n, self.eps)),
-            "classical_bound": curve(lambda n: classical_lower_bound(n, self.eps)),
-            "quantum_coherent": None,
-        }
-        if coherent_energy is not None:
-            rate_coh = gv_rate(self.delta_min)
-            info_coh = chernoff.chernoff_coherent_closed_form(coherent_energy, self.v1, self.v2)
-            reps_coh = repetitions_needed(info_coh, self.eps)
-            result["quantum_coherent"] = curve(
-                lambda n: quantum_revealed(n, rate_coh, coherent_energy, reps_coh))
-        return result
 
 
 def plan(v1, v2, eps, truncation=15):
@@ -240,16 +196,52 @@ def plan(v1, v2, eps, truncation=15):
     delta = delta_from_visibilities(v1, v2)
     scan = energyopt.optimal_energy(v1, v2, truncation)
     return FingerprintPlan(v1, v2, eps, delta, modified_rate_appended(delta),
-                           scan.optimum_energy,
+                           scan.optimum_energy, scan.at_boundary,
                            repetitions_needed(scan.optimum_ratio * scan.optimum_energy, eps))
 
 
-def crossover(v1, v2, eps, truncation=15):
-    """Quantum-advantage thresholds for the phaseless protocol:
-    plan(v1, v2, eps, truncation).crossover()."""
-    return plan(v1, v2, eps, truncation).crossover()
+def crossover(plan):
+    """CrossoverResult of a FingerprintPlan: the lengths n where
+    quantum_revealed(n) meets each classical benchmark."""
+    def meet(benchmark):
+        return _bisect_log_n(
+            lambda n: quantum_revealed(n, plan.rate, plan.energy, plan.repetitions)
+            - benchmark(n, plan.eps), *_CROSSOVER_RANGE)
+
+    return CrossoverResult(meet(best_classical), meet(classical_lower_bound),
+                           plan.repetitions, plan.repetitions * plan.energy)
 
 
-def revealed_curves(n_values, v1, v2, eps, coherent_energy=None, truncation=15):
-    """plan(v1, v2, eps, truncation).revealed_curves(n_values, coherent_energy)."""
-    return plan(v1, v2, eps, truncation).revealed_curves(n_values, coherent_energy)
+def revealed_curves(plan, n_values, coherent_energy=None):
+    """Revealed-information curves of a FingerprintPlan versus input length.
+
+    Returns a dict of lists keyed by 'quantum_incoherent',
+    'quantum_coherent', 'classical_best', and 'classical_bound'. The
+    coherent curve needs an explicit per-repetition photon number and
+    is None when coherent_energy is not supplied (its budget is a free
+    choice, never defaulted). Entries where a curve is undefined
+    (pulse count below 2) are NaN.
+    """
+    def curve(f):
+        out = []
+        for n in n_values:
+            try:
+                out.append(f(n))
+            except DomainError:
+                out.append(math.nan)
+        return out
+
+    result = {
+        "quantum_incoherent": curve(
+            lambda n: quantum_revealed(n, plan.rate, plan.energy, plan.repetitions)),
+        "classical_best": curve(lambda n: best_classical(n, plan.eps)),
+        "classical_bound": curve(lambda n: classical_lower_bound(n, plan.eps)),
+        "quantum_coherent": None,
+    }
+    if coherent_energy is not None:
+        rate_coh = gv_rate(plan.delta_min)
+        info_coh = chernoff.chernoff_coherent_closed_form(coherent_energy, plan.v1, plan.v2)
+        reps_coh = repetitions_needed(info_coh, plan.eps)
+        result["quantum_coherent"] = curve(
+            lambda n: quantum_revealed(n, rate_coh, coherent_energy, reps_coh))
+    return result

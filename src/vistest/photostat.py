@@ -275,10 +275,12 @@ def hypothesis_tables(v1_mag, v2_mag, energy, truncation):
 
 
 def retruncate(dist, truncation):
-    """Reduce a distribution's count resolution by folding into a smaller K."""
-    if truncation < 1:
-        raise DomainError("truncation must be >= 1")
-    if truncation >= dist.truncation:
+    """Reduce a distribution's count resolution by folding into a smaller K;
+    the same K returns the table itself, and a larger one is refused."""
+    if not 1 <= truncation <= dist.truncation:
+        raise DomainError(f"cannot retruncate a K = {dist.truncation} table to K = "
+                          f"{truncation}: K must lie in [1, {dist.truncation}]")
+    if truncation == dist.truncation:
         return dist
     return JointPhotocountDistribution(truncation, _fold_tail(dist.probs, truncation))
 

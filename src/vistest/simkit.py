@@ -177,7 +177,7 @@ def _paired(eps_v2_given_v1, eps_v1_given_v2, m):
     return out
 
 
-def error_curve(config_v1, config_v2, p1, p2, n_values):
+def estimate_error(config_v1, config_v2, p1, p2, n_values):
     """Monte Carlo estimate of the average error probability at each N.
 
     Draws M datasets of the configs' N trials under each true
@@ -202,12 +202,7 @@ def error_curve(config_v1, config_v2, p1, p2, n_values):
         config_v1.ensemble_size)
 
 
-def estimate_error(config_v1, config_v2, p1, p2):
-    """error_curve at the configs' own N."""
-    return error_curve(config_v1, config_v2, p1, p2, [config_v1.repetitions_per_test])[0]
-
-
-def worst_case_curve(v1, v2_grid, designed_v2, config, n_values, tables=None):
+def worst_case_sweep(v1, v2_grid, designed_v2, config, n_values, tables=None):
     """Error band at each N in n_values when the true second visibility
     ranges below the design point while the test stays fixed at
     (p(v1), p(designed_v2)). Returns one WorstCaseBand per N.
@@ -242,12 +237,6 @@ def worst_case_curve(v1, v2_grid, designed_v2, config, n_values, tables=None):
         means = [e.error_mean for e in estimates]
         bands.append(WorstCaseBand(v2_grid, estimates, min(means), max(means)))
     return bands
-
-
-def worst_case_sweep(v1, v2_grid, designed_v2, config):
-    """worst_case_curve at the config's own N."""
-    return worst_case_curve(v1, v2_grid, designed_v2, config,
-                            [config.repetitions_per_test])[0]
 
 
 def _lattice_law(probs, llr, rounding, step):

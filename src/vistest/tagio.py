@@ -32,19 +32,6 @@ class TagFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class TagRecord:
-    """A single detection: channel 0 ('+' port) or 1 ('-' port) and a
-    timestamp in tenths of nanoseconds since stream start."""
-
-    channel: int
-    timestamp_tenths: int
-
-    @property
-    def timestamp_ns(self):
-        return self.timestamp_tenths / 10.0
-
-
-@dataclass(frozen=True)
 class BinningConfig:
     window_ns: int = 80_000
     resolution_tenths: int = 33  # 3.3 ns
@@ -64,7 +51,8 @@ class BinningConfig:
 
 
 class TagStream:
-    """A time-sorted detection record stream in blocks of uint8 channels, int64 tenths."""
+    """A time-sorted detection stream in blocks of uint8 channels (0 for the '+'
+    port, 1 for '-') and int64 timestamps in tenths of ns since stream start."""
 
     def __init__(self, channels, timestamps_tenths, duration_tenths=None, *, blocks=None):
         self.blocks = blocks or [(np.asarray(channels, dtype=np.uint8),
@@ -79,10 +67,6 @@ class TagStream:
 
     def __len__(self):
         return sum(len(ts) for _, ts in self.blocks)
-
-    def __iter__(self):
-        for ch, ts in self.blocks:
-            yield from map(TagRecord, ch.tolist(), ts.tolist())
 
 
 _CHUNK_BYTES = 1 << 18  # sets the parse's memory: 4 MiB chunks doubled its peak

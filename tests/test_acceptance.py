@@ -104,7 +104,7 @@ def test_criterion_06_error_rate_curves():
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 40, 50):
         cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, n, ensemble, 20170831)
         cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, n, ensemble, 20170831)
-        est = sk.estimate_error(cfg1, cfg2, p1, p2)
+        est = sk.estimate_error(cfg1, cfg2, p1, p2, [n])[0]
         bound = ch.chernoff_bound(info, n)
         if est.error_mean > bound + 3.0 * est.error_std:
             ok = False
@@ -122,7 +122,7 @@ def test_criterion_07_coin_flip_degeneracy():
     p = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.98)
     ensemble = 8000
     cfg = sk.ExperimentConfig(0.98, 6.3, 15, 4, ensemble, 314159)
-    est = sk.estimate_error(cfg, cfg, p, p)
+    est = sk.estimate_error(cfg, cfg, p, p, [4])[0]
     se = math.sqrt(0.25 / ensemble)
     ok = abs(est.error_mean - 0.5) <= 3.0 * se
     report(7, ok, f"identical hypotheses give eps = {est.error_mean:.4f} "
@@ -138,7 +138,7 @@ def test_criterion_08_fingerprinting_rates():
 
 
 def test_criterion_09_crossovers():
-    result = fp.crossover(0.98, 0.56, 1e-4)
+    result = fp.crossover(fp.plan(0.98, 0.56, 1e-4))
     within_best = 2.3e5 / 2.0 <= result.n_vs_best_classical <= 2.3e5 * 2.0
     within_limit = 6.3e8 / 2.0 <= result.n_vs_classical_limit <= 6.3e8 * 2.0
 

@@ -142,6 +142,25 @@ class TestChernoff:
         assert "quantity,value" in out
         assert "information_nats," in out
 
+    def test_non_finite_value_is_null_in_json_and_nan_in_csv(self, capsys):
+        # the coherent form leaves sigma undefined at V1 = 1; NaN is not JSON
+        argv = ["chernoff", "--coherent", "--v1", "1.0", "--v2", "0.5"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        summary = json.loads(out, parse_constant=refuse)["summary"]
+        assert summary["sigma"] is None
+        assert summary["information_nats"] == pytest.approx(1.575)
+        assert "sigma,nan\n" in run(capsys, *argv)[1]
+
+    def test_truncate_above_truncation_refused(self, capsys):
+        code, out, err = run(capsys, "chernoff", "--truncate", "40")
+        assert (code, out) == (3, "")
+        assert "K = 15" in err and "K = 40" in err
+
 
 class TestOptimize:
     def test_json_summary(self, capsys):
@@ -219,7 +238,7 @@ class TestSimulate:
         assert len(rows) == 15
         for row in rows:
             assert float(row[5]) <= float(row[1]) <= float(row[6]), row
-        band = simkit.worst_case_curve(0.98, [0.0, 0.14, 0.28, 0.42, 0.56], 0.56,
+        band = simkit.worst_case_sweep(0.98, [0.0, 0.14, 0.28, 0.42, 0.56], 0.56,
                                        simkit.ExperimentConfig(0.98, 6.3, 15, 50, 300, seed),
                                        [int(row[0]) for row in rows])
         assert [float(row[1]) for row in rows] == [b.estimates[-1].error_mean for b in band]
@@ -251,9 +270,9 @@ class TestSimulate:
                         "--seed", "13")
         rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
         p1, p2 = ps.hypothesis_tables(0.98, 0.56, 6.3, 15)
-        curve = simkit.error_curve(simkit.ExperimentConfig(0.98, 6.3, 15, 8, 400, 13),
-                                   simkit.ExperimentConfig(0.56, 6.3, 15, 8, 400, 13),
-                                   p1, p2, n_list)
+        curve = simkit.estimate_error(simkit.ExperimentConfig(0.98, 6.3, 15, 8, 400, 13),
+                                      simkit.ExperimentConfig(0.56, 6.3, 15, 8, 400, 13),
+                                      p1, p2, n_list)
         assert [(int(r[0]), float(r[1]), float(r[2])) for r in rows] == [
             (n, e.error_mean, e.error_std) for n, e in zip(n_list, curve)]
         assert all(r[5] == r[6] == "" for r in rows)
@@ -278,6 +297,13 @@ class TestFingerprint:
         first = rows[1].split(",")
         assert all(field for field in first)
 
+    @pytest.mark.parametrize("v1,v2,edge", [(0.98, 0.56, False), (1.0, 0.94, True)])
+    def test_reports_an_energy_at_the_search_edge(self, capsys, v1, v2, edge):
+        _, csv, _ = run(capsys, "fingerprint", "--v1", str(v1), "--v2", str(v2))
+        code, out, _ = run(capsys, "fingerprint", "--v1", str(v1), "--v2", str(v2), "--json")
+        assert code == 0
+        assert f"# at_boundary = {edge}\n" in csv
+        assert json.loads(out)["summary"]["at_boundary"] is edge
 
     def test_one_energy_search_per_invocation(self, capsys, monkeypatch):
         searches = []

@@ -131,8 +131,13 @@ class TestQuantumRevealed:
 
 
 @pytest.fixture(scope="module")
-def result():
-    return fp.crossover(0.98, 0.56, 1e-4)
+def plan():
+    return fp.plan(0.98, 0.56, 1e-4)
+
+
+@pytest.fixture(scope="module")
+def result(plan):
+    return fp.crossover(plan)
 
 
 class TestCrossover:
@@ -163,11 +168,6 @@ class TestCrossover:
             fp._bisect_log_n(lambda n: 1.0, 10.0, 1e12)
 
 
-@pytest.fixture(scope="module")
-def plan():
-    return fp.plan(0.98, 0.56, 1e-4)
-
-
 class TestPlan:
     def test_fields(self, plan):
         delta = fp.delta_from_visibilities(0.98, 0.56)
@@ -178,10 +178,11 @@ class TestPlan:
         assert plan.repetitions == fp.repetitions_needed(
             scan.optimum_ratio * scan.optimum_energy, 1e-4)
 
-    def test_views_equal_the_module_functions(self, plan, result):
-        assert plan.crossover() == result
-        assert plan.revealed_curves([1e4, 1e8], 3.0) == fp.revealed_curves(
-            [1e4, 1e8], 0.98, 0.56, 1e-4, coherent_energy=3.0)
+    def test_at_boundary_flags_an_energy_at_the_search_edge(self, plan):
+        # (1.0, 0.94) still gains information per photon at E = 30
+        edge = fp.plan(1.0, 0.94, 1e-4)
+        assert (edge.energy, edge.at_boundary) == (30.0, True)
+        assert plan.at_boundary is False
 
     @pytest.mark.parametrize("eps", [0.3, 0.25, 0.0, -1.0, math.nan])
     def test_eps_refused_before_the_search(self, monkeypatch, eps):
@@ -198,20 +199,20 @@ class TestPlan:
 
 
 class TestRevealedCurves:
-    def test_curve_keys_and_shapes(self):
+    def test_curve_keys_and_shapes(self, plan):
         n_values = [1e4, 1e6, 1e8]
-        curves = fp.revealed_curves(n_values, 0.98, 0.56, 1e-4)
+        curves = fp.revealed_curves(plan, n_values)
         assert curves["quantum_coherent"] is None
         for key in ("quantum_incoherent", "classical_best", "classical_bound"):
             assert len(curves[key]) == 3
 
-    def test_coherent_curve_when_budget_given(self):
-        curves = fp.revealed_curves([1e6], 0.98, 0.56, 1e-4, coherent_energy=3.0)
+    def test_coherent_curve_when_budget_given(self, plan):
+        curves = fp.revealed_curves(plan, [1e6], coherent_energy=3.0)
         coh = curves["quantum_coherent"][0]
         assert math.isfinite(coh) and coh > 0.0
         # phase-locked operation needs fewer photons overall
         assert coh < curves["quantum_incoherent"][0]
 
-    def test_advantage_region_exists(self):
-        curves = fp.revealed_curves([1e8], 0.98, 0.56, 1e-4)
+    def test_advantage_region_exists(self, plan):
+        curves = fp.revealed_curves(plan, [1e8])
         assert curves["quantum_incoherent"][0] < curves["classical_best"][0]

@@ -338,6 +338,13 @@ class TestRetruncate:
         dist = ps.joint_random_phase(ps.DetectionParams(2.0, 0.0, 4), 0.3)
         assert ps.retruncate(dist, 4) is dist
 
+    @pytest.mark.parametrize("k", [5, 40, 0])
+    def test_k_outside_one_to_the_table_refused(self, k):
+        # folding cannot add resolution: a larger K used to return the table unchanged
+        dist = ps.joint_random_phase(ps.DetectionParams(2.0, 0.0, 4), 0.3)
+        with pytest.raises(DomainError, match=f"K = 4 table to K = {k}"):
+            ps.retruncate(dist, k)
+
 
 class TestMarginalDifference:
     def test_random_phase_symmetric(self):

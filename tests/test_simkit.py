@@ -163,15 +163,15 @@ class TestEstimateError:
         p1, p2 = tables()
         cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 5, 300, 11)
         cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, 5, 300, 11)
-        first = sk.estimate_error(cfg1, cfg2, p1, p2)
-        second = sk.estimate_error(cfg1, cfg2, p1, p2)
+        first = sk.estimate_error(cfg1, cfg2, p1, p2, [5])[0]
+        second = sk.estimate_error(cfg1, cfg2, p1, p2, [5])[0]
         assert first == second
 
     def test_mean_is_average_of_conditionals(self):
         p1, p2 = tables()
         cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 3, 400, 5)
         cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, 3, 400, 5)
-        est = sk.estimate_error(cfg1, cfg2, p1, p2)
+        est = sk.estimate_error(cfg1, cfg2, p1, p2, [3])[0]
         assert est.error_mean == pytest.approx(
             (est.conditional_v1_given_v2 + est.conditional_v2_given_v1) / 2.0)
         assert est.error_std == pytest.approx(
@@ -183,13 +183,13 @@ class TestEstimateError:
         for n in (1, 5, 20):
             cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, n, 2000, 77)
             cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, n, 2000, 77)
-            means.append(sk.estimate_error(cfg1, cfg2, p1, p2).error_mean)
+            means.append(sk.estimate_error(cfg1, cfg2, p1, p2, [n])[0].error_mean)
         assert means[0] > means[1] > means[2]
 
     def test_identical_hypotheses_coin_flip(self):
         p1, _ = tables()
         cfg = sk.ExperimentConfig(0.98, 6.3, 15, 4, 4000, 9)
-        est = sk.estimate_error(cfg, cfg, p1, p1)
+        est = sk.estimate_error(cfg, cfg, p1, p1, [4])[0]
         se = math.sqrt(0.25 / 4000.0)
         assert abs(est.error_mean - 0.5) <= 3.0 * se
 
@@ -198,22 +198,22 @@ class TestEstimateError:
         cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 5, 300, 1)
         cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, 6, 300, 1)
         with pytest.raises(DomainError):
-            sk.estimate_error(cfg1, cfg2, p1, p2)
+            sk.estimate_error(cfg1, cfg2, p1, p2, [5])
 
 
 class TestWorstCaseSweep:
     def test_single_point_grid_matches_estimate(self):
         p1, p2 = tables()
         cfg = sk.ExperimentConfig(0.56, 6.3, 15, 4, 500, 13)
-        band = sk.worst_case_sweep(0.98, [0.56], 0.56, cfg)
+        band = sk.worst_case_sweep(0.98, [0.56], 0.56, cfg, [4])[0]
         cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 4, 500, 13)
-        direct = sk.estimate_error(cfg1, cfg, p1, p2)
+        direct = sk.estimate_error(cfg1, cfg, p1, p2, [4])[0]
         assert band.estimates[0] == direct
         assert band.band_lo == band.band_hi == direct.error_mean
 
     def test_band_envelope(self):
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 4, 400, 21)
-        band = sk.worst_case_sweep(0.98, [0.0, 0.28, 0.56], 0.56, cfg)
+        band = sk.worst_case_sweep(0.98, [0.0, 0.28, 0.56], 0.56, cfg, [4])[0]
         means = [e.error_mean for e in band.estimates]
         assert band.band_lo == min(means)
         assert band.band_hi == max(means)
@@ -222,7 +222,7 @@ class TestWorstCaseSweep:
     def test_lower_true_visibility_is_easier(self):
         # the designed test separates better when the truth is farther away
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 10, 2000, 31)
-        band = sk.worst_case_sweep(0.98, [0.0, 0.56], 0.56, cfg)
+        band = sk.worst_case_sweep(0.98, [0.0, 0.56], 0.56, cfg, [10])[0]
         assert (band.estimates[0].conditional_v1_given_v2
                 <= band.estimates[1].conditional_v1_given_v2)
 
@@ -231,16 +231,16 @@ class TestWorstCaseSweep:
     def test_visibilities_outside_unit_interval_rejected(self, v1, grid):
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
         with pytest.raises(DomainError):
-            sk.worst_case_sweep(v1, grid, 0.56, cfg)
+            sk.worst_case_sweep(v1, grid, 0.56, cfg, [2])
 
     def test_given_tables_are_used_not_rebuilt(self, monkeypatch):
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 4, 300, 5)
-        built = sk.worst_case_curve(0.98, [0.28, 0.56], 0.56, cfg, [1, 4])
+        built = sk.worst_case_sweep(0.98, [0.28, 0.56], 0.56, cfg, [1, 4])
         p1, p2 = tables()
         builds = []
         build = ps.joint_random_phase
         monkeypatch.setattr(ps, "joint_random_phase", lambda *a: builds.append(a) or build(*a))
-        given = sk.worst_case_curve(0.98, [0.28, 0.56], 0.56, cfg, [1, 4],
+        given = sk.worst_case_sweep(0.98, [0.28, 0.56], 0.56, cfg, [1, 4],
                                     tables={0.98: p1, 0.56: p2})
         assert [a[1] for a in builds] == [0.28]
         assert ([(b.estimates, b.band_lo, b.band_hi) for b in given]
@@ -252,13 +252,13 @@ class TestWorstCaseSweep:
         cfg = sk.ExperimentConfig(0.0, 6.3, truncation, 1, 50, 1)
         p1, p2 = tables()
         with pytest.raises(DomainError, match="one truncation"):
-            sk.worst_case_curve(0.98, [0.28, 0.56], 0.56, cfg, [1],
+            sk.worst_case_sweep(0.98, [0.28, 0.56], 0.56, cfg, [1],
                                 tables={0.98: p1, 0.56: p2})
 
     def test_designed_point_must_be_grid_maximum(self):
         cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
         with pytest.raises(DomainError):
-            sk.worst_case_sweep(0.98, [0.0, 0.28], 0.56, cfg)
+            sk.worst_case_sweep(0.98, [0.0, 0.28], 0.56, cfg, [2])
 
 
 class TestExperimentConfig:
@@ -277,24 +277,25 @@ def configs(n, m, seed, v1=0.98, v2=0.56):
 class TestErrorCurve:
     def test_single_n_reads_a_prefix_of_the_curve(self):
         p1, p2 = tables()
-        curve = sk.error_curve(*configs(50, 300, 19), p1, p2, N_LIST)
+        curve = sk.estimate_error(*configs(50, 300, 19), p1, p2, N_LIST)
         for n in (1, 4, 10, 50):
-            assert sk.estimate_error(*configs(n, 300, 19), p1, p2) == curve[N_LIST.index(n)]
+            single = sk.estimate_error(*configs(n, 300, 19), p1, p2, [n])
+            assert single == [curve[N_LIST.index(n)]]
 
     def test_independent_of_chunk_size(self, monkeypatch):
         p1, p2 = tables()
         cfg = configs(50, 300, 23)
-        default = sk.error_curve(*cfg, p1, p2, N_LIST)
+        default = sk.estimate_error(*cfg, p1, p2, N_LIST)
         for draws in (1, 3 * 300, 7 * 300 + 5):
             monkeypatch.setattr(sk, "_CHUNK_DRAWS", draws)
-            assert sk.error_curve(*cfg, p1, p2, N_LIST) == default
+            assert sk.estimate_error(*cfg, p1, p2, N_LIST) == default
 
     def test_n_outside_config_rejected(self):
         p1, p2 = tables()
         with pytest.raises(DomainError):
-            sk.error_curve(*configs(10, 50, 1), p1, p2, [5, 11])
+            sk.estimate_error(*configs(10, 50, 1), p1, p2, [5, 11])
         with pytest.raises(DomainError):
-            sk.error_curve(*configs(10, 50, 1), p1, p2, [0, 5])
+            sk.estimate_error(*configs(10, 50, 1), p1, p2, [0, 5])
 
     @pytest.mark.parametrize("truncation", [10, 20])
     def test_config_truncation_must_match_tables(self, truncation):
@@ -303,15 +304,15 @@ class TestErrorCurve:
         cfg1 = sk.ExperimentConfig(0.98, 6.3, truncation, 5, 50, 1)
         cfg2 = sk.ExperimentConfig(0.56, 6.3, truncation, 5, 50, 1)
         with pytest.raises(DomainError):
-            sk.error_curve(cfg1, cfg2, p1, p2, [5])
+            sk.estimate_error(cfg1, cfg2, p1, p2, [5])
 
     def test_worst_case_curve_rows_equal_sweeps(self):
         grid = [0.0, 0.28, 0.56]
         cfg = sk.ExperimentConfig(0.56, 6.3, 15, 20, 200, 29)
-        curve = sk.worst_case_curve(0.98, grid, 0.56, cfg, [3, 20])
+        curve = sk.worst_case_sweep(0.98, grid, 0.56, cfg, [3, 20])
         for n, band in zip((3, 20), curve):
             single = sk.ExperimentConfig(0.56, 6.3, 15, n, 200, 29)
-            sweep = sk.worst_case_sweep(0.98, grid, 0.56, single)
+            sweep = sk.worst_case_sweep(0.98, grid, 0.56, single, [n])[0]
             assert sweep.estimates == band.estimates
             assert (sweep.band_lo, sweep.band_hi) == (band.band_lo, band.band_hi)
 
@@ -324,7 +325,7 @@ class TestErrorCurve:
         alpha = 1e-6 / (2 * len(N_LIST) * 5)
         m = 2000
         p1, p2 = tables()
-        curve = sk.error_curve(*configs(50, m, seed), p1, p2, N_LIST)
+        curve = sk.estimate_error(*configs(50, m, seed), p1, p2, N_LIST)
         for n, est, (lo, hi) in zip(N_LIST, curve, sk.exact_error(p1, p2, N_LIST)):
             wrong = round(est.error_mean * 2 * m)
             low = int(binom.ppf(alpha, 2 * m, lo))

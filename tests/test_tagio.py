@@ -21,10 +21,8 @@ class TestParseTags:
     def test_basic_parse(self):
         stream = make_stream(HEADER + "0,100\n1,103.3\n0,200.0\n")
         assert len(stream) == 3
-        records = list(stream)
-        assert records[0] == tagio.TagRecord(0, 1000)
-        assert records[1] == tagio.TagRecord(1, 1033)
-        assert records[2].timestamp_ns == pytest.approx(200.0)
+        assert stream.channels.tolist() == [0, 1, 0]
+        assert stream.timestamps_tenths.tolist() == [1000, 1033, 2000]
 
     @pytest.mark.parametrize("text,line", [("", 1), ("\n  \n\n", 4)],
                              ids=["empty", "blank-lines"])
