@@ -7,7 +7,6 @@ error.
 """
 
 import argparse
-import json
 import math
 import os
 import re
@@ -15,7 +14,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, chernoff, energyopt, fingerprint, photostat, simkit, tagio
+# build_parser reads energyopt's search defaults, and energyopt loads chernoff and
+# photostat; each command imports the rest of what it runs, and nothing more
+from . import __version__, chernoff, energyopt, photostat
 from .util import DomainError, format_float
 
 OUTPUT_DIR_ENV = "VISTEST_OUTPUT_DIR"
@@ -82,6 +83,8 @@ def _report(args, summary, header=None, rows=()):
     config = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
               for key, value in sorted(vars(args).items()) if key not in _NOT_ECHOED}
     if args.json:  # a NaN or infinity has no JSON form: it is written null
+        import json
+
         summary = {key: None if isinstance(value, float) and not math.isfinite(value)
                    else value for key, value in summary.items()}
         doc = {"tool": f"vistest {__version__}", "command": args.command,
@@ -145,6 +148,8 @@ def cmd_optimize(args):
 
 
 def cmd_simulate(args):
+    from . import simkit
+
     p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
     info = chernoff.chernoff_information(p1, p2)
     run = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
@@ -169,6 +174,8 @@ def cmd_simulate(args):
 
 
 def cmd_fingerprint(args):
+    from . import fingerprint
+
     plan = fingerprint.plan(args.v1, args.v2, args.eps, args.truncation)
     cross = fingerprint.crossover(plan)
     n_values = np.geomspace(1e2, 1e12, 101)
@@ -188,18 +195,23 @@ def cmd_fingerprint(args):
 
 
 def cmd_ingest(args):
-    with open(args.tags, "rb") as f:
-        stream = tagio.parse_tags(f)
+    from . import tagio
+
+    # every option is checked before the file is read, so that a bad one costs no parse
     binning = tagio.BinningConfig(window_ns=args.window, truncation=args.truncation)
-    hist = tagio.tally(stream, binning)
-    summary = {"tags": len(stream), "windows": hist.total, "total_outcomes": hist.total}
+    theory = None
     if args.theory:
         if len(args.theory) != 2:
             raise DomainError("--theory takes v,energy")
         v, energy = args.theory
-        params = photostat.DetectionParams(energy, 0.0, args.truncation)
-        comparison = tagio.compare_to_theory(
-            hist, photostat.joint_random_phase(params, v))
+        theory = photostat.joint_random_phase(
+            photostat.DetectionParams(energy, 0.0, args.truncation), v)
+    with open(args.tags, "rb") as f:
+        stream = tagio.parse_tags(f)
+    hist = tagio.tally(stream, binning)
+    summary = {"tags": len(stream), "windows": hist.total, "total_outcomes": hist.total}
+    if theory is not None:
+        comparison = tagio.compare_to_theory(hist, theory)
         summary["fraction_within_2"] = comparison.fraction_within_2
         summary["tv_distance"] = comparison.tv_distance
         summary["consistent"] = comparison.fraction_within_2 >= 0.9
@@ -374,7 +386,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (DomainError, tagio.TagFormatError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

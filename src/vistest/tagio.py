@@ -23,7 +23,7 @@ TWO_PI = 2.0 * math.pi
 TAG_HEADER = "channel,timestamp_ns"
 
 
-class TagFormatError(ValueError):
+class TagFormatError(DomainError):
     """Malformed or inconsistent tag input; carries the offending line."""
 
     def __init__(self, line_number, message):
@@ -71,6 +71,12 @@ class TagStream:
 
 _CHUNK_BYTES = 1 << 18  # sets the parse's memory: 4 MiB chunks doubled its peak
 _MAX_DIGITS = 17  # integer digits of a timestamp, so that its tenths fit in int64
+_ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
+_FIELD = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], np.uint64)  # top n bytes
+# the steps that join a word's eight 0-9 bytes: lanes of 1, 2 then 4 digits,
+# each times its power of ten plus the next, into lanes of twice as many
+_JOIN = [(10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
+         (10000 << 32 | 1, 32, 0x00000000FFFFFFFF)]
 
 
 def _parse_line(raw, line_number, expect_header=False):
@@ -106,9 +112,51 @@ def _chunks(source):
     tail = b""
     while piece := source.read(_CHUNK_BYTES):
         data = tail + (piece.encode("utf-8") if isinstance(piece, str) else piece)
-        head, newline, tail = data.rpartition(b"\n")
-        yield head + newline
+        cut = data.rfind(b"\n") + 1
+        data, tail = data[:cut], data[cut:]  # one copy of the chunk stays while it is parsed
+        yield data
     yield tail + b"\n" if tail else b""
+
+
+def _decode(data, buf, starts, ends, spare):
+    """The chunk's lines in numpy: whether each is [01],[0-9]{1,17}(.[0-9])?
+    with no word of its digits starting before the chunk, its channel and
+    its tenths (junk where it is not). The integer digits are read as the
+    little-endian 8-byte words that end at the last one, and each word's
+    eight are checked and joined in a few integer steps (SWAR). `spare`
+    holds at least three uint64 a line, which the check overwrites."""
+    tenth = buf[np.maximum(ends - 2, starts)] == ord(".")
+    last = ends - 2 * tenth  # one past the last integer digit
+    digits = last - starts - 2
+    ch = buf[starts] - ord("0")  # uint8: a byte below "0" wraps above 1
+    frac = (buf[ends - 1] - ord("0")) * tenth  # the decimal digit, or 0
+    span = min(-(-int(digits.max(initial=0)) // 8), 3)  # the words each line reads
+    keep = ((ch <= 1) & (buf[np.minimum(starts + 1, ends)] == ord(","))
+            & (digits >= 1) & (digits <= _MAX_DIGITS) & (frac <= 9)
+            & (last >= 8 * span))  # a chunk can be shorter than one word
+    if not keep.any():
+        return keep, ch, np.zeros(len(starts), np.int64)
+    # a view, not a copy: its j-th item is the span words from byte j of the chunk
+    words = np.ndarray((len(data) - 8 * span + 1,), f"V{8 * span}", data, 0, (1,))
+    v = words[np.maximum(last - 8 * span, 0)].view("<u8").reshape(-1, span)
+    v ^= _ZEROS  # a digit byte is now 0-9
+    for k in range(span):  # the k-th word from the right holds digits - 8k of them, up to 8
+        v[:, -1 - k] &= _FIELD.take(digits - 8 * k, mode="clip")  # and a byte before them 0
+    bad = np.add(v, 0x7676767676767676, out=spare[:v.size].reshape(v.shape))
+    bad |= v  # the top bit of each byte above 9: the sum's, or its own where the sum carries
+    for factor, shift, lanes in _JOIN:  # in place: a fresh array costs page faults
+        v *= factor
+        v >>= shift
+        v &= lanes
+    ts = v[:, -1].view(np.int64)
+    for k in range(1, span):
+        v[:, -1 - k] *= 10 ** (8 * k)
+        ts += v[:, -1 - k].view(np.int64)
+        bad[:, -1] |= bad[:, -1 - k]
+    keep &= (bad[:, -1] & 0x8080808080808080) == 0
+    ts *= 10
+    ts += frac
+    return keep, ch, ts
 
 
 def parse_tags(source):
@@ -117,9 +165,10 @@ def parse_tags(source):
     `channel,timestamp_ns` header (a file without it, even an empty one, is
     refused), channels in {0, 1}, and non-decreasing timestamps; the first
     violation in the file reports its line. Lines [01],[0-9]{1,17}(.[0-9])?
-    (LF or CRLF) decode together in numpy, any other one by one. Each chunk's
-    tags stay one block of the stream: none is copied whole."""
-    parts, previous, number, saw_header = [], -1, 0, False
+    (LF or CRLF) decode together in numpy, eight digits a word (_decode), any
+    other one by one. Each chunk's tags stay one block of the stream: none is
+    copied whole."""
+    parts, previous, number, saw_header, spare = [], -1, 0, False, np.empty(0, np.uint64)
     for data in _chunks(source):
         buf = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero(buf == ord("\n"))
@@ -129,19 +178,9 @@ def parse_tags(source):
             number += 1
             saw_header = bool(_parse_line(data[starts[0]:ends[0]], number, expect_header=True))
             starts, ends = starts[1:], ends[1:]
-        tenth = buf[np.maximum(ends - 2, starts)] == ord(".")
-        digits = ends - starts - 2 - 2 * tenth
-        ch = buf[starts] - ord("0")  # uint8: a byte below "0" wraps above 1
-        keep = ((ch <= 1) & (buf[np.minimum(starts + 1, ends)] == ord(","))
-                & (np.add.reduceat((buf - ord("0")) <= 9, starts, dtype=np.int32)
-                   == ends - starts - 1 - tenth)  # all digits but the comma and the dot
-                & (digits >= 1) & (digits <= _MAX_DIGITS))
-        lead, count, whole = starts[keep] + 2, digits[keep], np.zeros(keep.sum(), np.int64)
-        for column in range(count.max(initial=0)):  # Horner, one digit column a pass
-            step = whole * 10 + (buf[np.minimum(lead + column, lead + count - 1)] - ord("0"))
-            whole = np.where(column < count, step, whole)
-        ts = np.zeros(len(starts), np.int64)
-        ts[keep] = whole * 10 + np.where(tenth[keep], buf[ends[keep] - 1] - ord("0"), 0)
+        if len(spare) < 3 * len(starts):  # reused from chunk to chunk, as it is big
+            spare = np.empty(3 * len(starts), np.uint64)
+        keep, ch, ts = _decode(data, buf, starts, ends, spare)
         error = None
         for i in np.flatnonzero(~keep):  # the lines outside the grammar, one by one
             try:

@@ -383,6 +383,22 @@ class TestIngest:
         assert (code, out) == (3, "")
         assert "empty histogram" in err
 
+    @pytest.mark.parametrize("option,message", [
+        (["--theory", "0.56"], "--theory takes v,energy"),
+        (["--theory", "1.5,6.3"], "random-phase |V| = 1.5 must lie in [0, 1]"),
+        (["--window", "0"], "window and resolution must be positive"),
+        (["--truncation", "0"], "truncation must be >= 1"),
+    ], ids=["theory-arity", "theory-visibility", "window", "truncation"])
+    def test_bad_option_refused_before_the_file_is_read(self, capsys, tmp_path, monkeypatch,
+                                                        option, message):
+        def refuse(source):
+            raise AssertionError("the tag file was parsed")
+
+        monkeypatch.setattr(tagio, "parse_tags", refuse)
+        code, out, err = run(capsys, "ingest", "--tags", str(make_tag_file(tmp_path)), *option)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "ingest", "--tags", str(tmp_path / "nope.csv"))
         assert code == 3
@@ -634,6 +650,15 @@ class TestNoScipyAtRunTime:
                            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_only_what_the_parser_needs(self):
+        # each command imports the modules it runs: ingest alone loads tagio
+        done = self.python("import sys, vistest.cli; print(sorted(m for m in sys.modules "
+                           "if m.startswith('vistest.') or m == 'json'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(["vistest.chernoff", "vistest.cli",
+                                           "vistest.energyopt", "vistest.photostat",
+                                           "vistest.util"])
 
     def test_every_command_runs_with_scipy_blocked(self, tmp_path):
         commands = [

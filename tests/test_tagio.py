@@ -161,17 +161,25 @@ def reference_parse(text):
 @st.composite
 def tag_texts(draw):
     """A tag file mixing canonical lines with the other accepted forms
-    (whitespace, CRLF, blank lines), and now and then an offence."""
-    near_limit = st.integers(10**18 - 20, 10**18 + 20)  # 17 or 18 integer digits
-    stamps = sorted(draw(st.lists(st.integers(0, 10**7) | near_limit, max_size=30)))
+    (whitespace, CRLF, blank lines), integer parts of 1 to 18 digits, and
+    now and then an offence: a swap, a bad channel or one bad field byte."""
+    stamps = st.integers(1, 18).flatmap(  # tenths whose integer part has n digits
+        lambda n: st.integers(0 if n == 1 else 10**n, 10 ** (n + 1) - 1))
+    stamps = sorted(draw(st.lists(stamps, max_size=30)))
     if len(stamps) > 1 and draw(st.booleans()):
         i = draw(st.integers(0, len(stamps) - 2))
         stamps[i], stamps[i + 1] = stamps[i + 1], stamps[i]
+    corrupt = draw(st.integers(0, len(stamps) - 1)) if stamps and draw(st.booleans()) else -1
     lines = [""] * draw(st.integers(0, 2)) + [HEADER.strip()]
     forms = st.sampled_from(["{},{}.{}", "{},{}", " {} ,{}.{} ", "{},{}.{}\r", "{},{}\r", "\t{},{}"])
-    for ts in stamps:
+    for i, ts in enumerate(stamps):
         channel = draw(st.sampled_from("0" * 15 + "1" * 15 + "2"))
-        lines.append(draw(forms).format(channel, ts // 10, ts % 10))
+        field = f"{ts // 10}{ts % 10}"  # the integer digits, then the decimal one
+        if i == corrupt:  # a byte that is not an ASCII digit: "/" and ":" border them
+            at = draw(st.integers(0, len(field) - 1))
+            byte = draw(st.sampled_from(["/", ":", "a", "e", "\u0663"]))
+            field = field[:at] + byte + field[at + 1:]
+        lines.append(draw(forms).format(channel, field[:-1], field[-1]))
         lines += [""] * draw(st.integers(0, 1)) + ["  "] * draw(st.integers(0, 1))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
