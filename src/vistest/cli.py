@@ -152,16 +152,20 @@ def cmd_simulate(args):
 
     p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
     info = chernoff.chernoff_information(p1, p2)
-    run = simkit.ExperimentConfig(args.v1, args.energy, args.truncation,
-                                  max(args.n_list, default=1), args.ensemble, args.seed)
-    # the printed estimate is the band's member at the design point
+    # the band's test is designed at --v2, so the band ends there, and that row is printed
     band = args.band or [args.v2]
-    design = int(np.argmax(band))
-    curve = simkit.worst_case_sweep(args.v1, band, args.v2, run, args.n_list,
-                                    tables={args.v1: p1, args.v2: p2})
+    if max(band) != args.v2:
+        raise DomainError("the largest --band value must equal --v2")
+    params = photostat.DetectionParams(args.energy, 0.0, args.truncation)
+    tables = {args.v1: p1, args.v2: p2}
+    for v in band:
+        if v not in tables:
+            tables[v] = photostat.joint_random_phase(params, v)
+    curve = simkit.worst_case_sweep(p1, p2, [tables[v] for v in band], args.n_list,
+                                    args.ensemble, args.seed)
     records = []
     for n, point in zip(args.n_list, curve):
-        estimate = point.estimates[design]
+        estimate = point.estimates[band.index(args.v2)]
         try:
             refined = chernoff.refined_bound(info, n)
         except chernoff.DegeneratePairError:

@@ -134,7 +134,11 @@ def repetitions_needed(chernoff_info, eps):
         raise DomainError("error probability must be > 0")
     if math.isinf(chernoff_info):
         return 1
-    return max(1, math.ceil(math.log(1.0 / (2.0 * eps)) / chernoff_info))
+    reps = math.log(1.0 / (2.0 * eps)) / chernoff_info
+    if math.isinf(reps):
+        raise DomainError(f"log(1/2eps)/C overflows at Chernoff information C = "
+                          f"{chernoff_info!r}, eps = {eps!r}")
+    return max(1, math.ceil(reps))
 
 
 def quantum_revealed(n, rate, energy_per_rep, repetitions):

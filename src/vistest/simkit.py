@@ -2,13 +2,17 @@
 
 Samples (k, k') outcomes from the random-phase model, applies the
 likelihood-ratio (Neyman-Pearson) decision rule, estimates conditional
-and average error rates over dataset ensembles, and sweeps the true
-visibility below the design point for the worst-case error band.
+and average error rates over dataset ensembles, and sweeps the V2
+truth over several tables for the worst-case error band.
 `exact_error` brackets the same average error without sampling.
 
-Trials are drawn by inverse CDF from the folded joint table. Each
-conditional run reads one stream, keyed by (seed, hypothesis, band
-index), trial-major: trial t of all M datasets, then trial t + 1. The
+Trials are drawn by inverse CDF from the folded joint table. The curve
+functions sample from and test with the tables they are given:
+`estimate_error(p1, p2, n_values, ensemble_size, seed)` and
+`worst_case_sweep(p1, p2, sources, n_values, ensemble_size, seed)`.
+Each conditional run reads one stream, keyed by (seed, hypothesis,
+source index): p1 on (1, 0), the j-th V2 source on (2, j). A stream is
+read trial-major: trial t of all M datasets, then trial t + 1. The
 error after N trials is read from the first N trials of every dataset,
 so one pass serves every N of a curve, a single-N run reads a prefix of
 the curve's stream, and the points of one curve are correlated.
@@ -40,27 +44,6 @@ class Decision(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One conditional Monte Carlo run: M datasets of N trials each,
-    sampled at the true visibility."""
-
-    true_visibility: float
-    energy: float
-    truncation: int
-    repetitions_per_test: int
-    ensemble_size: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.true_visibility <= 1.0:
-            raise DomainError("true_visibility must lie in [0, 1]")
-        if self.repetitions_per_test < 1 or self.ensemble_size < 1:
-            raise DomainError("repetitions_per_test and ensemble_size must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
-
-
-@dataclass(frozen=True)
 class ErrorEstimate:
     error_mean: float
     error_std: float
@@ -70,10 +53,9 @@ class ErrorEstimate:
 
 @dataclass(frozen=True)
 class WorstCaseBand:
-    """Error estimates per true visibility, tested against a fixed
+    """Error estimates per V2 source table, tested against a fixed
     design pair, with the min/max envelope of the average error."""
 
-    v2_values: np.ndarray
     estimates: tuple
     band_lo: float
     band_hi: float
@@ -95,16 +77,12 @@ def _cell_sampler(table):
     return lambda u: np.minimum(np.searchsorted(cdf, u, side="right"), last)
 
 
-def _random_phase_table(energy, vis_magnitude, truncation):
-    return photostat.joint_random_phase(
-        photostat.DetectionParams(energy, 0.0, truncation), vis_magnitude)
-
-
 def sample_dataset(rng, energy, vis_magnitude, truncation, size):
     """Draw `size` independent random-phase trials, with counts above
     the truncation folded into it. Returns an (size, 2) integer array of
     (k_plus, k_minus) rows."""
-    table = _random_phase_table(energy, vis_magnitude, truncation)
+    table = photostat.joint_random_phase(
+        photostat.DetectionParams(energy, 0.0, truncation), vis_magnitude)
     cells = _cell_sampler(table)(rng.random(size))
     return np.column_stack(np.divmod(cells, truncation + 1))
 
@@ -141,19 +119,14 @@ def neyman_pearson(dataset, p1, p2):
     return Decision.V1 if log_likelihood_ratio(dataset, p1, p2) > 0.0 else Decision.V2
 
 
-def _conditional_curve(config, source, llr, truth, key, n_values):
-    """Fraction of the M datasets drawn from the table `source` on stream
-    `key` that are misdecided after their first N trials, for each N in
+def _conditional_curve(source, llr, v1_true, rng, n_values, m):
+    """Fraction of the m datasets drawn from the table `source` through
+    `rng` that are misdecided after their first N trials, for each N in
     n_values, using the log-ratio table `llr` (favoring V1 when > 0)."""
-    if any(not 1 <= n <= config.repetitions_per_test for n in n_values):
-        raise DomainError(f"every N must lie in [1, {config.repetitions_per_test}]")
-    m = config.ensemble_size
     draw = _cell_sampler(source)
     llr = llr.ravel()
-    rng = dataset_rng(config.seed, *key)
     n_max = max(n_values, default=0)
     chunk = max(1, _CHUNK_DRAWS // m)
-    v1_true = truth is Decision.V1
     total = np.zeros(m)
     wrong = {}
     for start in range(0, n_max, chunk):
@@ -177,65 +150,49 @@ def _paired(eps_v2_given_v1, eps_v1_given_v2, m):
     return out
 
 
-def estimate_error(config_v1, config_v2, p1, p2, n_values):
+def estimate_error(p1, p2, n_values, ensemble_size, seed):
     """Monte Carlo estimate of the average error probability at each N.
 
-    Draws M datasets of the configs' N trials under each true
-    hypothesis, applies the Neyman-Pearson rule with the fixed (p1, p2)
+    Draws M = ensemble_size datasets from p1 on stream (1, 0) and from
+    p2 on stream (2, 0), applies the Neyman-Pearson rule of the (p1, p2)
     pair after the first n trials of every dataset, for each n in
-    n_values (each within [1, N]), and returns one ErrorEstimate per n:
-    the two conditional error fractions, their average, and
-    sqrt(eps(1-eps)/M). That last figure overstates the standard error
-    of the two-conditional average by up to sqrt(2).
+    n_values, and returns one ErrorEstimate per n: the two conditional
+    error fractions, their average, and sqrt(eps(1-eps)/M). That last
+    figure overstates the standard error of the two-conditional average
+    by up to sqrt(2).
     """
-    if (config_v1.repetitions_per_test != config_v2.repetitions_per_test
-            or config_v1.ensemble_size != config_v2.ensemble_size):
-        raise DomainError("the two conditional runs must share N and M")
-    if not config_v1.truncation == config_v2.truncation == p1.truncation == p2.truncation:
-        raise DomainError("the configs and the tables must share one truncation")
+    return [b.estimates[0] for b in worst_case_sweep(p1, p2, [p2], n_values,
+                                                     ensemble_size, seed)]
+
+
+def worst_case_sweep(p1, p2, sources, n_values, ensemble_size, seed):
+    """Error band at each N in n_values of the test of p1 against p2
+    when the V2 truth is each table of `sources` in turn. Returns one
+    WorstCaseBand per N.
+
+    The V1 conditional reads p1 on stream (1, 0) once and is shared by
+    every source; source j is read on stream (2, j). All tables must
+    share one truncation, since the log-ratio table is indexed by cell.
+    """
+    if len({t.truncation for t in (p1, p2, *sources)}) != 1:
+        raise DomainError("the tables must share one truncation")
+    if any(n < 1 for n in n_values):
+        raise DomainError("every N must be >= 1")
+    if ensemble_size < 1:
+        raise DomainError("ensemble_size must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     llr = _log_ratio_table(p1, p2)
-    sources = [_random_phase_table(c.energy, c.true_visibility, c.truncation)
-               for c in (config_v1, config_v2)]
-    return _paired(
-        _conditional_curve(config_v1, sources[0], llr, Decision.V1, (1, 0), n_values),
-        _conditional_curve(config_v2, sources[1], llr, Decision.V2, (2, 0), n_values),
-        config_v1.ensemble_size)
-
-
-def worst_case_sweep(v1, v2_grid, designed_v2, config, n_values, tables=None):
-    """Error band at each N in n_values when the true second visibility
-    ranges below the design point while the test stays fixed at
-    (p(v1), p(designed_v2)). Returns one WorstCaseBand per N.
-
-    `config` supplies energy, truncation, N, M, and the seed; its
-    true_visibility field is ignored. One table per distinct visibility
-    of v1 and the grid serves both to sample and, at v1 and at the grid
-    maximum, as the test pair; `tables` may map visibilities to tables
-    the caller already built at config's energy and truncation. The V1
-    conditional reads stream (1, 0) once and is shared by every grid
-    point; grid point j reads (2, j).
-    """
-    v2_grid = np.asarray(v2_grid, dtype=float)
-    if len(v2_grid) == 0:
-        raise DomainError("empty visibility grid")
-    if not math.isclose(float(v2_grid.max()), designed_v2, rel_tol=0.0, abs_tol=1e-12):
-        raise DomainError("designed_v2 must equal the maximum of the grid")
-    tables = dict(tables or {})
-    if any(t.truncation != config.truncation for t in tables.values()):
-        raise DomainError("the config and the tables must share one truncation")
-    for v in [v1, *v2_grid.tolist()]:
-        if v not in tables:
-            tables[v] = _random_phase_table(config.energy, v, config.truncation)
-    llr = _log_ratio_table(tables[v1], tables[float(v2_grid.max())])
-    eps_v2_given_v1 = _conditional_curve(config, tables[v1], llr, Decision.V1, (1, 0), n_values)
+    eps_v2_given_v1 = _conditional_curve(p1, llr, True, dataset_rng(seed, 1, 0),
+                                         n_values, ensemble_size)
     per_v2 = [_paired(eps_v2_given_v1, _conditional_curve(
-                  config, tables[v2], llr, Decision.V2, (2, j), n_values),
-                  config.ensemble_size)
-              for j, v2 in enumerate(v2_grid.tolist())]
+                  source, llr, False, dataset_rng(seed, 2, j), n_values, ensemble_size),
+                  ensemble_size)
+              for j, source in enumerate(sources)]
     bands = []
     for estimates in zip(*per_v2):
         means = [e.error_mean for e in estimates]
-        bands.append(WorstCaseBand(v2_grid, estimates, min(means), max(means)))
+        bands.append(WorstCaseBand(estimates, min(means), max(means)))
     return bands
 
 

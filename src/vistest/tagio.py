@@ -40,6 +40,8 @@ class BinningConfig:
     def __post_init__(self):
         if self.window_ns <= 0 or self.resolution_tenths <= 0:
             raise DomainError("window and resolution must be positive")
+        if self.window_ns * 10 > np.iinfo(np.int64).max:
+            raise DomainError(f"window of {self.window_ns} ns exceeds int64 in tenths of a ns")
         if self.window_ns * 10 < self.resolution_tenths:
             raise DomainError("window shorter than the timing resolution")
         if self.truncation < 1:

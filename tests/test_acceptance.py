@@ -102,9 +102,7 @@ def test_criterion_06_error_rate_curves():
     ok = True
     details = []
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 40, 50):
-        cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, n, ensemble, 20170831)
-        cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, n, ensemble, 20170831)
-        est = sk.estimate_error(cfg1, cfg2, p1, p2, [n])[0]
+        est = sk.estimate_error(p1, p2, [n], ensemble, 20170831)[0]
         bound = ch.chernoff_bound(info, n)
         if est.error_mean > bound + 3.0 * est.error_std:
             ok = False
@@ -121,8 +119,7 @@ def test_criterion_06_error_rate_curves():
 def test_criterion_07_coin_flip_degeneracy():
     p = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.98)
     ensemble = 8000
-    cfg = sk.ExperimentConfig(0.98, 6.3, 15, 4, ensemble, 314159)
-    est = sk.estimate_error(cfg, cfg, p, p, [4])[0]
+    est = sk.estimate_error(p, p, [4], ensemble, 314159)[0]
     se = math.sqrt(0.25 / ensemble)
     ok = abs(est.error_mean - 0.5) <= 3.0 * se
     report(7, ok, f"identical hypotheses give eps = {est.error_mean:.4f} "

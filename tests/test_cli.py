@@ -238,9 +238,10 @@ class TestSimulate:
         assert len(rows) == 15
         for row in rows:
             assert float(row[5]) <= float(row[1]) <= float(row[6]), row
-        band = simkit.worst_case_sweep(0.98, [0.0, 0.14, 0.28, 0.42, 0.56], 0.56,
-                                       simkit.ExperimentConfig(0.98, 6.3, 15, 50, 300, seed),
-                                       [int(row[0]) for row in rows])
+        p1, p2 = ps.hypothesis_tables(0.98, 0.56, 6.3, 15)
+        sources = [ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), v)
+                   for v in (0.0, 0.14, 0.28, 0.42)] + [p2]
+        band = simkit.worst_case_sweep(p1, p2, sources, [int(row[0]) for row in rows], 300, seed)
         assert [float(row[1]) for row in rows] == [b.estimates[-1].error_mean for b in band]
 
     def test_band_builds_at_most_8_tables_and_reads_each_stream_once(
@@ -270,12 +271,26 @@ class TestSimulate:
                         "--seed", "13")
         rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
         p1, p2 = ps.hypothesis_tables(0.98, 0.56, 6.3, 15)
-        curve = simkit.estimate_error(simkit.ExperimentConfig(0.98, 6.3, 15, 8, 400, 13),
-                                      simkit.ExperimentConfig(0.56, 6.3, 15, 8, 400, 13),
-                                      p1, p2, n_list)
+        curve = simkit.estimate_error(p1, p2, n_list, 400, 13)
         assert [(int(r[0]), float(r[1]), float(r[2])) for r in rows] == [
             (n, e.error_mean, e.error_std) for n, e in zip(n_list, curve)]
         assert all(r[5] == r[6] == "" for r in rows)
+
+    @pytest.mark.parametrize("option,message", [
+        # the band's test is designed at --v2, so the band must end there
+        (["--band", "0,0.3"], "the largest --band value must equal --v2"),
+        # a negative magnitude would otherwise pass as a phase of pi
+        (["--band=-0.2,0.56"], "random-phase |V| = -0.2 must lie in [0, 1]"),
+        (["--v1", "-0.1"], "random-phase |V| = -0.1 must lie in [0, 1]"),
+    ], ids=["design-point", "band-visibility", "v1-visibility"])
+    def test_refused_before_sampling(self, capsys, monkeypatch, option, message):
+        def refuse(*args):
+            raise AssertionError("the Monte Carlo ran")
+
+        monkeypatch.setattr(simkit, "worst_case_sweep", refuse)
+        code, out, err = run(capsys, "simulate", "--n-list", "1", "--ensemble", "10", *option)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
 
 
 class TestFingerprint:
@@ -388,7 +403,10 @@ class TestIngest:
         (["--theory", "1.5,6.3"], "random-phase |V| = 1.5 must lie in [0, 1]"),
         (["--window", "0"], "window and resolution must be positive"),
         (["--truncation", "0"], "truncation must be >= 1"),
-    ], ids=["theory-arity", "theory-visibility", "window", "truncation"])
+        # its tenths of a ns would overflow the int64 window arithmetic
+        (["--window", "922337203685477581"],
+         "window of 922337203685477581 ns exceeds int64 in tenths of a ns"),
+    ], ids=["theory-arity", "theory-visibility", "window", "truncation", "window-int64"])
     def test_bad_option_refused_before_the_file_is_read(self, capsys, tmp_path, monkeypatch,
                                                         option, message):
         def refuse(source):
@@ -570,6 +588,14 @@ class TestExitCodes:
         # a seed must be one a SeedSequence takes
         ["simulate", "--seed", "-1"],
         ["figures", "--id", "4c", "--seed", "-1"],
+        # N and M are refused by name
+        ["simulate", "--ensemble", "0"],
+        ["simulate", "--n-list", "0", "--ensemble", "10"],
+        # a tenths-of-a-ns window past int64, and a coherent C whose log(1/2eps)/C overflows
+        ["ingest", "--tags", TAGS, "--window", "922337203685477581"],
+        ["fingerprint", "--coherent-energy", "1e-310"],
+        ["fingerprint", "--coherent-energy", "1e-320"],
+        ["fingerprint", "--eps", "1e-320"],
     ])
     def test_out_of_range_input_is_3(self, capsys, tmp_path, argv):
         if TAGS in argv:

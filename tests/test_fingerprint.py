@@ -113,6 +113,12 @@ class TestRepetitionsNeeded:
         with pytest.raises(DomainError):
             fp.repetitions_needed(0.0, 1e-4)
 
+    @pytest.mark.parametrize("c,eps", [(7.8e-312, 1e-4), (5e-322, 1e-4), (0.0737, 1e-320)])
+    def test_overflowing_repetitions_refused(self, c, eps):
+        # a subnormal C or eps makes log(1/2eps)/C infinite, which has no ceiling
+        with pytest.raises(DomainError, match=f"overflows at Chernoff information C = {c!r}"):
+            fp.repetitions_needed(c, eps)
+
 
 class TestQuantumRevealed:
     def test_formula(self):

@@ -13,10 +13,12 @@ from vistest.util import DomainError
 N_LIST = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 40, 50)
 
 
+def table(v, energy=6.3, truncation=15):
+    return ps.joint_random_phase(ps.DetectionParams(energy, 0.0, truncation), v)
+
+
 def tables(v1=0.98, v2=0.56, energy=6.3, truncation=15):
-    params = ps.DetectionParams(energy, 0.0, truncation)
-    return (ps.joint_random_phase(params, v1),
-            ps.joint_random_phase(params, v2))
+    return table(v1, energy, truncation), table(v2, energy, truncation)
 
 
 class TestDatasetRng:
@@ -161,17 +163,13 @@ class TestNeymanPearson:
 class TestEstimateError:
     def test_reproducible(self):
         p1, p2 = tables()
-        cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 5, 300, 11)
-        cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, 5, 300, 11)
-        first = sk.estimate_error(cfg1, cfg2, p1, p2, [5])[0]
-        second = sk.estimate_error(cfg1, cfg2, p1, p2, [5])[0]
+        first = sk.estimate_error(p1, p2, [5], 300, 11)[0]
+        second = sk.estimate_error(p1, p2, [5], 300, 11)[0]
         assert first == second
 
     def test_mean_is_average_of_conditionals(self):
         p1, p2 = tables()
-        cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 3, 400, 5)
-        cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, 3, 400, 5)
-        est = sk.estimate_error(cfg1, cfg2, p1, p2, [3])[0]
+        est = sk.estimate_error(p1, p2, [3], 400, 5)[0]
         assert est.error_mean == pytest.approx(
             (est.conditional_v1_given_v2 + est.conditional_v2_given_v1) / 2.0)
         assert est.error_std == pytest.approx(
@@ -179,41 +177,27 @@ class TestEstimateError:
 
     def test_error_decreases_with_repetitions(self):
         p1, p2 = tables()
-        means = []
-        for n in (1, 5, 20):
-            cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, n, 2000, 77)
-            cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, n, 2000, 77)
-            means.append(sk.estimate_error(cfg1, cfg2, p1, p2, [n])[0].error_mean)
+        means = [sk.estimate_error(p1, p2, [n], 2000, 77)[0].error_mean for n in (1, 5, 20)]
         assert means[0] > means[1] > means[2]
 
     def test_identical_hypotheses_coin_flip(self):
         p1, _ = tables()
-        cfg = sk.ExperimentConfig(0.98, 6.3, 15, 4, 4000, 9)
-        est = sk.estimate_error(cfg, cfg, p1, p1, [4])[0]
+        est = sk.estimate_error(p1, p1, [4], 4000, 9)[0]
         se = math.sqrt(0.25 / 4000.0)
         assert abs(est.error_mean - 0.5) <= 3.0 * se
-
-    def test_mismatched_configs_rejected(self):
-        p1, p2 = tables()
-        cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 5, 300, 1)
-        cfg2 = sk.ExperimentConfig(0.56, 6.3, 15, 6, 300, 1)
-        with pytest.raises(DomainError):
-            sk.estimate_error(cfg1, cfg2, p1, p2, [5])
 
 
 class TestWorstCaseSweep:
     def test_single_point_grid_matches_estimate(self):
         p1, p2 = tables()
-        cfg = sk.ExperimentConfig(0.56, 6.3, 15, 4, 500, 13)
-        band = sk.worst_case_sweep(0.98, [0.56], 0.56, cfg, [4])[0]
-        cfg1 = sk.ExperimentConfig(0.98, 6.3, 15, 4, 500, 13)
-        direct = sk.estimate_error(cfg1, cfg, p1, p2, [4])[0]
+        band = sk.worst_case_sweep(p1, p2, [p2], [4], 500, 13)[0]
+        direct = sk.estimate_error(p1, p2, [4], 500, 13)[0]
         assert band.estimates[0] == direct
         assert band.band_lo == band.band_hi == direct.error_mean
 
     def test_band_envelope(self):
-        cfg = sk.ExperimentConfig(0.0, 6.3, 15, 4, 400, 21)
-        band = sk.worst_case_sweep(0.98, [0.0, 0.28, 0.56], 0.56, cfg, [4])[0]
+        p1, p2 = tables()
+        band = sk.worst_case_sweep(p1, p2, [table(0.0), table(0.28), p2], [4], 400, 21)[0]
         means = [e.error_mean for e in band.estimates]
         assert band.band_lo == min(means)
         assert band.band_hi == max(means)
@@ -221,98 +205,71 @@ class TestWorstCaseSweep:
 
     def test_lower_true_visibility_is_easier(self):
         # the designed test separates better when the truth is farther away
-        cfg = sk.ExperimentConfig(0.0, 6.3, 15, 10, 2000, 31)
-        band = sk.worst_case_sweep(0.98, [0.0, 0.56], 0.56, cfg, [10])[0]
+        p1, p2 = tables()
+        band = sk.worst_case_sweep(p1, p2, [table(0.0), p2], [10], 2000, 31)[0]
         assert (band.estimates[0].conditional_v1_given_v2
                 <= band.estimates[1].conditional_v1_given_v2)
 
-    # a negative magnitude would otherwise pass as a phase of pi
-    @pytest.mark.parametrize("v1,grid", [(0.98, [-0.2, 0.56]), (-0.1, [0.56])])
-    def test_visibilities_outside_unit_interval_rejected(self, v1, grid):
-        cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
-        with pytest.raises(DomainError):
-            sk.worst_case_sweep(v1, grid, 0.56, cfg, [2])
-
     def test_given_tables_are_used_not_rebuilt(self, monkeypatch):
-        cfg = sk.ExperimentConfig(0.0, 6.3, 15, 4, 300, 5)
-        built = sk.worst_case_sweep(0.98, [0.28, 0.56], 0.56, cfg, [1, 4])
         p1, p2 = tables()
+        sources = [table(0.28), p2]
         builds = []
         build = ps.joint_random_phase
         monkeypatch.setattr(ps, "joint_random_phase", lambda *a: builds.append(a) or build(*a))
-        given = sk.worst_case_sweep(0.98, [0.28, 0.56], 0.56, cfg, [1, 4],
-                                    tables={0.98: p1, 0.56: p2})
-        assert [a[1] for a in builds] == [0.28]
-        assert ([(b.estimates, b.band_lo, b.band_hi) for b in given]
-                == [(b.estimates, b.band_lo, b.band_hi) for b in built])
+        sk.estimate_error(p1, p2, [1, 4], 300, 5)
+        sk.worst_case_sweep(p1, p2, sources, [1, 4], 300, 5)
+        assert builds == []
 
     # cells of a K-table read through a 16 x 16 log-ratio table score as other (k, k')
     @pytest.mark.parametrize("truncation", [10, 20])
     def test_given_tables_at_another_truncation_rejected(self, truncation):
-        cfg = sk.ExperimentConfig(0.0, 6.3, truncation, 1, 50, 1)
         p1, p2 = tables()
         with pytest.raises(DomainError, match="one truncation"):
-            sk.worst_case_sweep(0.98, [0.28, 0.56], 0.56, cfg, [1],
-                                tables={0.98: p1, 0.56: p2})
-
-    def test_designed_point_must_be_grid_maximum(self):
-        cfg = sk.ExperimentConfig(0.0, 6.3, 15, 2, 50, 1)
-        with pytest.raises(DomainError):
-            sk.worst_case_sweep(0.98, [0.0, 0.28], 0.56, cfg, [2])
-
-
-class TestExperimentConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            sk.ExperimentConfig(1.5, 6.3, 15, 1, 1, 0)
-        with pytest.raises(DomainError):
-            sk.ExperimentConfig(0.5, 6.3, 15, 0, 1, 0)
-
-
-def configs(n, m, seed, v1=0.98, v2=0.56):
-    return (sk.ExperimentConfig(v1, 6.3, 15, n, m, seed),
-            sk.ExperimentConfig(v2, 6.3, 15, n, m, seed))
+            sk.worst_case_sweep(p1, p2, [table(0.28, truncation=truncation), p2], [1], 50, 1)
 
 
 class TestErrorCurve:
     def test_single_n_reads_a_prefix_of_the_curve(self):
         p1, p2 = tables()
-        curve = sk.estimate_error(*configs(50, 300, 19), p1, p2, N_LIST)
+        curve = sk.estimate_error(p1, p2, N_LIST, 300, 19)
         for n in (1, 4, 10, 50):
-            single = sk.estimate_error(*configs(n, 300, 19), p1, p2, [n])
-            assert single == [curve[N_LIST.index(n)]]
+            assert sk.estimate_error(p1, p2, [n], 300, 19) == [curve[N_LIST.index(n)]]
 
     def test_independent_of_chunk_size(self, monkeypatch):
         p1, p2 = tables()
-        cfg = configs(50, 300, 23)
-        default = sk.estimate_error(*cfg, p1, p2, N_LIST)
+        default = sk.estimate_error(p1, p2, N_LIST, 300, 23)
         for draws in (1, 3 * 300, 7 * 300 + 5):
             monkeypatch.setattr(sk, "_CHUNK_DRAWS", draws)
-            assert sk.estimate_error(*cfg, p1, p2, N_LIST) == default
+            assert sk.estimate_error(p1, p2, N_LIST, 300, 23) == default
 
     def test_n_outside_config_rejected(self):
         p1, p2 = tables()
-        with pytest.raises(DomainError):
-            sk.estimate_error(*configs(10, 50, 1), p1, p2, [5, 11])
-        with pytest.raises(DomainError):
-            sk.estimate_error(*configs(10, 50, 1), p1, p2, [0, 5])
+        for n_values in ([0, 5], [-1]):
+            with pytest.raises(DomainError, match="every N must be >= 1"):
+                sk.estimate_error(p1, p2, n_values, 50, 1)
+
+    @pytest.mark.parametrize("m,seed,message", [
+        (0, 1, "ensemble_size must be >= 1"),
+        (50, -1, "seed must be >= 0"),
+    ], ids=["ensemble", "seed"])
+    def test_ensemble_and_seed_refused(self, m, seed, message):
+        p1, p2 = tables()
+        with pytest.raises(DomainError, match=message):
+            sk.estimate_error(p1, p2, [1], m, seed)
 
     @pytest.mark.parametrize("truncation", [10, 20])
     def test_config_truncation_must_match_tables(self, truncation):
         # sampling at one resolution and testing at another misreads cells
-        p1, p2 = tables()
-        cfg1 = sk.ExperimentConfig(0.98, 6.3, truncation, 5, 50, 1)
-        cfg2 = sk.ExperimentConfig(0.56, 6.3, truncation, 5, 50, 1)
+        p1, _ = tables()
         with pytest.raises(DomainError):
-            sk.estimate_error(cfg1, cfg2, p1, p2, [5])
+            sk.estimate_error(p1, table(0.56, truncation=truncation), [5], 50, 1)
 
     def test_worst_case_curve_rows_equal_sweeps(self):
-        grid = [0.0, 0.28, 0.56]
-        cfg = sk.ExperimentConfig(0.56, 6.3, 15, 20, 200, 29)
-        curve = sk.worst_case_sweep(0.98, grid, 0.56, cfg, [3, 20])
+        p1, p2 = tables()
+        sources = [table(0.0), table(0.28), p2]
+        curve = sk.worst_case_sweep(p1, p2, sources, [3, 20], 200, 29)
         for n, band in zip((3, 20), curve):
-            single = sk.ExperimentConfig(0.56, 6.3, 15, n, 200, 29)
-            sweep = sk.worst_case_sweep(0.98, grid, 0.56, single, [n])[0]
+            sweep = sk.worst_case_sweep(p1, p2, sources, [n], 200, 29)[0]
             assert sweep.estimates == band.estimates
             assert (sweep.band_lo, sweep.band_hi) == (band.band_lo, band.band_hi)
 
@@ -325,7 +282,7 @@ class TestErrorCurve:
         alpha = 1e-6 / (2 * len(N_LIST) * 5)
         m = 2000
         p1, p2 = tables()
-        curve = sk.estimate_error(*configs(50, m, seed), p1, p2, N_LIST)
+        curve = sk.estimate_error(p1, p2, N_LIST, m, seed)
         for n, est, (lo, hi) in zip(N_LIST, curve, sk.exact_error(p1, p2, N_LIST)):
             wrong = round(est.error_mean * 2 * m)
             low = int(binom.ppf(alpha, 2 * m, lo))

@@ -489,3 +489,10 @@ class TestBinningConfig:
             tagio.BinningConfig(window_ns=0)
         with pytest.raises(DomainError):
             tagio.BinningConfig(window_ns=1, resolution_tenths=100)
+
+    def test_window_tenths_must_fit_int64(self):
+        # the largest window whose tenths of a ns fit an int64 still bins
+        widest = tagio.BinningConfig(window_ns=922337203685477580)
+        assert tagio.bin_counts(tagio.TagStream([0, 1], [5, 10**18]), widest).tolist() == [[1, 1]]
+        with pytest.raises(DomainError, match="exceeds int64"):
+            tagio.BinningConfig(window_ns=922337203685477581)
