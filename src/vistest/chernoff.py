@@ -1,7 +1,6 @@
-"""Error exponents and bounds for binary hypothesis testing.
-
-Implements the Chernoff information over finite outcome distributions,
-the coherent-signal closed form, the standard exp(-NC)/2 bound, tilted
+"""Error exponents and bounds for binary hypothesis testing: the
+Chernoff information over finite outcome distributions, the
+coherent-signal closed form, the standard exp(-NC)/2 bound, tilted
 distributions, relative entropy, and the refined (second-order) bound.
 
 Convention: alpha_star is the exponent on the second hypothesis in the
@@ -69,23 +68,29 @@ def _tilted_moments(l1, d, alpha):
     return top + math.log(total), w, mean, float(w @ (d - mean) ** 2)
 
 
-def _minimum(l1, d):
+def _minimum(l1, d, start=None):
     """(alpha, f, w) at the minimum of f over [0, 1]: on a boundary when
-    f'(0) >= 0 or f'(1) <= 0, otherwise at the root of f'."""
-    f_lo, w_lo, slope_lo, _ = _tilted_moments(l1, d, 0.0)
-    if slope_lo >= 0.0:
-        return 0.0, f_lo, w_lo
-    f_hi, w_hi, slope_hi, _ = _tilted_moments(l1, d, 1.0)
-    if slope_hi <= 0.0:
-        return 1.0, f_hi, w_hi
-    lo, hi = 0.0, 1.0
-    alpha = slope_lo / (slope_lo - slope_hi)  # secant root of f'
+    f'(0) >= 0 or f'(1) <= 0, else at the root of f'. Newton from a start
+    skips those slopes, unless a step leaves a bracket still ending at 0 or 1."""
+    lo, hi, alpha = 0.0, 1.0, start
+    if start is None:
+        f_lo, w_lo, slope_lo, _ = _tilted_moments(l1, d, 0.0)
+        if slope_lo >= 0.0:
+            return 0.0, f_lo, w_lo
+        f_hi, w_hi, slope_hi, _ = _tilted_moments(l1, d, 1.0)
+        if slope_hi <= 0.0:
+            return 1.0, f_hi, w_hi
+        alpha = slope_lo / (slope_lo - slope_hi)  # secant root of f'
     for _ in range(_MAX_PASSES):
         log_min, tilted, slope, curvature = _tilted_moments(l1, d, alpha)
         point = alpha, log_min, tilted
         lo, hi = (lo, alpha) if slope > 0.0 else (alpha, hi)
         step = -slope / curvature if curvature > 0.0 else math.nan
-        if not (abs(step) <= _ALPHA_STEP or lo < alpha + step < hi):
+        inside = lo < alpha + step < hi
+        if start is not None and (lo == 0.0 or hi == 1.0) and not (
+                inside or abs(step) <= _ALPHA_STEP and 0.0 < alpha + step < 1.0):
+            return _minimum(l1, d)
+        if not (abs(step) <= _ALPHA_STEP or inside):
             step = 0.5 * (lo + hi) - alpha
         if abs(step) <= _ALPHA_STEP:
             break
@@ -95,15 +100,12 @@ def _minimum(l1, d):
 
 def chernoff_information(p1, p2):
     """Chernoff information of two photostat tables, or two checked
-    probability arrays, on a common outcome set.
-
-    Minimizes the convex f(a) = log sum(p1^(1-a) p2^a) over a in [0, 1]
-    by Newton steps on f' (the tilted mean of the log-likelihood ratio,
-    whose variance is f''; Cover & Thomas, section 11.9), kept inside a
-    bracket on the sign of f' by bisection, to a step of 1e-13. Identical
-    inputs report alpha_star = 0.5 by convention; disjoint supports yield
-    the infinite sentinel.
-    """
+    probability arrays, on a common outcome set. Minimizes the convex
+    f(a) = log sum(p1^(1-a) p2^a) over a in [0, 1] by Newton steps on f'
+    (the tilted mean of the log-likelihood ratio, whose variance is f'';
+    Cover & Thomas, section 11.9), kept inside a bracket on the sign of f'
+    by bisection, to a step of 1e-13. Identical inputs report alpha_star =
+    0.5 by convention; disjoint supports yield the infinite sentinel."""
     a, b = _validate_pair(p1, p2)
     if np.abs(a - b).max() <= 1e-15:
         return ChernoffResult(0.0, 0.5, 0.0)

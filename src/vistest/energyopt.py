@@ -1,8 +1,5 @@
-"""Energy-per-repetition optimization of information per detected photon.
-
-Produces the information-per-photon curves and the visibility-map data
-surfaces for the random-phase and coherent scenarios.
-"""
+"""Energy-per-repetition optimization of information per detected photon:
+its curves, and the random-phase and coherent visibility maps."""
 
 from dataclasses import dataclass, field
 
@@ -25,8 +22,7 @@ class IndistinguishablePairError(DomainError):
 
 @dataclass(frozen=True)
 class EnergyScanResult:
-    """Scanned energies, the information-per-photon ratio at each, and
-    the refined location/value of the maximum."""
+    """Scanned energies, the ratio at each, and the refined maximum."""
 
     energies: np.ndarray = field(repr=False)
     ratios: np.ndarray = field(repr=False)
@@ -37,10 +33,10 @@ class EnergyScanResult:
 
 def search_truncation(energy, floor=15):
     """Smallest K >= floor with Poisson tail P(count > K) below 1e-9 at
-    this energy: the resolution of every table the search builds. An
-    array of energies gets a list of K, one each, from one Poisson-law
-    call. A floor below 1, or a K the rule would raise above
-    MAX_SEARCH_TRUNCATION, is refused; the latter names the largest energy."""
+    this energy: the resolution of info_per_photon's tables. An array of
+    energies gets a list of K, one each, from one Poisson-law call. A floor
+    below 1, or a K above MAX_SEARCH_TRUNCATION, is refused; the latter
+    names the largest energy, and bounds the energy search's range."""
     energies = np.asarray(energy, dtype=float)
     if not np.all(energies > 0.0):
         raise DomainError("energy must be > 0")
@@ -85,9 +81,13 @@ def _scan_argmax(ratio):
 
 def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
     """EnergyScanResult for each (i, j) in pairs, values[i] against
-    values[j]. At each shared scan energy (all, or _COARSE's if optimum_only)
-    every value's table is built once for all pairs; each pair then solves
-    what its argmax needs, leaving other ratios NaN, and is refined alone."""
+    values[j], from split-law cells (photostat._split_rows) built once per
+    distinct value: the ratio at E minimises over the cells up to its
+    Poisson cut, and no table is built. Each pair solves what its argmax
+    needs (all points, or _scan_argmax's if optimum_only; others stay NaN).
+    Newton at scan point n > 0 starts at the alpha* of the _COARSE point
+    below n, and in the refinement at the argmax's; point 0 is solved cold.
+    So no result depends on the order in which the points are solved."""
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
@@ -95,47 +95,55 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
         raise DomainError("tol must be > 0")
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
         energies = np.geomspace(lo, hi, SCAN_POINTS)
-    resolutions = search_truncation(energies, truncation)  # refuses before any table is built
-    ratios = np.full((len(pairs), len(energies)), np.nan)
+    search_truncation(energies, truncation)  # refuses a top above about 208 first
     if not pairs:
         return []
-    for n in _COARSE if optimum_only else range(len(energies)):
-        params = photostat.DetectionParams(energies[n], 0.0, resolutions[n])
-        tables = [photostat.joint_random_phase(params, v) for v in values]
-        for row, (i, j) in enumerate(pairs):
-            ratios[row, n] = chernoff.chernoff_information(
-                tables[i], tables[j]).information / energies[n]
-
+    last = len(photostat._poisson_rows(hi)) - 1
+    distinct, index = np.unique(values, return_inverse=True)
+    log_b = np.log(photostat._split_rows(distinct, last))
+    rows = np.repeat(np.arange(last + 1), np.arange(1, last + 2))  # n of each cell
     results = []
-    for row, (i, j) in enumerate(pairs):
+    for pair in pairs:
+        i, j = sorted(index[list(pair)])  # C is symmetric; in sorted order, bit for bit too
+        l1, d = log_b[i], log_b[j] - log_b[i]
+        ratios, alphas = np.full((2, SCAN_POINTS), np.nan)
+
+        def solve(energy, start):
+            log_pois = np.log(photostat._poisson_rows(energy))
+            cells = len(log_pois) * (len(log_pois) + 1) // 2
+            alpha, log_min, _ = chernoff._minimum(l1[:cells] + log_pois[rows[:cells]],
+                                                  d[:cells], start)
+            return alpha, max(0.0, -log_min) / energy
+
+        def alpha(n):  # alpha* at scan point n, solving it (and what starts it) first
+            if np.isnan(ratios[n]):
+                start = alpha(_COARSE[(n - 1) // _COARSE[1]]) if n else None
+                alphas[n], ratios[n] = solve(energies[n], start)
+            return alphas[n]
+
         def ratio(n):
-            if np.isnan(ratios[row, n]):
-                d1, d2 = photostat.hypothesis_tables(values[i], values[j],
-                                                     energies[n], resolutions[n])
-                ratios[row, n] = chernoff.chernoff_information(d1, d2).information / energies[n]
-            return ratios[row, n]
-        best = _scan_argmax(ratio) if optimum_only else int(np.argmax(ratios[row]))
-        opt_e, neg = golden_section(
-            lambda e: -info_per_photon(values[i], values[j], e, truncation),
-            energies[max(0, best - 1)], energies[min(len(energies) - 1, best + 1)], tol=tol)
+            alpha(n)
+            return ratios[n]
+
+        best = (_scan_argmax(ratio) if optimum_only
+                else int(np.argmax([ratio(n) for n in range(SCAN_POINTS)])))
+        opt_e, neg = golden_section(lambda e: -solve(e, alphas[best])[1],
+                                    energies[max(0, best - 1)],
+                                    energies[min(SCAN_POINTS - 1, best + 1)], tol=tol)
         opt_ratio = -neg
-        if ratios[row, best] > opt_ratio:
-            opt_e, opt_ratio = energies[best], ratios[row, best]
-        results.append(EnergyScanResult(energies, ratios[row], float(opt_e),
-                                        float(opt_ratio),
+        if ratios[best] > opt_ratio:
+            opt_e, opt_ratio = energies[best], ratios[best]
+        results.append(EnergyScanResult(energies, ratios, float(opt_e), float(opt_ratio),
                                         opt_e in (energies[0], energies[-1])))
     return results
 
 
 def optimal_energy(v1_mag, v2_mag, truncation=15,
                    search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
-    """Maximize information per photon over the energy per repetition.
-
-    Coarse log-spaced scan (60 points) followed by golden-section
-    refinement around the best grid point. Each energy E is resolved
-    at search_truncation(E, truncation); a range whose top needs K above
-    MAX_SEARCH_TRUNCATION (hi above about 208) is refused.
-    """
+    """Maximize information per photon over the energy per repetition: a
+    60-point log-spaced scan, then golden section around its best point.
+    A top whose search_truncation(hi, truncation) exceeds
+    MAX_SEARCH_TRUNCATION (hi above about 208) is refused."""
     if v1_mag == v2_mag:
         raise IndistinguishablePairError("equal visibility magnitudes")
     return _scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol)[0]
@@ -143,17 +151,13 @@ def optimal_energy(v1_mag, v2_mag, truncation=15,
 
 def random_phase_map(grid, truncation=15,
                      search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
-    """Per-cell optimum of information per photon over a |V| lattice.
-
-    Returns (max_ratio, argmax_energy) matrices, symmetric in the two
-    visibilities; diagonal cells are NaN-flagged as indistinguishable.
-    Cell (i, j), i < j, is optimal_energy(grid[i], grid[j]): both take the
-    same scan argmax wherever the pair's scan is unimodal (_scan_argmax).
-    """
+    """Per-cell optimum of information per photon over a |V| lattice:
+    symmetric (max_ratio, argmax_energy) matrices, NaN on the diagonal.
+    Cell (i, j) is optimal_energy(grid[i], grid[j]): both take the same
+    scan argmax wherever the pair's scan is unimodal (_scan_argmax)."""
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
-    max_ratio = np.full((n, n), np.nan)
-    opt_energy = np.full((n, n), np.nan)
+    max_ratio, opt_energy = np.full((2, n, n), np.nan)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j]]
     for (i, j), res in zip(pairs, _scan_pairs(grid, pairs, truncation, search_range, tol,
                                               optimum_only=True)):
@@ -183,9 +187,7 @@ def energy_scan_curves(v1_mag, v2_mag, energies, limited_truncation=2, truncatio
     count-difference marginal. Returns (joint, limited, difference)
     arrays aligned with `energies`. The full and difference curves share
     one table pair per energy, at search_truncation(E, truncation)."""
-    joint = np.empty(len(energies))
-    limited = np.empty(len(energies))
-    difference = np.empty(len(energies))
+    joint, limited, difference = np.empty((3, len(energies)))
     for i, (e, k) in enumerate(zip(energies, search_truncation(energies, truncation))):
         d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, k)
         l1, l2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, limited_truncation)

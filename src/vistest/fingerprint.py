@@ -154,17 +154,16 @@ def quantum_revealed(n, rate, energy_per_rep, repetitions):
     return repetitions * energy_per_rep * math.log2(2.0 * m)
 
 
-def _bisect_log_n(f, lo, hi):
+def _bisect_log_n(f, lo, hi, what="f"):
     """Root of f on [lo, hi] by bisection in log n; f(lo) and f(hi) must
-    differ in sign."""
-    flo = f(lo)
-    fhi = f(hi)
+    differ in sign, or the refusal names `what` and the range."""
+    flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise CrossoverNotFoundError("no sign change over the length range")
+        raise CrossoverNotFoundError(f"{what} keeps one sign for n in [{lo:g}, {hi:g}]")
     a, b = math.log(lo), math.log(hi)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (a + b)
@@ -210,7 +209,8 @@ def crossover(plan):
     def meet(benchmark):
         return _bisect_log_n(
             lambda n: quantum_revealed(n, plan.rate, plan.energy, plan.repetitions)
-            - benchmark(n, plan.eps), *_CROSSOVER_RANGE)
+            - benchmark(n, plan.eps), *_CROSSOVER_RANGE,
+            f"quantum minus {benchmark.__name__} revealed bits at eps = {plan.eps:g}")
 
     return CrossoverResult(meet(best_classical), meet(classical_lower_bound),
                            plan.repetitions, plan.repetitions * plan.energy)

@@ -1,10 +1,6 @@
-"""Photocount statistics for two-port interference.
-
-Covers the fixed-phase (product Poisson) and random-global-phase joint
-count distributions, dark-count folding, detector truncation, the
-count-difference marginal, and the waveplate mapping used to dial in an
-arbitrary complex visibility on the bench.
-"""
+"""Photocount statistics for two-port interference: fixed-phase and
+random-phase joint count tables, dark counts, truncation, the
+count-difference marginal, and the waveplate visibility map."""
 
 import functools
 import math
@@ -20,13 +16,6 @@ TWO_PI = 2.0 * math.pi
 _MAG_SLACK = 1e-9
 
 
-def _normalize_phase(phase):
-    phase = math.fmod(phase, TWO_PI)
-    if phase < 0.0:
-        phase += TWO_PI
-    return phase
-
-
 @dataclass(frozen=True)
 class ComplexVisibility:
     """Interference overlap as a magnitude in [0, 1] and a phase in [0, 2pi)."""
@@ -39,8 +28,7 @@ class ComplexVisibility:
         phase = float(self.phase)
         if not math.isfinite(mag) or not math.isfinite(phase):
             raise DomainError("visibility must be finite")
-        if mag < 0.0:
-            # fold the sign into the phase
+        if mag < 0.0:  # fold the sign into the phase
             mag = -mag
             phase += math.pi
         if mag > 1.0:
@@ -48,7 +36,7 @@ class ComplexVisibility:
                 raise DomainError(f"visibility magnitude {mag} exceeds 1")
             mag = 1.0
         object.__setattr__(self, "magnitude", mag)
-        object.__setattr__(self, "phase", _normalize_phase(phase))
+        object.__setattr__(self, "phase", phase % TWO_PI)
 
     @classmethod
     def from_complex(cls, value):
@@ -66,13 +54,9 @@ class ComplexVisibility:
 
 @dataclass(frozen=True)
 class DetectionParams:
-    """Per-realization detection parameters.
-
-    mean_detected_energy is the mean detected photon number per
-    realization; dark_mean is the mean dark counts per detector per
-    realization; truncation is the highest resolvable count K (the K-th
-    bucket absorbs the tail).
-    """
+    """Per realization: the mean detected photon number, the mean dark
+    counts per detector, and the highest resolvable count K (the K-th
+    bucket absorbs the tail)."""
 
     mean_detected_energy: float
     dark_mean: float = 0.0
@@ -131,11 +115,8 @@ class CountDifferenceDistribution:
 
 
 def port_intensities(energy, vis, phase_offset=0.0):
-    """Mean counts (I_plus, I_minus) at the two output ports.
-
-    phase_offset is the instantaneous global phase added on top of the
-    visibility's own phase. The two intensities sum to energy exactly.
-    """
+    """Mean counts (I_plus, I_minus) at the two output ports, with a global
+    phase_offset on top of the visibility's phase; they sum to energy."""
     if not (math.isfinite(energy) and energy >= 0.0):
         raise DomainError("energy must be finite and >= 0")
     i_plus = energy * (1.0 + vis.magnitude * math.cos(vis.phase + phase_offset)) / 2.0
@@ -143,12 +124,8 @@ def port_intensities(energy, vis, phase_offset=0.0):
 
 
 def effective_params(params, vis):
-    """Fold Poissonian dark counts into an equivalent dark-free model.
-
-    Dark counts raise the energy by 2*dark_mean and scale the visibility
-    magnitude down by energy/(energy + 2*dark_mean); the phase is
-    untouched.
-    """
+    """Fold Poissonian dark counts into a dark-free model: the energy rises
+    by 2*dark_mean and |V| scales by energy/(energy + 2*dark_mean)."""
     if params.dark_mean == 0.0:
         return params, vis
     energy = params.mean_detected_energy + 2.0 * params.dark_mean
@@ -160,58 +137,30 @@ def effective_params(params, vis):
 @functools.lru_cache(maxsize=None)
 def _log_law_terms(size):
     """Read-only rows (c, -log c!, -1) for counts c = 0..size-1: log P(c)
-    at rate I is this row times (log I, 1, I). Callers ask for powers
-    of two, so a process computes few of them."""
+    at rate I is this row times (log I, 1, I)."""
     out = np.array([(c, -math.lgamma(c + 1.0), -1.0) for c in range(size)])
     out.setflags(write=False)
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _series_stops(k):
-    """For j = 1, 2, ...: the largest log(rate) at which the tail series
-    P(K) + P(K + 1) + ... may stop after P(K + j). Past P(K + j) each
-    term is at most rate / (K + j + 1) < K / (K + j + 1) times the one
-    before, so the rest is at most P(K + j) (K + j + 1) / (j + 1); a stop
-    keeps that below 1e-18 of P(K). The j range suffices for any rate < K,
-    and the entries increase with j."""
-    j = np.arange(1.0, 20 * math.isqrt(k) + 60)
-    stops = (math.log(1e-18) + np.cumsum(np.log(k + j))
-             - np.log((k + j + 1) / (j + 1))) / j
-    stops.setflags(write=False)
-    return stops
-
-
 def _port_counts(intensities, truncation):
-    """Rows of Poisson count probabilities, one per intensity: columns
-    0..K-1 hold the Poisson law and column K the tail P(count >= K).
-
-    The law is exp(k log I - I - log k!) with 0 log 0 = 0. Below I = K
-    the tail is summed term by term from P(K) until the rest is below
-    1e-18 of it; at I >= K it is one minus the law."""
+    """Per intensity, the law exp(k log I - I - log k!) for k < K (0 log 0 =
+    0) and the tail P(count >= K): one minus the law at I >= K, else the
+    series from P(K), whose terms fall by K / (K + j) or faster, so that
+    10 sqrt(K) + 40 more of them leave < 1e-18 of it."""
     k = truncation
     rate_terms = np.ones((3, len(intensities)))  # (log I, 1, I) per intensity
-    # log 0 as a finite stand-in, so 0 log 0 = 0 and P(c >= 1) at rate 0 is 0
-    rate_terms[0] = -1e300
+    rate_terms[0] = -1e300  # log 0 as a finite stand-in, so 0 log 0 = 0
     np.log(intensities, out=rate_terms[0], where=intensities > 0.0)
     rate_terms[2] = intensities
-    # rates at or above K take the complement, so K bounds the span
-    span = int(np.searchsorted(_series_stops(k), min(rate_terms[0].max(), math.log(k)),
-                               side="right")) + 1
-    counts = k + 1 + span
-    laws = _log_law_terms(1 << (counts - 1).bit_length())[:counts] @ rate_terms
-    np.exp(laws, out=laws)  # one column per intensity
+    laws = np.exp(_log_law_terms(k + 41 + 10 * math.isqrt(k)) @ rate_terms)
     laws[k] = np.where(intensities < k, laws[k:].sum(axis=0), 1.0 - laws[:k].sum(axis=0))
     return laws[:k + 1].T
 
 
 def poisson_counts(intensity, truncation):
-    """Truncated Poisson count probabilities of length truncation + 1,
-    one such row per intensity when given an array of them.
-
-    Entries 0..K-1 follow the Poisson law at the given intensity; the
-    K-th entry absorbs the tail so the sequence sums to 1.
-    """
+    """Poisson count probabilities 0..K-1 at the intensity, and the tail
+    in entry K; one such row per intensity when given an array of them."""
     if truncation < 1:
         raise DomainError("truncation must be >= 1")
     intensity = np.asarray(intensity, dtype=float)
@@ -221,11 +170,8 @@ def poisson_counts(intensity, truncation):
 
 
 def joint_fixed_phase(params, vis):
-    """Joint count distribution for a fixed (phase-locked) visibility.
-
-    Dark counts in params are folded in via effective_params; the global
-    phase offset is 0, so the port intensities are set by Re(V).
-    """
+    """Joint count distribution for a fixed (phase-locked) visibility, dark
+    counts folded in; the port intensities are set by Re(V)."""
     params, vis = effective_params(params, vis)
     i_plus, i_minus = port_intensities(params.mean_detected_energy, vis)
     k = params.truncation
@@ -244,28 +190,78 @@ def _fold_tail(table, truncation):
     return folded
 
 
-def joint_random_phase(params, vis_magnitude):
-    """Joint count distribution averaged over a uniform global phase.
+MAX_SPLIT_ROW = 1000  # past it 2^-n, the least split-law entry, leaves the double range
+_TAIL_CUT = 1e-17
 
-    Only |V| matters after averaging, so |V| outside [0, 1] is refused,
-    not folded into a phase. Dark counts are folded in first.
-    Midpoint rule with M = 2K + 64 nodes on [0, pi], exact below K where
-    the integrand is e^{-E} times a polynomial in cos(phi) of degree
-    <= 2K - 2 (Trefethen & Weideman, SIAM Rev. 56 (2014) 385); the tail
-    bucket converges geometrically. Node rows sum to 1, so no rescaling.
-    Node pi - phi swaps the ports of node phi, so P = (S + S^T) / M with
-    S summed over half the nodes.
-    """
+
+def _poisson_rows(energy, floor=0):
+    """Pois(n; E) for n = 0..last, run out from the mode by the ratios
+    E / n and scaled to sum to 1 (no large log-space term to cost digits).
+    last >= floor is the first row past which P(count > n) is at most 1e-17
+    of the law at row max(floor, mode); past MAX_SPLIT_ROW it is refused."""
+    last = max(floor, energy)  # the rows run at least this far
+    if last <= MAX_SPLIT_ROW:  # so nothing of a refused size is built
+        n = np.arange(int(last + 12.0 * math.sqrt(last) + 60.0) + 1.0)
+        mode = int(min(energy, n[-1]))
+        pois = np.ones(len(n))
+        pois[mode + 1:] = np.cumprod(energy / n[mode + 1:])
+        pois[:mode] = np.cumprod(n[mode:0:-1] / energy)[::-1]
+        pois /= pois.sum()
+        tail = np.cumsum(pois[::-1])[::-1]  # P(count >= n)
+        last = max(floor, int(np.argmax(tail <= _TAIL_CUT * pois[max(floor, mode)])) - 1)
+        if last <= MAX_SPLIT_ROW:
+            return pois[:last + 1]
+    raise DomainError(f"split-law rows to n = {last:g} at E = {energy:g} pass {MAX_SPLIT_ROW}")
+
+
+def _split_rows(values, last):
+    """B_V(k | n) for each |V| in values, one row each, on the cells
+    0 <= k <= n <= last ordered by n, then k: the chance that k of n
+    photons, Poisson(E) in number at any |V| under a random phase, leave by
+    the + port. Row `last` is the phase average of a binomial law in p =
+    (1 + |V| cos phi) / 2 on 2 (last // 4 + 1) midpoints of [0, pi] (node
+    pi - phi swaps the ports), exact for its degree in cos phi (Trefethen &
+    Weideman, SIAM Rev. 56 (2014) 385). Each row below loses a photon at
+    random, a sum of positive terms. Rows are exactly symmetric in k <->
+    n - k and sum to 1, so rows 0 and 1 are exactly 1 and (1/2, 1/2)."""
+    v = np.array(values, dtype=float)
+    if not np.all((v >= 0.0) & (v <= 1.0 + _MAG_SLACK)):
+        raise DomainError(f"random-phase |V| in {values} must lie in [0, 1]")
+    half = last // 4 + 1
+    mixed = np.multiply.outer(np.minimum(v, 1.0),
+                              np.cos((np.arange(half) + 0.5) * math.pi / (2 * half)))
+    k = np.arange(last + 1)
+    t = np.multiply.outer(np.log1p(mixed), k)  # log of (2p)^k (2q)^(n-k), node by node
+    t += np.multiply.outer(np.log1p(-mixed), last - k)
+    ends = np.exp(t, out=t).sum(axis=1)
+    # C(n, k) / 2^n for k <= n / 2 by its ratios, then mirrored
+    coef = np.cumprod(np.r_[0.5 ** last, (last - k[:last // 2]) / (k[:last // 2] + 1.0)])
+    out = np.empty((len(v), (last + 1) * (last + 2) // 2))
+    row = out[:, -(last + 1):]
+    np.multiply(ends + ends[:, ::-1], np.r_[coef, coef[:(last + 1) // 2][::-1]], out=row)
+    for n in range(last, -1, -1):  # n B(k | n - 1) = (n - k) B(k | n) + (k + 1) B(k + 1 | n)
+        row /= row.sum(axis=1, keepdims=True)
+        above, row = row, out[:, (n - 1) * n // 2:n * (n + 1) // 2]
+        np.multiply(above[:, :-1], k[n:0:-1], out=row)
+        row += above[:, 1:] * k[1:n + 1]
+    return out
+
+
+def joint_random_phase(params, vis_magnitude):
+    """Joint count distribution averaged over a uniform global phase; |V|
+    outside [0, 1] is refused, not folded into a phase, and dark counts
+    are folded in first. Cell (k, k') is Pois(k + k'; E) B_V(k | k + k')
+    (_split_rows over _poisson_rows' rows, which run past 2K), folded into
+    the K-th row and column at k >= K or k' >= K."""
     if not 0.0 <= vis_magnitude <= 1.0 + _MAG_SLACK:
         raise DomainError(f"random-phase |V| = {vis_magnitude} must lie in [0, 1]")
     params, vis = effective_params(params, ComplexVisibility(vis_magnitude))
-    energy = params.mean_detected_energy
-    k = params.truncation
-    nodes = 2 * k + 64
-    phi = (np.arange(nodes) + 0.5) * math.pi / nodes
-    rows = _port_counts(energy * (1.0 + vis.magnitude * np.cos(phi)) / 2.0, k)
-    s = rows[:nodes // 2].T @ rows[nodes // 2:][::-1]
-    return JointPhotocountDistribution(k, (s + s.T) / nodes)
+    pois = _poisson_rows(params.mean_detected_energy, 2 * params.truncation)
+    n = np.repeat(np.arange(len(pois)), np.arange(1, len(pois) + 1))
+    plus = np.arange(len(n)) - n * (n + 1) // 2  # k of each cell
+    table = np.zeros((len(pois), len(pois)))
+    table[plus, n - plus] = _split_rows([vis.magnitude], len(pois) - 1)[0] * pois[n]
+    return JointPhotocountDistribution(params.truncation, _fold_tail(table, params.truncation))
 
 
 def hypothesis_tables(v1_mag, v2_mag, energy, truncation):

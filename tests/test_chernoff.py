@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from vistest import chernoff as ch
@@ -174,6 +174,47 @@ class TestNewtonSolve:
                         ch.chernoff_information(tables[i], tables[j])
         assert max(solver_passes) <= 20
         assert np.mean(solver_passes) <= 12
+
+
+class TestWarmStart:
+    """A start skips the boundary slopes; the answer must not change."""
+
+    @staticmethod
+    def search_cells(v1, v2, energy):
+        """(l1, d) of one pair at one energy, as the energy search builds them."""
+        pois = ps._poisson_rows(energy)
+        last = len(pois) - 1
+        log_b = np.log(ps._split_rows([v1, v2], last))
+        n = np.repeat(np.arange(last + 1), np.arange(1, last + 2))
+        return log_b[0] + np.log(pois)[n], log_b[1] - log_b[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-3, 208.0),
+           st.floats(0.0, 1.0))
+    def test_equals_the_cold_solve(self, v1, v2, energy, start):
+        # closer laws differ by little more than rounding, which leaves alpha* undefined
+        assume(abs(v1 - v2) >= 0.01)
+        l1, d = self.search_cells(v1, v2, energy)
+        cold, warm = ch._minimum(l1, d), ch._minimum(l1, d, start)
+        assert (warm[0] in (0.0, 1.0)) == (cold[0] in (0.0, 1.0))
+        assert warm[0] == pytest.approx(cold[0], rel=1e-12)
+        # C = -f; where C itself is below about 1e-3, f's rounding near 0
+        # (about 1e-16) is what the two solves can differ by
+        assert warm[1] == pytest.approx(cold[1], rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("edge,p1,p2", [
+        # on the common support p2 / p1 > 1 everywhere: f rises, alpha* = 0
+        (0.0, [0.1, 0.2, 0.7], [0.4, 0.6, 0.0]),
+        (1.0, [0.4, 0.6, 0.0], [0.1, 0.2, 0.7]),
+    ])
+    @pytest.mark.parametrize("start", [0.0, 0.3, 0.5, 0.999, 1.0])
+    def test_boundary_minimum_is_exact(self, edge, p1, p2, start):
+        p1, p2 = np.array(p1), np.array(p2)
+        both = (p1 > 0.0) & (p2 > 0.0)
+        l1 = np.log(p1[both])
+        d = np.log(p2[both]) - l1
+        cold, warm = ch._minimum(l1, d), ch._minimum(l1, d, start)
+        assert cold[:2] == warm[:2] == (edge, cold[1])
 
 
 class TestCoherentClosedForm:

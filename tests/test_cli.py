@@ -23,12 +23,12 @@ def run(capsys, *argv):
 
 
 def count_builds_and_solves(monkeypatch):
-    """Record the arguments of every table build and Chernoff solve."""
+    """Record the arguments of every table build and every Newton solve,
+    on a table pair or on the energy search's split-law cells."""
     tables, solves = [], []
-    build, solve = ps.joint_random_phase, chernoff.chernoff_information
+    build, solve = ps.joint_random_phase, chernoff._minimum
     monkeypatch.setattr(ps, "joint_random_phase", lambda *a: tables.append(a) or build(*a))
-    monkeypatch.setattr(chernoff, "chernoff_information",
-                        lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(chernoff, "_minimum", lambda *a: solves.append(a) or solve(*a))
     return tables, solves
 
 
@@ -184,10 +184,11 @@ class TestOptimize:
         assert len(rows) == 61
 
     def test_scan_solves_every_energy(self, capsys, monkeypatch):
-        # 60 scan energies and 9 refinement evaluations, each from a table pair
+        # 60 scan energies and 9 refinement evaluations, each one Newton solve
+        # on split-law cells; the search builds no table (it built 138)
         tables, solves = count_builds_and_solves(monkeypatch)
         assert run(capsys, "optimize")[0] == 0
-        assert (len(solves), len(tables)) == (69, 138)
+        assert (len(solves), len(tables)) == (69, 0)
 
 
 class TestSimulate:
@@ -596,6 +597,10 @@ class TestExitCodes:
         ["fingerprint", "--coherent-energy", "1e-310"],
         ["fingerprint", "--coherent-energy", "1e-320"],
         ["fingerprint", "--eps", "1e-320"],
+        # so many repetitions that no length in the searched range has a crossover
+        ["fingerprint", "--eps", "1e-100"],
+        # split-law rows past n = 1000, refused before the table is allocated
+        ["dist", "--truncation", "20000"],
     ])
     def test_out_of_range_input_is_3(self, capsys, tmp_path, argv):
         if TAGS in argv:

@@ -79,12 +79,18 @@ class TestSearchTruncation:
         resolve = eo.search_truncation
         monkeypatch.setattr(eo, "search_truncation",
                             lambda *a: calls.append(np.ndim(a[0])) or resolve(*a))
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(ps, "joint_random_phase", refuse)
         with pytest.raises(DomainError, match="E = 209 needs"):
             eo.optimal_energy(0.98, 0.56, search_range=(0.1, 209.0))
         eo.optimal_energy(0.98, 0.56)
-        # one array call per scan; the golden-section refinement asks per energy
-        assert calls.count(1) == 2
-        assert all(ndim == 0 for ndim in calls if ndim != 1)
+        eo.random_phase_map([0.0, 0.5, 1.0])
+        # one array call per search, which only refuses a top above about 208:
+        # the search solves on split-law cells and resolves no energy to a K
+        assert calls == [1, 1, 1]
 
 
 class TestInfoPerPhoton:
@@ -120,6 +126,33 @@ class TestInfoPerPhoton:
         # C ~ E^2 means C/E ~ E: one decade in energy, one decade in ratio
         slope = 1.0 + math.log10(hi / lo)
         assert slope == pytest.approx(2.0, abs=0.05)
+
+
+class TestSplitCellSearch:
+    def test_scan_ratios_match_the_tables(self):
+        # the search's split-law cells against table pairs at search_truncation(E)
+        scan = eo.optimal_energy(0.98, 0.56)
+        tables = [eo.info_per_photon(0.98, 0.56, e) for e in scan.energies]
+        assert scan.ratios == pytest.approx(tables, rel=1e-10)
+
+    def test_low_energy_limit(self):
+        # only n = 2 photons can split differently as E -> 0, so C -> P(n = 2)
+        # (1 - e^-C2) with C2 the Chernoff information of the two n = 2 split
+        # laws: B(1 | 2) = (1 - |V|^2 / 2) / 2 and B(0 | 2) = B(2 | 2)
+        laws = []
+        for v in (0.98, 0.56):
+            middle = (1.0 - v * v / 2.0) / 2.0
+            laws.append(np.array([(1.0 - middle) / 2.0, middle, (1.0 - middle) / 2.0]))
+        c2 = ch.chernoff_information(*laws).information
+        assert (1.0 - math.exp(-c2)) / 2.0 == pytest.approx(7.3564e-3, abs=1e-7)
+        scan = eo.optimal_energy(0.98, 0.56, search_range=(1e-3, 30.0))
+        assert scan.ratios[0] / 1e-3 == pytest.approx((1.0 - math.exp(-c2)) / 2.0, rel=1e-3)
+
+    def test_a_top_past_the_row_limit_is_refused(self):
+        # --hi 200 stays below the limit; a floor above 300 lets a top past it through
+        assert len(ps._poisson_rows(200.0)) - 1 < ps.MAX_SPLIT_ROW
+        with pytest.raises(DomainError, match=f"pass {ps.MAX_SPLIT_ROW}"):
+            eo.optimal_energy(0.98, 0.56, truncation=1500, search_range=(0.1, 1200.0))
 
 
 class TestOptimalEnergy:

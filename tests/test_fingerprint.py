@@ -173,6 +173,13 @@ class TestCrossover:
         with pytest.raises(fp.CrossoverNotFoundError):
             fp._bisect_log_n(lambda n: 1.0, 10.0, 1e12)
 
+    def test_refusal_names_eps_and_the_length_range(self):
+        # at eps = 1e-100 the repetitions keep the quantum bits above the bound
+        tiny = fp.plan(0.98, 0.56, 1e-100)
+        with pytest.raises(fp.CrossoverNotFoundError,
+                           match=r"eps = 1e-100 keeps one sign for n in \[10, 1e\+12\]"):
+            fp.crossover(tiny)
+
 
 class TestPlan:
     def test_fields(self, plan):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.stats import binom, poisson
 
 from vistest import photostat as ps
 from vistest.util import DomainError
@@ -26,6 +27,19 @@ def quadrature_random_phase(energy, vis_magnitude, truncation, tol=1e-13):
             return table
         previous = table
         nodes *= 2
+
+
+def port_quadrature_random_phase(energy, vis_magnitude, truncation):
+    """Independent oracle: the midpoint phase average, on 2K + 64 nodes on
+    [0, pi], of the product of the two ports' Poisson rows, whose tail
+    buckets are Poisson survival functions. Exact below K, where the
+    integrand is e^-E times a polynomial of degree <= 2K - 2 in cos(phi);
+    the tail buckets converge geometrically in the node count."""
+    nodes = 2 * truncation + 64
+    phi = (np.arange(nodes) + 0.5) * math.pi / nodes
+    rows = ps._port_counts(energy * (1.0 + vis_magnitude * np.cos(phi)) / 2.0, truncation)
+    s = rows[:nodes // 2].T @ rows[nodes // 2:][::-1]
+    return (s + s.T) / nodes
 
 
 def binomial_random_phase(energy, vis_magnitude, truncation):
@@ -306,6 +320,27 @@ class TestJointRandomPhase:
                 sums = np.array([np.trace(flipped, offset=k - 1 - i) for i in n])
                 assert sums == pytest.approx(poisson.pmf(n, energy), rel=1e-12, abs=0.0)
 
+    def test_folds_like_the_port_quadrature(self):
+        # every cell, tail buckets included, from E = 1e-4 to the search's
+        # top energy and K up to the search's largest resolution
+        worst_abs = worst_rel = 0.0
+        for energy in (1e-4, 0.03, 1.0, 6.3, 25.0, 80.0, 208.0):
+            for v in (0.0, 0.37, 0.98, 1.0):
+                for k in (1, 7, 40, 300):
+                    table = ps.joint_random_phase(ps.DetectionParams(energy, 0.0, k), v).probs
+                    oracle = port_quadrature_random_phase(energy, v, k)
+                    worst_abs = max(worst_abs, np.abs(table - oracle).max())
+                    kept = oracle > 1e-250
+                    worst_rel = max(worst_rel, (np.abs(table - oracle)[kept] / oracle[kept]).max())
+        assert worst_abs < 2e-14
+        assert worst_rel < 5e-12
+
+    def test_more_rows_than_the_limit_refused(self):
+        # a table folds rows to n >= 2K: K = 490 fits, K = 501 passes n = 1000
+        ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 490), 0.56)
+        with pytest.raises(DomainError, match=f"pass {ps.MAX_SPLIT_ROW}"):
+            ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 501), 0.56)
+
     def test_matches_binomial_form_at_low_energy(self):
         worst = 0.0
         for energy in (0.5, 2.0, 6.3, 12.0):
@@ -326,6 +361,56 @@ class TestJointRandomPhase:
         fine = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.56)
         assert coarse.probs[:5, :5] == pytest.approx(fine.probs[:5, :5], abs=1e-13)
         assert abs(coarse.probs.sum() - 1.0) < 1e-12
+
+
+class TestSplitRows:
+    """B_V(k | n), the split of n random-phase photons between the ports."""
+
+    VALUES = (0.0, 0.37, 0.56, 0.98, 1.0)
+
+    @staticmethod
+    def row(rows, n):
+        return rows[:, n * (n + 1) // 2:(n + 1) * (n + 2) // 2]
+
+    def test_rows_match_the_binomial_phase_average(self):
+        # scipy's binomial law on n + 2 midpoint nodes, more than exactness needs
+        last = len(ps._poisson_rows(208.0)) - 1
+        rows = ps._split_rows(self.VALUES, last)
+        worst = 0.0
+        for n in [*range(0, last, 7), last - 1, last]:
+            nodes = n + 2
+            cos = np.cos((np.arange(nodes) + 0.5) * math.pi / nodes)
+            for v, got in zip(self.VALUES, self.row(rows, n)):
+                oracle = binom.pmf(np.arange(n + 1)[:, None], n, (1.0 + v * cos) / 2.0).mean(axis=1)
+                worst = max(worst, np.max(np.abs(got - oracle) / oracle))
+        assert worst < 1e-12
+
+    @given(st.floats(0.0, 1.0), st.integers(1, 60))
+    def test_rows_are_laws_symmetric_in_the_ports(self, v, last):
+        rows = ps._split_rows([v, 0.5], last)
+        assert rows[:, :3].tolist() == [[1.0, 0.5, 0.5]] * 2  # B(. | 0) = 1, B(. | 1) = (1/2, 1/2)
+        for n in range(last + 1):
+            row = self.row(rows, n)
+            assert np.array_equal(row, row[:, ::-1])
+            assert row.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-15)
+
+    def test_rows_hold_no_nodes_by_cells_array(self):
+        # the rows at E = 208 keep about (n + 1) x nodes x |values| floats at
+        # once; an array of nodes x cells would be about n / 2 times that
+        last = len(ps._poisson_rows(208.0)) - 1
+        nodes = 2 * (last // 4 + 1)
+        tracemalloc.start()
+        try:
+            ps._split_rows((0.98, 0.56), last)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (last + 1) * nodes * 2 * 8
+
+    @pytest.mark.parametrize("values", [[0.5, -0.1], [1.5], [math.nan]])
+    def test_magnitude_outside_unit_interval_refused(self, values):
+        with pytest.raises(DomainError, match="must lie in"):
+            ps._split_rows(values, 5)
 
 
 class TestRetruncate:
