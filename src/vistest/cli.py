@@ -211,9 +211,8 @@ def cmd_ingest(args):
         theory = photostat.joint_random_phase(
             photostat.DetectionParams(energy, 0.0, args.truncation), v)
     with open(args.tags, "rb") as f:
-        stream = tagio.parse_tags(f)
-    hist = tagio.tally(stream, binning)
-    summary = {"tags": len(stream), "windows": hist.total, "total_outcomes": hist.total}
+        hist, tags = tagio.tally(tagio.parse_tags(f), binning)
+    summary = {"tags": tags, "windows": hist.total, "total_outcomes": hist.total}
     if theory is not None:
         comparison = tagio.compare_to_theory(hist, theory)
         summary["fraction_within_2"] = comparison.fraction_within_2

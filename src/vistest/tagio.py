@@ -162,15 +162,16 @@ def _decode(data, buf, starts, ends, spare):
 
 
 def parse_tags(source):
-    """Parse a tag CSV stream: a binary or text file object, read in chunks
-    of about 256 KiB, or an iterable of str or bytes lines. Requires the
+    """Parse a tag CSV stream, a binary or text file object read in chunks of
+    about 256 KiB or an iterable of str or bytes lines, lazily: one checked
+    (uint8 channels, int64 tenths) block per chunk, the whole stream being
+    `TagStream(None, None, blocks=list(parse_tags(source)))`. Requires the
     `channel,timestamp_ns` header (a file without it, even an empty one, is
     refused), channels in {0, 1}, and non-decreasing timestamps; the first
-    violation in the file reports its line. Lines [01],[0-9]{1,17}(.[0-9])?
-    (LF or CRLF) decode together in numpy, eight digits a word (_decode), any
-    other one by one. Each chunk's tags stay one block of the stream: none is
-    copied whole."""
-    parts, previous, number, saw_header, spare = [], -1, 0, False, np.empty(0, np.uint64)
+    violation raises, naming its line, after the blocks before it. Lines
+    [01],[0-9]{1,17}(.[0-9])? (LF or CRLF) decode together in numpy, eight
+    digits a word (_decode), any other one by one."""
+    previous, number, saw_header, spare = -1, 0, False, np.empty(0, np.uint64)
     for data in _chunks(source):
         buf = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero(buf == ord("\n"))
@@ -199,12 +200,13 @@ def parse_tags(source):
                                  "timestamps decrease")
         if error is not None:
             raise error
-        parts.append((ch[keep], ts[keep]))
-        previous = ts[keep][-1] if keep.any() else previous
+        block = ch[keep], ts[keep]
+        previous = block[1][-1] if keep.any() else previous
         number += len(ends)
+        del starts, ends, ch, ts, keep  # free the chunk's arrays while the caller has the block
+        yield block
     if not saw_header:
         raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
-    return TagStream(None, None, blocks=parts)
 
 
 def write_tags(stream, out):
@@ -223,48 +225,47 @@ def bin_counts(stream, config, duration_ns=None):
     window containing the last tag closes the stream (the stream's own
     recorded duration, if any, takes precedence).
     """
-    n_windows, runs = _windows(stream, config, duration_ns)
+    duration = stream.duration_tenths if duration_ns is None else int(duration_ns * 10)
+    runs = []
+    n_windows, _ = _windows(stream.blocks, config, duration, lambda *run: runs.append(run))
     counts = np.zeros((n_windows, 2), dtype=np.int64)
     for index, run in runs:
         counts[index] = run
     return np.minimum(counts, config.truncation)
 
 
-def tally(stream, config, duration_ns=None):
-    """histogram(bin_counts(stream, config, duration_ns), truncation), storing no empty window."""
-    n_windows, runs = _windows(stream, config, duration_ns)
+def tally(blocks, config, duration_ns=None):
+    """One pass over (channels, tenths) blocks, as parse_tags yields them, storing no
+    window or block: (histogram(bin_counts(...), truncation), the tag count)."""
     counts = np.zeros((config.truncation + 1,) * 2, np.int64)
-    for index, run in runs:
-        counts += histogram(run, config.truncation).counts
-        counts[0, 0] -= len(index)
-    counts[0, 0] += n_windows  # the empty windows
-    return EmpiricalHistogram(config.truncation, counts)
+    duration = None if duration_ns is None else int(duration_ns * 10)
+    n_windows, tags = _windows(blocks, config, duration, lambda _, run: np.add(
+        counts, histogram(run, config.truncation).counts, out=counts))
+    counts[0, 0] += n_windows - counts.sum()  # the empty windows
+    return EmpiricalHistogram(config.truncation, counts), tags
 
 
-def _windows(stream, config, duration_ns):
-    """bin_counts' window count, and the occupied windows block by block: indices
-    and unclamped (k_plus, k_minus) counts, the open one carried across blocks."""
+def _windows(blocks, config, duration, visit):
+    """visit(indices, unclamped (k_plus, k_minus) counts) of the occupied windows, block by
+    block; returns the window and tag counts, windows ending at the last tag's if no duration."""
     window = config.window_tenths
-    duration = stream.duration_tenths if duration_ns is None else int(duration_ns * 10)
-    last = max((int(ts[-1]) for _, ts in stream.blocks if len(ts)), default=-1)
-    n_windows = last // window + 1 if duration is None else duration // window  # 0 if no tag
-
-    def runs():
-        index, tail = -1, np.zeros((1, 2), np.int64)  # the open window (none yet), its counts
-        for ch, ts in stream.blocks:
-            w = ts // window
-            ends = np.r_[0, np.flatnonzero(w != np.r_[index, w[:-1]]), len(w)]  # run bounds
-            minus = np.diff(np.r_[0, np.cumsum(ch, dtype=np.int64)][ends])  # channels are 0 or 1
-            counts = np.c_[np.diff(ends) - minus, minus]
-            counts[:1] += tail  # run 0 continues the open window
-            index = np.r_[index, w[ends[1:-1]]]
-            keep = (index[:-1] >= 0) & (index[:-1] < n_windows)
-            yield index[:-1][keep], counts[:-1][keep]
-            index, tail = index[-1], counts[-1:]
-        if 0 <= index < n_windows:
-            yield np.array([index]), tail
-
-    return n_windows, runs()
+    cut = np.iinfo(np.int64).max if duration is None else duration // window
+    index, tail, tags = -1, np.zeros((1, 2), np.int64), 0  # the open window (none yet)
+    for ch, ts in blocks:
+        tags += len(ts)
+        w = ts // window
+        ends = np.r_[0, np.flatnonzero(w != np.r_[index, w[:-1]]), len(w)]  # run bounds
+        minus = np.diff(np.r_[0, np.cumsum(ch, dtype=np.int64)][ends])  # channels are 0 or 1
+        counts = np.c_[np.diff(ends) - minus, minus]
+        counts[:1] += tail  # run 0 continues the open window
+        index = np.r_[index, w[ends[1:-1]]]
+        keep = (index[:-1] >= 0) & (index[:-1] < cut)
+        visit(index[:-1][keep], counts[:-1][keep])
+        index, tail = int(index[-1]), counts[-1:]
+    n_windows = index + 1 if duration is None else cut  # 0 if no tag
+    if 0 <= index < n_windows:
+        visit(np.array([index]), tail)
+    return n_windows, tags
 
 
 @dataclass(frozen=True)

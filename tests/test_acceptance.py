@@ -169,7 +169,7 @@ def test_criterion_10_tag_pipeline_self_consistency():
     buf = io.StringIO()
     head = tagio.TagStream(stream.channels[:5000], stream.timestamps_tenths[:5000])
     tagio.write_tags(head, buf)
-    parsed = tagio.parse_tags(io.StringIO(buf.getvalue()))
+    parsed = tagio.TagStream(None, None, blocks=list(tagio.parse_tags(io.StringIO(buf.getvalue()))))
     assert len(parsed) == 5000
 
     outcomes = tagio.bin_counts(stream, config)

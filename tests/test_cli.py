@@ -379,6 +379,29 @@ class TestIngest:
         assert (code, out) == (3, "")
         assert err.startswith("error: line 3:") and message in err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_late_decrease_writes_nothing(self, capsys, tmp_path, to_file):
+        # the decrease lies past the first 256 KiB chunk, so the tally has already
+        # taken the blocks before it when the parse refuses the file
+        lines = [f"{i % 2},{1000 * i}.5" for i in range(40_000)]
+        lines[30_000] = "0,5.0"  # line 30002 of the file, after the header
+        text = "channel,timestamp_ns\n" + "\n".join(lines) + "\n"
+        assert text.index("\n0,5.0\n") > 2**18
+        path, out_path = tmp_path / "late.csv", tmp_path / "hist.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "ingest", "--tags", str(path),
+                             *(["--out", str(out_path)] if to_file else []))
+        assert (code, out) == (3, "")
+        assert err == "error: line 30002: timestamps decrease\n"
+        assert not out_path.exists()
+
+    def test_header_only_file_reports_no_tags(self, capsys, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("channel,timestamp_ns\n")
+        code, out, err = run(capsys, "ingest", "--tags", str(path))
+        assert (code, err) == (0, "")
+        assert "# tags = 0\n# windows = 0\n# total_outcomes = 0\n" in out
+
     def test_window_count_does_not_size_memory(self, capsys, tmp_path):
         # 2.5e11 windows of 4 ns: empty windows are counted, never stored
         path = tmp_path / "sparse.csv"

@@ -14,7 +14,7 @@ HEADER = "channel,timestamp_ns\n"
 
 
 def make_stream(text):
-    return tagio.parse_tags(io.StringIO(text))
+    return tagio.TagStream(None, None, blocks=list(tagio.parse_tags(io.StringIO(text))))
 
 
 class TestParseTags:
@@ -131,7 +131,7 @@ class TestParseTags:
 
     def test_iterable_of_lines(self):
         lines = [HEADER.strip(), b"0,100", "1,103.3\n", b"\n"]
-        stream = tagio.parse_tags(lines)
+        stream = tagio.TagStream(None, None, blocks=list(tagio.parse_tags(lines)))
         assert stream.timestamps_tenths.tolist() == [1000, 1033]
 
 
@@ -195,7 +195,7 @@ class TestParserAgainstReference:
         source = io.BytesIO(text.encode()) if binary else io.StringIO(text)
         with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
             try:
-                stream = tagio.parse_tags(source)
+                stream = tagio.TagStream(None, None, blocks=list(tagio.parse_tags(source)))
             except tagio.TagFormatError as exc:
                 assert str(exc) == str(expected)
                 assert exc.line_number == expected.line_number
@@ -282,13 +282,17 @@ def tally_cases(draw):
     return tags, config, duration_ns
 
 
+def tag_text(tags):
+    return HEADER + "".join(f"{ch},{ts // 10}.{ts % 10}\n" for ch, ts in tags)
+
+
 def check_tally(tags, config, duration_ns=None, chunk=24):
     """Parse the tags in chunks of `chunk` bytes and check the tally against
     the reference and, where the windows are few, against bin_counts."""
-    text = HEADER + "".join(f"{ch},{ts // 10}.{ts % 10}\n" for ch, ts in tags)
+    text = tag_text(tags)
     with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
         stream = make_stream(text)
-    hist = tagio.tally(stream, config, duration_ns)
+    hist, _ = tagio.tally(stream.blocks, config, duration_ns)
     expected = reference_tally(tags, config, duration_ns)
     assert len(stream) == len(tags)
     assert hist.truncation == config.truncation
@@ -306,6 +310,19 @@ class TestTally:
     def test_equals_histogram_of_bin_counts(self, case, chunk):
         # chunks of a few dozen bytes: windows straddle the block ends
         check_tally(*case, chunk=chunk)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tally_cases(), chunk=st.integers(8, 48))
+    def test_one_pass_over_the_parse_counts_the_tags(self, case, chunk):
+        # the tally consumes the parse as it is read: inside the patch, which
+        # sets the chunk size at each read
+        tags, config, duration_ns = case
+        text = tag_text(tags)
+        with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
+            stream = make_stream(text)
+            hist, count = tagio.tally(tagio.parse_tags(io.StringIO(text)), config, duration_ns)
+        assert count == len(tags) == len(stream)
+        assert hist.counts.tolist() == reference_tally(tags, config, duration_ns).tolist()
 
     def test_header_only(self):
         hist = check_tally([], tagio.BinningConfig())
@@ -330,7 +347,7 @@ class TestTally:
     def test_stream_built_from_arrays(self):
         stream = tagio.TagStream([0, 1, 1, 0], [5, 7, 900_000, 900_001],
                                  duration_tenths=3 * 800_000)
-        hist = tagio.tally(stream, tagio.BinningConfig())
+        hist, _ = tagio.tally(stream.blocks, tagio.BinningConfig(), stream.duration_tenths // 10)
         expected = tagio.histogram(tagio.bin_counts(stream, tagio.BinningConfig()), 15)
         assert hist.counts.tolist() == expected.counts.tolist()
         assert len(stream.blocks) == 1 and stream.channels.dtype == np.uint8
@@ -365,7 +382,7 @@ def parse_and_tally_peak(data, window_ns):
 
 class TestIngestMemory:
     def test_grows_by_at_most_12_bytes_per_tag(self):
-        # the blocks hold 9 bytes a tag (uint8 channel, int64 tenths)
+        # a stream kept whole holds 9 bytes a tag (uint8 channel, int64 tenths)
         n = 100_000
         small, large = (parse_and_tally_peak(synthetic_tag_bytes(size), 80_000)
                         for size in (n, 4 * n))
@@ -375,6 +392,12 @@ class TestIngestMemory:
         # at 4 ns, about 1.6e9 windows, nearly each tag in its own
         data = synthetic_tag_bytes(200_000)
         assert abs(parse_and_tally_peak(data, 4) - parse_and_tally_peak(data, 80_000)) <= 2**20
+
+    def test_peak_does_not_grow_with_the_tag_count(self):
+        # the tally takes each parsed block as it is read and keeps none
+        small, large = (parse_and_tally_peak(synthetic_tag_bytes(size), 80_000)
+                        for size in (100_000, 400_000))
+        assert abs(large - small) <= 2**18
 
 
 class TestHistogram:
@@ -453,7 +476,7 @@ class TestSynthesizeTags:
         assert np.all(np.diff(stream.timestamps_tenths) >= 0)
         buf = io.StringIO()
         tagio.write_tags(stream, buf)
-        again = tagio.parse_tags(io.StringIO(buf.getvalue()))
+        again = make_stream(buf.getvalue())
         assert len(again) == len(stream)
 
     def test_histogram_matches_model(self):
