@@ -16,10 +16,14 @@ read trial-major: trial t of all M datasets, then trial t + 1. The
 error after N trials is read from the first N trials of every dataset,
 so one pass serves every N of a curve, a single-N run reads a prefix of
 the curve's stream, and the points of one curve are correlated.
+
+The streams are SplitMix64 counters (`CounterStream`), so sampling needs
+nothing from numpy.random.
 """
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,13 @@ _CHUNK_DRAWS = 1 << 16
 
 # Largest FFT length exact_error accepts (64 MB per real array).
 _MAX_LATTICE = 1 << 23
+
+# SplitMix64: the counter step (the odd integer nearest 2**64 / phi) and
+# the Mix13 finalizer's shifts and multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_LAST_SHIFT = 31
+_MASK = (1 << 64) - 1
 
 
 class Decision(enum.Enum):
@@ -61,10 +72,63 @@ class WorstCaseBand:
     band_hi: float
 
 
+def _mix(z):
+    """SplitMix64's finalizer of a Python int below 2**64."""
+    for shift, factor in _MIX:
+        z = (z ^ z >> shift) * factor & _MASK
+    return z ^ z >> _LAST_SHIFT
+
+
+class CounterStream:
+    """Uniform doubles in [0, 1) from a counter: draw i >= 1 of the stream
+    with 64-bit key k is SplitMix64's output _mix(k + i * _GAMMA) (Steele,
+    Lea & Flood, OOPSLA 2014), a pure function of (k, i) as in Salmon et
+    al., SC'11. Streams whose keys differ by j * _GAMMA overlap after |j|
+    draws, a chance of about draws / 2**64 for hashed keys."""
+
+    def __init__(self, key):
+        self.key = key
+        self.drawn = 0
+
+    def words(self, count):
+        """The next `count` 64-bit outputs, as a uint64 array."""
+        z = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
+        self.drawn += count
+        z *= np.uint64(_GAMMA)  # uint64 operands: the products wrap mod 2**64
+        z += np.uint64(self.key)
+        spare = np.empty_like(z)
+        for shift, factor in _MIX:
+            z ^= np.right_shift(z, np.uint64(shift), out=spare)
+            z *= np.uint64(factor)
+        z ^= np.right_shift(z, np.uint64(_LAST_SHIFT), out=spare)
+        return z
+
+    def random(self, size):
+        """Doubles of the given size (an int or a shape) from the top 53
+        bits of the next words, as numpy's Generator.random makes them."""
+        z = self.words(int(np.prod(size)))
+        z >>= np.uint64(11)
+        u = z.view(np.float64)  # in place: the words are not kept
+        np.multiply(z, 2.0 ** -53, out=u)
+        return u.reshape(size)
+
+
 def dataset_rng(seed, *key):
-    """Independent generator for one stream, derived from the run seed
-    and an integer key path (hypothesis index, band index, ...)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    """The stream of one run seed >= 0 and integer key path (hypothesis
+    index, source index, ...). Its key folds (the seed's number of 64-bit
+    words, those words from low to high, len(key), *key) through _mix, so
+    seeds that differ above bit 63 and paths of different lengths get
+    different streams."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    if not all(0 <= k <= _MASK for k in key):
+        raise DomainError("key entries must lie in [0, 2**64)")
+    words = [seed >> shift & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
+    folded = 0
+    for value in (len(words), *words, len(key), *key):
+        folded = _mix((folded + _GAMMA + value) & _MASK)
+    return CounterStream(folded)
 
 
 def _cell_sampler(table):
@@ -180,8 +244,6 @@ def worst_case_sweep(p1, p2, sources, n_values, ensemble_size, seed):
         raise DomainError("every N must be >= 1")
     if ensemble_size < 1:
         raise DomainError("ensemble_size must be >= 1")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
     llr = _log_ratio_table(p1, p2)
     eps_v2_given_v1 = _conditional_curve(p1, llr, True, dataset_rng(seed, 1, 0),
                                          n_values, ensemble_size)

@@ -254,14 +254,24 @@ def _windows(blocks, config, duration, visit):
     for ch, ts in blocks:
         tags += len(ts)
         w = ts // window
-        ends = np.r_[0, np.flatnonzero(w != np.r_[index, w[:-1]]), len(w)]  # run bounds
-        minus = np.diff(np.r_[0, np.cumsum(ch, dtype=np.int64)][ends])  # channels are 0 or 1
-        counts = np.c_[np.diff(ends) - minus, minus]
-        counts[:1] += tail  # run 0 continues the open window
-        index = np.r_[index, w[ends[1:-1]]]
-        keep = (index[:-1] >= 0) & (index[:-1] < cut)
-        visit(index[:-1][keep], counts[:-1][keep])
-        index, tail = int(index[-1]), counts[-1:]
+        opens = np.empty(len(w), bool)  # tag i starts a run of its window
+        np.not_equal(w[1:], w[:-1], out=opens[1:])
+        opens[:1] = w[:1] != index
+        # run bounds: run 0 continues the open window, and is empty if tag 0 opens one
+        ends = np.zeros(np.count_nonzero(opens) + 2, np.int64)
+        ends[1:-1], ends[-1] = np.flatnonzero(opens), len(w)
+        minus = np.zeros(len(w) + 1, np.int64)
+        np.cumsum(ch, dtype=np.int64, out=minus[1:])  # channels are 0 or 1
+        counts = np.empty((len(ends) - 1, 2), np.int64)
+        np.subtract(minus[ends[1:]], minus[ends[:-1]], out=counts[:, 1])
+        np.subtract(np.diff(ends), counts[:, 1], out=counts[:, 0])
+        counts[:1] += tail
+        runs = np.empty(len(counts), np.int64)  # each run's window
+        runs[0], runs[1:] = index, w[ends[1:-1]]
+        keep = (runs[:-1] >= 0) & (runs[:-1] < cut)
+        visit(runs[:-1][keep], counts[:-1][keep])
+        index, tail = int(runs[-1]), counts[-1:]
+        del w, opens, minus  # one tag long: freed before the next block is parsed
     n_windows = index + 1 if duration is None else cut  # 0 if no tag
     if 0 <= index < n_windows:
         visit(np.array([index]), tail)

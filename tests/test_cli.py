@@ -609,7 +609,7 @@ class TestExitCodes:
         ["optimize", "--truncation", "-7"],
         ["fingerprint", "--truncation", "0"],
         ["figures", "--id", "2b", "--grid-size", "3", "--truncation", "0"],
-        # a seed must be one a SeedSequence takes
+        # a seed must be a non-negative integer
         ["simulate", "--seed", "-1"],
         ["figures", "--id", "4c", "--seed", "-1"],
         # N and M are refused by name

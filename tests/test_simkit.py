@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, chi2
 
 from vistest import chernoff as ch
@@ -32,6 +37,90 @@ class TestDatasetRng:
     def test_distinct_hypothesis_keys_differ(self):
         assert not np.array_equal(sk.dataset_rng(7, 1, 0).random(3),
                                   sk.dataset_rng(7, 2, 0).random(3))
+
+    def test_seed_above_bit_63_and_longer_path_differ(self):
+        base = sk.dataset_rng(1, 1, 0).random(3)
+        for other in (sk.dataset_rng(1 + 2**64, 1, 0), sk.dataset_rng(1, 1, 0, 0)):
+            assert not np.array_equal(base, other.random(3))
+
+    @pytest.mark.parametrize("seed,key", [(-1, ()), (1, (-1,)), (1, (0, 2**64))])
+    def test_negative_or_wide_entries_refused(self, seed, key):
+        with pytest.raises(DomainError):
+            sk.dataset_rng(seed, *key)
+
+
+_MASK = (1 << 64) - 1
+
+
+def reference_mix(z):
+    """SplitMix64's Mix13 finalizer, in Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def reference_draws(seed, key, start, count):
+    """Draws start + 1 .. start + count of the stream of (seed, key), one
+    Python int at a time: the folded key, the counter, the top 53 bits."""
+    gamma = 0x9E3779B97F4A7C15
+    words = []
+    while True:
+        words.append(seed & _MASK)
+        seed >>= 64
+        if not seed:
+            break
+    folded = 0
+    for value in [len(words), *words, len(key), *key]:
+        folded = reference_mix((folded + gamma + value) & _MASK)
+    return [(reference_mix((folded + i * gamma) & _MASK) >> 11) / 2.0**53
+            for i in range(start + 1, start + count + 1)]
+
+
+class TestCounterStream:
+    def test_key_0_gives_splitmix64_seed_0_outputs(self):
+        # the first outputs of SplitMix64 seeded with 0 (Steele, Lea & Flood 2014)
+        words = sk.CounterStream(0).words(3)
+        assert words.dtype == np.uint64
+        assert [int(w) for w in words] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                           0x06C45D188009454F]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**130), key=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+           offset=st.integers(0, 300), size=st.integers(0, 40))
+    def test_matches_the_python_int_reference(self, seed, key, offset, size):
+        rng = sk.dataset_rng(seed, *key)
+        rng.random(offset)
+        assert rng.random(size).tolist() == reference_draws(seed, key, offset, size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 70), m=st.integers(0, 70), rows=st.integers(1, 3))
+    def test_reads_continue_the_stream(self, n, m, rows):
+        whole = sk.dataset_rng(5, 2, 1).random(rows * n + m)
+        rng = sk.dataset_rng(5, 2, 1)
+        first, second = rng.random((rows, n)), rng.random(m)
+        assert first.shape == (rows, n) and second.shape == (m,)
+        assert np.array_equal(np.concatenate([first.ravel(), second]), whole)
+
+    def test_uniform_over_64_bins(self):
+        # chi-square at a false-alarm rate of 1e-6, whatever the stream
+        u = sk.dataset_rng(2017, 1, 0).random(10**6)
+        assert 0.0 <= u.min() and u.max() < 1.0
+        counts = np.bincount((u * 64).astype(np.int64), minlength=64)
+        expected = len(u) / 64
+        stat = float(((counts - expected) ** 2).sum() / expected)
+        assert stat < chi2.isf(1e-6, 63)
+
+    def test_simulate_loads_no_numpy_random(self):
+        src = Path(sk.__file__).resolve().parents[1]
+        code = ("import sys, io, contextlib\n"
+                "from vistest import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(['simulate', '--ensemble', '100'])\n"
+                "print(code, 'numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]
 
 
 class TestSampleDataset:

@@ -324,6 +324,25 @@ class TestTally:
         assert count == len(tags) == len(stream)
         assert hist.counts.tolist() == reference_tally(tags, config, duration_ns).tolist()
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=tally_cases(), chunk=st.integers(8, 48), data=st.data())
+    def test_blank_chunks_give_empty_blocks(self, case, chunk, data):
+        # 2 * chunk blank lines after a line fill at least one whole chunk, which
+        # the parse yields as an empty block between the tags around it
+        tags, config, duration_ns = case
+        lines = tag_text(tags).splitlines(keepends=True)
+        blank = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + "\n" * (2 * chunk * gap) for line, gap in zip(lines, blank))
+        with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
+            blocks = list(tagio.parse_tags(io.StringIO(text)))
+        sizes = [len(ts) for _, ts in blocks]
+        full = np.flatnonzero(sizes)
+        if any(blank[1:-1]):  # a tag line, its blanks, then another tag line
+            assert 0 in sizes[full[0]:full[-1]]
+        hist, count = tagio.tally(blocks, config, duration_ns)
+        assert count == len(tags)
+        assert hist.counts.tolist() == reference_tally(tags, config, duration_ns).tolist()
+
     def test_header_only(self):
         hist = check_tally([], tagio.BinningConfig())
         assert hist.total == 0
