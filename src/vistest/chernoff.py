@@ -59,13 +59,15 @@ def _validate_pair(p1, p2):
 def _tilted_moments(l1, d, alpha):
     """(f, w, f', f'') at alpha: f = log sum exp(l1 + alpha d), w the
     tilted weights, and f', f'' the mean and variance of d under w."""
-    x = l1 + alpha * d
-    top = x.max()
-    w = np.exp(x - top)
+    w = np.multiply(d, alpha)  # in place, but operation for operation as
+    w += l1  # exp(l1 + alpha d - top) / total, so every result keeps its bits
+    top = w.max()
+    np.exp(np.subtract(w, top, out=w), out=w)
     total = w.sum()
     w /= total
     mean = float(w @ d)
-    return top + math.log(total), w, mean, float(w @ (d - mean) ** 2)
+    spread = d - mean
+    return top + math.log(total), w, mean, float(w @ np.square(spread, out=spread))
 
 
 def _minimum(l1, d, start=None):

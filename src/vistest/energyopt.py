@@ -1,6 +1,7 @@
 """Energy-per-repetition optimization of information per detected photon:
 its curves, and the random-phase and coherent visibility maps."""
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,10 @@ def _scan_argmax(ratio):
 def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
     """EnergyScanResult for each (i, j) in pairs, values[i] against
     values[j], from split-law cells (photostat._split_rows) built once per
-    distinct value: the ratio at E minimises over the cells up to its
-    Poisson cut, and no table is built. Each pair solves what its argmax
+    distinct value, with no table: the ratio at E minimises over the cells
+    k <= n / 2 up to its Poisson cut, those below the middle twice (log 2
+    on l1, as B_V(k | n) = B_V(n - k | n)), on each scan energy's log
+    Poisson row, made once for all pairs. Each pair solves what its argmax
     needs (all points, or _scan_argmax's if optimum_only; others stay NaN).
     Newton at scan point n > 0 starts at the alpha* of the _COARSE point
     below n, and in the refinement at the argmax's; point 0 is solved cold.
@@ -95,22 +98,25 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
         raise DomainError("tol must be > 0")
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
         energies = np.geomspace(lo, hi, SCAN_POINTS)
-    search_truncation(energies, truncation)  # refuses a top above about 208 first
+    search_truncation(energies[-1:], truncation)  # K grows with E: refuses a top above about 208
     if not pairs:
         return []
-    last = len(photostat._poisson_rows(hi)) - 1
-    distinct, index = np.unique(values, return_inverse=True)
-    log_b = np.log(photostat._split_rows(distinct, last))
-    rows = np.repeat(np.arange(last + 1), np.arange(1, last + 2))  # n of each cell
+    scan_row = functools.cache(lambda n: np.log(photostat._poisson_rows(energies[n])))
+    last = len(scan_row(SCAN_POINTS - 1)) - 1
+    rows = np.repeat(np.arange(last + 1), np.arange(last + 1) // 2 + 1)  # n of each cell
+    plus = np.arange(len(rows)) - np.searchsorted(rows, rows)  # its k, up to n / 2
+    distinct, index = np.unique([photostat._checked_magnitude(v) for v in values],
+                                return_inverse=True)
+    log_b = np.log(photostat._split_rows(distinct, last)[:, rows * (rows + 1) // 2 + plus])
+    twice = np.where(2 * plus < rows, np.log(2.0), 0.0)
     results = []
     for pair in pairs:
         i, j = sorted(index[list(pair)])  # C is symmetric; in sorted order, bit for bit too
-        l1, d = log_b[i], log_b[j] - log_b[i]
+        l1, d = log_b[i] + twice, log_b[j] - log_b[i]
         ratios, alphas = np.full((2, SCAN_POINTS), np.nan)
 
-        def solve(energy, start):
-            log_pois = np.log(photostat._poisson_rows(energy))
-            cells = len(log_pois) * (len(log_pois) + 1) // 2
+        def solve(log_pois, energy, start):
+            cells = np.searchsorted(rows, len(log_pois))
             alpha, log_min, _ = chernoff._minimum(l1[:cells] + log_pois[rows[:cells]],
                                                   d[:cells], start)
             return alpha, max(0.0, -log_min) / energy
@@ -118,7 +124,7 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
         def alpha(n):  # alpha* at scan point n, solving it (and what starts it) first
             if np.isnan(ratios[n]):
                 start = alpha(_COARSE[(n - 1) // _COARSE[1]]) if n else None
-                alphas[n], ratios[n] = solve(energies[n], start)
+                alphas[n], ratios[n] = solve(scan_row(n), energies[n], start)
             return alphas[n]
 
         def ratio(n):
@@ -127,9 +133,9 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
 
         best = (_scan_argmax(ratio) if optimum_only
                 else int(np.argmax([ratio(n) for n in range(SCAN_POINTS)])))
-        opt_e, neg = golden_section(lambda e: -solve(e, alphas[best])[1],
-                                    energies[max(0, best - 1)],
-                                    energies[min(SCAN_POINTS - 1, best + 1)], tol=tol)
+        opt_e, neg = golden_section(
+            lambda e: -solve(np.log(photostat._poisson_rows(e)), e, alphas[best])[1],
+            energies[max(0, best - 1)], energies[min(SCAN_POINTS - 1, best + 1)], tol=tol)
         opt_ratio = -neg
         if ratios[best] > opt_ratio:
             opt_e, opt_ratio = energies[best], ratios[best]

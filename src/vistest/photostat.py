@@ -247,15 +247,19 @@ def _split_rows(values, last):
     return out
 
 
+def _checked_magnitude(vis_magnitude):  # a random-phase |V| has no sign to fold into a phase
+    if not 0.0 <= vis_magnitude <= 1.0 + _MAG_SLACK:
+        raise DomainError(f"random-phase |V| = {vis_magnitude} must lie in [0, 1]")
+    return vis_magnitude
+
+
 def joint_random_phase(params, vis_magnitude):
     """Joint count distribution averaged over a uniform global phase; |V|
     outside [0, 1] is refused, not folded into a phase, and dark counts
     are folded in first. Cell (k, k') is Pois(k + k'; E) B_V(k | k + k')
     (_split_rows over _poisson_rows' rows, which run past 2K), folded into
     the K-th row and column at k >= K or k' >= K."""
-    if not 0.0 <= vis_magnitude <= 1.0 + _MAG_SLACK:
-        raise DomainError(f"random-phase |V| = {vis_magnitude} must lie in [0, 1]")
-    params, vis = effective_params(params, ComplexVisibility(vis_magnitude))
+    params, vis = effective_params(params, ComplexVisibility(_checked_magnitude(vis_magnitude)))
     pois = _poisson_rows(params.mean_detected_energy, 2 * params.truncation)
     n = np.repeat(np.arange(len(pois)), np.arange(1, len(pois) + 1))
     plus = np.arange(len(n)) - n * (n + 1) // 2  # k of each cell

@@ -59,8 +59,9 @@ class TagStream:
     def __init__(self, channels, timestamps_tenths, duration_tenths=None, *, blocks=None):
         self.blocks = blocks or [(np.asarray(channels, dtype=np.uint8),
                                   np.asarray(timestamps_tenths, dtype=np.int64))]
+        ends = [t for _, ts in self.blocks if len(ts) for t in (ts[0], ts[-1])]
         if any(ch.shape != ts.shape or ch.max(initial=0) > 1 or (ts[1:] < ts[:-1]).any()
-               for ch, ts in self.blocks):  # the windows are found as runs of sorted tags
+               for ch, ts in self.blocks) or np.any(np.diff(ends) < 0):  # windows are sorted runs
             raise DomainError("channels must be 0 or 1, one to a timestamp, in time order")
         self.duration_tenths = duration_tenths
 
@@ -254,6 +255,8 @@ def _windows(blocks, config, duration, visit):
     for ch, ts in blocks:
         tags += len(ts)
         w = ts // window
+        if len(w) and w[0] < index:  # its first run would reopen a window already counted
+            raise DomainError("tag blocks go back in time")
         opens = np.empty(len(w), bool)  # tag i starts a run of its window
         np.not_equal(w[1:], w[:-1], out=opens[1:])
         opens[:1] = w[:1] != index

@@ -632,6 +632,19 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,message", [
+        # the energy search names the |V| it refuses, as dist and chernoff do
+        (["optimize", "--v1", "nan"], "random-phase |V| = nan must lie in [0, 1]"),
+        (["optimize", "--v2", "1.5"], "random-phase |V| = 1.5 must lie in [0, 1]"),
+        # its top energy is refused by the K it would need, naming the energy
+        (["optimize", "--hi", "209"], "E = 209 needs a resolution K above the limit 300; "
+                                      "energies up to about 208 can be searched"),
+        (["optimize", "--hi", "inf"], "E = inf needs a resolution K above the limit 300; "
+                                      "energies up to about 208 can be searched"),
+    ])
+    def test_search_refusal_names_the_input(self, capsys, argv, message):
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
     def test_unwritable_output_is_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "dist", "--truncation", "2",
                            "--out", str(tmp_path / "no-dir" / "x.csv"))

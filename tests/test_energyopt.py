@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +149,54 @@ class TestSplitCellSearch:
         assert (1.0 - math.exp(-c2)) / 2.0 == pytest.approx(7.3564e-3, abs=1e-7)
         scan = eo.optimal_energy(0.98, 0.56, search_range=(1e-3, 30.0))
         assert scan.ratios[0] / 1e-3 == pytest.approx((1.0 - math.exp(-c2)) / 2.0, rel=1e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-3, 200.0))
+    def test_folded_solve_equals_the_full_cells(self, v1, v2, energy):
+        # the search solves on the cells k <= n / 2 only; its first solve, cold
+        # at scan point 0, against the minimum over every cell (k, n)
+        assume(abs(v1 - v2) >= 0.01)
+        solves, minimum = [], ch._minimum
+        with mock.patch.object(ch, "_minimum",
+                               lambda *a: solves.append((a, minimum(*a))) or solves[-1][1]):
+            eo._scan_pairs((v1, v2), [(0, 1)], 15, (energy, 1.04 * energy), eo.DEFAULT_TOL,
+                           optimum_only=True)
+        (_, folded_d, start), (alpha, log_min, _) = solves[0]
+        pois = ps._poisson_rows(energy)
+        last = len(pois) - 1
+        log_b = np.log(ps._split_rows(sorted((v1, v2)), last))  # the search's order
+        n = np.repeat(np.arange(last + 1), np.arange(1, last + 2))
+        full = ch._minimum(log_b[0] + np.log(pois)[n], log_b[1] - log_b[0])
+        assert start is None and len(folded_d) == sum(m // 2 + 1 for m in range(last + 1))
+        assert (alpha in (0.0, 1.0)) == (full[0] in (0.0, 1.0))
+        # where C itself is small, f's rounding near 0 (a few 1e-16) is what two
+        # orders of summation differ by; below C = 1e-6 f is also flat enough
+        # in alpha for that rounding to move alpha* past 1e-12
+        assert log_min == pytest.approx(full[1], rel=1e-12, abs=4e-15)
+        if full[1] < -1e-6:
+            assert alpha == pytest.approx(full[0], rel=1e-12)
+
+    def test_each_scan_row_is_made_once(self, monkeypatch):
+        # the map's pairs share the scan energies' Poisson rows
+        calls, rows = Counter(), ps._poisson_rows
+        monkeypatch.setattr(ps, "_poisson_rows",
+                            lambda e, *a: calls.update([e]) or rows(e, *a))
+        eo.random_phase_map(np.linspace(0.0, 1.0, 5))
+        scan = np.geomspace(*eo.DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)
+        assert calls[scan[-1]] == 1
+        assert max(calls[e] for e in scan) == 1
+
+    def test_no_search_resolves_more_than_one_energy(self, monkeypatch):
+        # only the top energy is resolved to a K, and only to refuse it
+        sizes, counts = [], ps.poisson_counts
+        monkeypatch.setattr(ps, "poisson_counts",
+                            lambda i, k: sizes.append(np.size(i)) or counts(i, k))
+        eo.optimal_energy(0.98, 0.56)
+        eo.optimal_energy(0.98, 0.56, search_range=(0.1, 80.0))
+        eo.random_phase_map(np.linspace(0.0, 1.0, 4))
+        with pytest.raises(DomainError, match="E = 209 needs"):
+            eo.optimal_energy(0.98, 0.56, search_range=(0.1, 209.0))
+        assert sizes == [1] * 4
 
     def test_a_top_past_the_row_limit_is_refused(self):
         # --hi 200 stays below the limit; a floor above 300 lets a top past it through

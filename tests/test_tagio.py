@@ -379,6 +379,24 @@ class TestTally:
         with pytest.raises(DomainError, match="channels must be 0 or 1"):
             tagio.TagStream(np.array(channels), stamps)
 
+    BACKWARDS = [(np.array([0, 1], np.uint8), np.array([100, 900_000])),
+                 (np.array([0], np.uint8), np.array([50]))]
+
+    def test_stream_of_blocks_going_back_in_time_refused(self):
+        # each block is sorted, but the second starts before the first ends;
+        # an empty block between sorted ones is no offence
+        with pytest.raises(DomainError, match="in time order"):
+            tagio.TagStream(None, None, blocks=self.BACKWARDS)
+        empty = (np.array([], np.uint8), np.array([], np.int64))
+        sorted_blocks = [self.BACKWARDS[0], empty, (np.array([1], np.uint8), np.array([900_000]))]
+        stream = tagio.TagStream(None, None, blocks=sorted_blocks)
+        assert tagio.bin_counts(stream, tagio.BinningConfig()).tolist() == [[1, 0], [0, 2]]
+
+    def test_tally_of_blocks_going_back_in_time_refused(self):
+        # counted, its tag at window 0 would reopen a window already visited
+        with pytest.raises(DomainError, match="tag blocks go back in time"):
+            tagio.tally(self.BACKWARDS, tagio.BinningConfig())
+
 
 def synthetic_tag_bytes(tags, seed=3):
     """A tag file of `tags` tags about 12.7 us apart, as bytes."""
