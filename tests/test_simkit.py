@@ -220,6 +220,14 @@ class TestNeymanPearson:
         for band in sk.worst_case_sweep(p1, p2, sources, [1, 5], 50, 3):
             assert [e.conditional_v1_given_v2 for e in band.estimates] == [0.0, 1.0]
 
+    def test_tie_goes_to_v2(self):
+        # p1 = p2 makes every summed log-likelihood ratio exactly 0, whatever
+        # the source, so every dataset of every curve is decided V2
+        p1, p2 = tables()
+        for band in sk.worst_case_sweep(p1, p1, [table(0.0), p2, p1], [1, 5, 20], 200, 4):
+            assert [e.conditional_v1_given_v2 for e in band.estimates] == [0.0, 0.0, 0.0]
+            assert band.estimates[-1].conditional_v2_given_v1 == 1.0
+
 
 class TestEstimateError:
     def test_reproducible(self):
