@@ -188,9 +188,9 @@ def estimate_error(p1, p2, n_values, ensemble_size, seed):
     p2 on stream (2, 0), applies the Neyman-Pearson rule of the (p1, p2)
     pair after the first n trials of every dataset, for each n in
     n_values, and returns one ErrorEstimate per n: the two conditional
-    error fractions, their average, and sqrt(eps(1-eps)/M). That last
-    figure overstates the standard error of the two-conditional average
-    by up to sqrt(2).
+    error fractions, their average, and sqrt(eps(1-eps)/M). As x(1-x) is
+    concave, that last figure is at least sqrt(2) times the standard error
+    of the two-conditional average, exactly sqrt(2) when the two are equal.
     """
     return [b.estimates[0] for b in worst_case_sweep(p1, p2, [p2], n_values,
                                                      ensemble_size, seed)]

@@ -10,7 +10,6 @@ Timestamps are stored internally as integer tenths of nanoseconds so a
 on-disk format is decimal nanoseconds with one optional decimal digit.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -72,7 +71,7 @@ class TagStream:
         return sum(len(ts) for _, ts in self.blocks)
 
 
-_CHUNK_BYTES = 1 << 18  # sets the parse's memory: 4 MiB chunks doubled its peak
+_CHUNK_BYTES = 1 << 17  # sets the parse's memory: 4 MiB chunks doubled its peak
 _MAX_DIGITS = 17  # integer digits of a timestamp, so that its tenths fit in int64
 _ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
 _FIELD = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], np.uint64)  # top n bytes
@@ -107,104 +106,123 @@ def _parse_line(raw, line_number, expect_header=False):
     return int(channel), int(whole) * 10 + int(frac or 0)
 
 
-def _chunks(source):
-    """The source as bytes in pieces of whole lines of about _CHUNK_BYTES."""
-    if not hasattr(source, "read"):  # an iterable of str or bytes lines
-        source = io.BytesIO(b"".join((line.encode("utf-8") if isinstance(line, str) else line)
-                                     .rstrip(b"\n") + b"\n" for line in source))
-    tail = b""
-    while piece := source.read(_CHUNK_BYTES):
-        data = tail + (piece.encode("utf-8") if isinstance(piece, str) else piece)
-        cut = data.rfind(b"\n") + 1
-        data, tail = data[:cut], data[cut:]  # one copy of the chunk stays while it is parsed
-        yield data
-    yield tail + b"\n" if tail else b""
+def _reader(source):
+    """readinto(view) -> bytes read: a binary file's own, else one feeding text or lines."""
+    if hasattr(source, "readinto"):
+        return source.readinto
+    pieces = (iter(lambda: source.read(_CHUNK_BYTES).encode(), b"") if hasattr(source, "read")
+              else ((line.encode() if isinstance(line, str) else line).rstrip(b"\n") + b"\n"
+                    for line in source))
+    rest = bytearray()
+    def readinto(view):
+        while len(rest) < len(view) and (piece := next(pieces, b"")):
+            rest.extend(piece)
+        size = min(len(view), len(rest))
+        view[:size], rest[:size] = rest[:size], b""
+        return size
+    return readinto
 
 
-def _decode(data, buf, starts, ends, spare):
-    """The chunk's lines in numpy: whether each is [01],[0-9]{1,17}(.[0-9])?
-    with no word of its digits starting before the chunk, its channel and
-    its tenths (junk where it is not). The integer digits are read as the
-    little-endian 8-byte words that end at the last one, and each word's
-    eight are checked and joined in a few integer steps (SWAR). `spare`
-    holds at least three uint64 a line, which the check overwrites."""
-    tenth = buf[np.maximum(ends - 2, starts)] == ord(".")
-    last = ends - 2 * tenth  # one past the last integer digit
-    digits = last - starts - 2
-    ch = buf[starts] - ord("0")  # uint8: a byte below "0" wraps above 1
-    frac = (buf[ends - 1] - ord("0")) * tenth  # the decimal digit, or 0
+def _decode(buf, starts, ends, rows):
+    """Whether each of the chunk's lines is [01],[0-9]{1,17}(.[0-9])? with no word
+    of its digits before the chunk, its channel and its tenths (junk where it is
+    not), in rows of the parse's working set; a CRLF line's end moves to its CR.
+    The integer digits are read as the little-endian 8-byte words that end at the
+    last one, each word's eight checked and joined in a few integer steps (SWAR)."""
+    at, last, digits = rows[1:4, :len(starts)]
+    ch, frac, byte, tenth = rows[10].view(np.uint8).reshape(8, -1)[:4, :len(starts)]
+    # a take into out= is buffered, and slow, unless its mode is "clip"
+    ends -= buf.take(np.subtract(ends, 1, out=at), out=byte, mode="clip") == ord("\r")
+    buf.take(np.maximum(np.subtract(ends, 2, out=at), starts, out=at), out=byte, mode="clip")
+    np.equal(byte, ord("."), out=tenth)
+    np.subtract(ends, 2 * tenth, out=last)  # one past the last integer digit
+    np.subtract(np.subtract(last, 2, out=digits), starts, out=digits)
+    np.subtract(buf.take(starts, out=ch, mode="clip"), ord("0"), out=ch)  # "/" wraps to 255
+    np.subtract(buf.take(np.subtract(ends, 1, out=at), out=frac, mode="clip"), ord("0"), out=frac)
+    frac *= tenth  # the decimal digit, or 0
     span = min(-(-int(digits.max(initial=0)) // 8), 3)  # the words each line reads
-    keep = ((ch <= 1) & (buf[np.minimum(starts + 1, ends)] == ord(","))
-            & (digits >= 1) & (digits <= _MAX_DIGITS) & (frac <= 9)
-            & (last >= 8 * span))  # a chunk can be shorter than one word
+    buf.take(np.minimum(np.add(starts, 1, out=at), ends, out=at), out=byte, mode="clip")
+    keep = ((ch <= 1) & (byte == ord(",")) & (frac <= 9) & (last >= 8 * span)  # from byte 0
+            & (np.subtract(digits, 1, out=at).view(np.uint64) < _MAX_DIGITS))  # 1 to 17 digits
     if not keep.any():
-        return keep, ch, np.zeros(len(starts), np.int64)
-    # a view, not a copy: its j-th item is the span words from byte j of the chunk
-    words = np.ndarray((len(data) - 8 * span + 1,), f"V{8 * span}", data, 0, (1,))
-    v = words[np.maximum(last - 8 * span, 0)].view("<u8").reshape(-1, span)
+        return keep, ch, at
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # a view: item j is bytes j to j + 7
+    v, bad = (rows[k:k + span, :len(starts)].view(np.uint64) for k in (4, 7))
+    np.maximum(np.subtract(last, 8 * span, out=at), 0, out=at)
+    for row in v:  # one word a line at a time: a take from the view would copy the chunk
+        row[...] = words[at]
+        at += 8
     v ^= _ZEROS  # a digit byte is now 0-9
-    for k in range(span):  # the k-th word from the right holds digits - 8k of them, up to 8
-        v[:, -1 - k] &= _FIELD.take(digits - 8 * k, mode="clip")  # and a byte before them 0
-    bad = np.add(v, 0x7676767676767676, out=spare[:v.size].reshape(v.shape))
+    for k in range(span):  # word k from the right holds digits - 8k, up to 8, and then 0s
+        v[-1 - k] &= _FIELD.take(np.subtract(digits, 8 * k, out=at), out=bad[0], mode="clip")
+    np.add(v, 0x7676767676767676, out=bad)
     bad |= v  # the top bit of each byte above 9: the sum's, or its own where the sum carries
-    for factor, shift, lanes in _JOIN:  # in place: a fresh array costs page faults
+    for factor, shift, lanes in _JOIN:
         v *= factor
         v >>= shift
         v &= lanes
-    ts = v[:, -1].view(np.int64)
+    ts = v[-1].view(np.int64)
     for k in range(1, span):
-        v[:, -1 - k] *= 10 ** (8 * k)
-        ts += v[:, -1 - k].view(np.int64)
-        bad[:, -1] |= bad[:, -1 - k]
-    keep &= (bad[:, -1] & 0x8080808080808080) == 0
-    ts *= 10
-    ts += frac
+        v[-1 - k] *= 10 ** (8 * k)
+        ts += v[-1 - k].view(np.int64)
+        bad[-1] |= bad[-1 - k]
+    keep &= (bad[-1] & 0x8080808080808080) == 0
+    np.add(np.multiply(ts, 10, out=ts), frac, out=ts)
     return keep, ch, ts
 
 
 def parse_tags(source):
-    """Parse a tag CSV stream, a binary or text file object read in chunks of
-    about 256 KiB or an iterable of str or bytes lines, lazily: one checked
-    (uint8 channels, int64 tenths) block per chunk, the whole stream being
+    """Parse a tag CSV stream, a binary or text file object or an iterable of
+    str or bytes lines, lazily: one checked (uint8 channels, int64 tenths)
+    block per chunk of about 128 KiB, the whole stream being
     `TagStream(None, None, blocks=list(parse_tags(source)))`. Requires the
     `channel,timestamp_ns` header (a file without it, even an empty one, is
     refused), channels in {0, 1}, and non-decreasing timestamps; the first
     violation raises, naming its line, after the blocks before it. Lines
     [01],[0-9]{1,17}(.[0-9])? (LF or CRLF) decode together in numpy, eight
-    digits a word (_decode), any other one by one."""
-    previous, number, saw_header, spare = -1, 0, False, np.empty(0, np.uint64)
-    for data in _chunks(source):
-        buf = np.frombuffer(data, np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
-        starts = np.concatenate(([0], ends + 1))[:-1]
-        ends = ends - (buf[ends - 1] == ord("\r"))  # a CRLF line's content ends at the CR
+    digits a word (_decode), any other one by one, in arrays made once per stream."""
+    read, chunk, held = _reader(source), _CHUNK_BYTES, 0
+    buf, newline = np.empty(chunk, np.uint8), np.empty(chunk, bool)
+    rows, previous, number, saw_header = np.empty((0, 0)), -1, 0, False
+    while (size := read(memoryview(buf)[held:chunk if held < chunk else held + chunk])) or held:
+        if not size:  # the last line, without its newline
+            buf[held], size = ord("\n"), 1
+        held += size
+        ends = np.flatnonzero(np.equal(buf[:held], ord("\n"), out=newline[:held]))
+        if not len(ends):
+            if held == len(buf):  # one line fills the buffer
+                buf, newline = np.concatenate((buf, buf)), np.empty(2 * held, bool)
+            continue
+        cut, n = int(ends[-1]) + 1, len(ends)
+        if rows.shape[1] < n:  # the per-line working set, with room for chunks to come
+            rows = np.zeros((11, n * 9 // 8), np.int64)
+        starts = rows[0, :n]  # starts[0] is never written: it stays 0
+        np.add(ends[:-1], 1, out=starts[1:])
         while not saw_header and len(ends):
             number += 1
-            saw_header = bool(_parse_line(data[starts[0]:ends[0]], number, expect_header=True))
+            saw_header = bool(_parse_line(bytes(buf[starts[0]:ends[0]]), number, True))
             starts, ends = starts[1:], ends[1:]
-        if len(spare) < 3 * len(starts):  # reused from chunk to chunk, as it is big
-            spare = np.empty(3 * len(starts), np.uint64)
-        keep, ch, ts = _decode(data, buf, starts, ends, spare)
+        keep, ch, ts = _decode(buf, starts, ends, rows)
         error = None
         for i in np.flatnonzero(~keep):  # the lines outside the grammar, one by one
             try:
-                record = _parse_line(data[starts[i]:ends[i]], number + 1 + int(i))
+                record = _parse_line(bytes(buf[starts[i]:ends[i]]), number + 1 + int(i))
             except TagFormatError as exc:
                 keep[i:], error = False, exc
                 break
             if record:
                 keep[i] = True
                 ch[i], ts[i] = record
-        down = np.flatnonzero(np.diff(ts[keep], prepend=previous) < 0)
-        if down.size:  # a decrease before the first bad line is the first offence
-            raise TagFormatError(number + 1 + int(np.flatnonzero(keep)[down[0]]),
-                                 "timestamps decrease")
+        block = (ch.copy(), ts.copy()) if keep.all() else (ch[keep], ts[keep])
+        if (block[1][:1] < previous).any() or (block[1][1:] < block[1][:-1]).any():
+            down = np.flatnonzero(np.diff(block[1], prepend=previous) < 0)[0]
+            raise TagFormatError(number + 1 + int(np.flatnonzero(keep)[down]),
+                                 "timestamps decrease")  # before the first bad line, it is first
         if error is not None:
             raise error
-        block = ch[keep], ts[keep]
-        previous = block[1][-1] if keep.any() else previous
+        previous = block[1][-1] if len(block[1]) else previous
         number += len(ends)
-        del starts, ends, ch, ts, keep  # free the chunk's arrays while the caller has the block
+        buf[:held - cut], held = buf[cut:held], held - cut  # the partial last line to the front
         yield block
     if not saw_header:
         raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
@@ -252,18 +270,21 @@ def _windows(blocks, config, duration, visit):
     window = config.window_tenths
     cut = np.iinfo(np.int64).max if duration is None else duration // window
     index, tail, tags = -1, np.zeros((1, 2), np.int64), 0  # the open window (none yet)
+    work = np.empty((4, 0), np.int64)  # w, minus, run bounds and opens, kept for the call
     for ch, ts in blocks:
         tags += len(ts)
-        w = ts // window
+        if work.shape[1] < len(ts) + 2:
+            work = np.zeros((4, len(ts) * 9 // 8 + 2), np.int64)  # minus[0], ends[0] stay 0
+        w = np.floor_divide(ts, window, out=work[0, :len(ts)])
         if len(w) and w[0] < index:  # its first run would reopen a window already counted
             raise DomainError("tag blocks go back in time")
-        opens = np.empty(len(w), bool)  # tag i starts a run of its window
+        opens = work[3].view(bool)[:len(w)]  # tag i starts a run of its window
         np.not_equal(w[1:], w[:-1], out=opens[1:])
         opens[:1] = w[:1] != index
         # run bounds: run 0 continues the open window, and is empty if tag 0 opens one
-        ends = np.zeros(np.count_nonzero(opens) + 2, np.int64)
+        ends = work[2, :np.count_nonzero(opens) + 2]
         ends[1:-1], ends[-1] = np.flatnonzero(opens), len(w)
-        minus = np.zeros(len(w) + 1, np.int64)
+        minus = work[1, :len(w) + 1]
         np.cumsum(ch, dtype=np.int64, out=minus[1:])  # channels are 0 or 1
         counts = np.empty((len(ends) - 1, 2), np.int64)
         np.subtract(minus[ends[1:]], minus[ends[:-1]], out=counts[:, 1])
@@ -274,7 +295,6 @@ def _windows(blocks, config, duration, visit):
         keep = (runs[:-1] >= 0) & (runs[:-1] < cut)
         visit(runs[:-1][keep], counts[:-1][keep])
         index, tail = int(runs[-1]), counts[-1:]
-        del w, opens, minus  # one tag long: freed before the next block is parsed
     n_windows = index + 1 if duration is None else cut  # 0 if no tag
     if 0 <= index < n_windows:
         visit(np.array([index]), tail)

@@ -381,7 +381,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_late_decrease_writes_nothing(self, capsys, tmp_path, to_file):
-        # the decrease lies past the first 256 KiB chunk, so the tally has already
+        # the decrease lies over 256 KiB in, past the first chunk, so the tally has already
         # taken the blocks before it when the parse refuses the file
         lines = [f"{i % 2},{1000 * i}.5" for i in range(40_000)]
         lines[30_000] = "0,5.0"  # line 30002 of the file, after the header
