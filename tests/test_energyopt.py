@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import pdtrc
 
 from vistest import chernoff as ch
@@ -152,6 +152,7 @@ class TestSplitCellSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-3, 200.0))
+    @example(0.0, 0.05, 4.0)  # off by 1e-11 on split rows cut at E, not at the top energy
     def test_folded_solve_equals_the_full_cells(self, v1, v2, energy):
         # the search solves on the cells k <= n / 2 only; its first solve, cold
         # at scan point 0, against the minimum over every cell (k, n)
@@ -164,8 +165,11 @@ class TestSplitCellSearch:
         (_, folded_d, start), (alpha, log_min, _) = solves[0]
         pois = ps._poisson_rows(energy)
         last = len(pois) - 1
-        log_b = np.log(ps._split_rows(sorted((v1, v2)), last))  # the search's order
+        # the search's split rows: in its order, cut at its top energy 1.04 E (rows
+        # cut at E differ by rounding, which near C = 1e-6 moves alpha* by 1e-11)
         n = np.repeat(np.arange(last + 1), np.arange(1, last + 2))
+        top = len(ps._poisson_rows(1.04 * energy)) - 1
+        log_b = np.log(ps._split_rows(sorted((v1, v2)), top))[:, :len(n)]
         full = ch._minimum(log_b[0] + np.log(pois)[n], log_b[1] - log_b[0])
         assert start is None and len(folded_d) == sum(m // 2 + 1 for m in range(last + 1))
         assert (alpha in (0.0, 1.0)) == (full[0] in (0.0, 1.0))
