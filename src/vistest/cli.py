@@ -249,7 +249,7 @@ def cmd_figures(args):
         energies = np.geomspace(*energyopt.DEFAULT_SEARCH_RANGE, energyopt.SCAN_POINTS)
         header = "energy,ratio_joint,ratio_k2,ratio_diff"
         records = zip(energies, *energyopt.energy_scan_curves(
-            DEFAULT_V1, DEFAULT_V2, energies, 2, args.truncation))
+            DEFAULT_V1, DEFAULT_V2, energies, args.truncation))
     _report(args, {}, header, records)
 
 

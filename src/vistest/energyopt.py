@@ -15,6 +15,7 @@ _TAIL_BUDGET = 1e-9
 MAX_SEARCH_TRUNCATION = 300  # the rule's K at E = 208
 SCAN_POINTS = 60  # log-spaced energies of the scan ahead of the refinement
 _COARSE = (*range(0, SCAN_POINTS, 6), SCAN_POINTS - 1)  # the map's shared scan indices
+LIMITED_TRUNCATION = 2  # the paper's K-limited readout
 
 
 class IndistinguishablePairError(DomainError):
@@ -81,16 +82,13 @@ def _scan_argmax(ratio):
 
 
 def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
-    """EnergyScanResult for each (i, j) in pairs, values[i] against
-    values[j], from split-law cells (photostat._split_rows) built once per
-    distinct value, with no table: the ratio at E minimises over the cells
-    k <= n / 2 up to its Poisson cut, those below the middle twice (log 2
-    on l1, as B_V(k | n) = B_V(n - k | n)), on each scan energy's log
-    Poisson row, made once for all pairs. Each pair solves what its argmax
-    needs (all points, or _scan_argmax's if optimum_only; others stay NaN).
-    Newton at scan point n > 0 starts at the alpha* of the _COARSE point
-    below n, and in the refinement at the argmax's; point 0 is solved cold.
-    So no result depends on the order in which the points are solved."""
+    """EnergyScanResult for each (i, j) in pairs, values[i] against values[j],
+    from photostat.split_cells (log 2 on l1 for a mirrored cell) and each
+    scan energy's log Poisson row, made once for all pairs; no table. Each
+    pair solves what its argmax needs (all points, or _scan_argmax's if
+    optimum_only; others stay NaN). Newton at scan point n > 0 starts at the
+    alpha* of the _COARSE point below n, and in the refinement at the
+    argmax's; point 0 is solved cold, so no result depends on solve order."""
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
@@ -99,15 +97,10 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
         energies = np.geomspace(lo, hi, SCAN_POINTS)
     search_truncation(energies[-1:], truncation)  # K grows with E: refuses a top above about 208
-    if not pairs:
-        return []
     scan_row = functools.cache(lambda n: np.log(photostat._poisson_rows(energies[n])))
     last = len(scan_row(SCAN_POINTS - 1)) - 1
-    rows = np.repeat(np.arange(last + 1), np.arange(last + 1) // 2 + 1)  # n of each cell
-    plus = np.arange(len(rows)) - np.searchsorted(rows, rows)  # its k, up to n / 2
-    distinct, index = np.unique([photostat._checked_magnitude(v) for v in values],
-                                return_inverse=True)
-    log_b = np.log(photostat._split_rows(distinct, last)[:, rows * (rows + 1) // 2 + plus])
+    rows, plus, index, log_b = photostat.split_cells(values, last)
+    np.log(log_b, out=log_b)  # in place: B and log B are never both held
     twice = np.where(2 * plus < rows, np.log(2.0), 0.0)
     results = []
     for pair in pairs:
@@ -155,8 +148,7 @@ def optimal_energy(v1_mag, v2_mag, truncation=15,
     return _scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol)[0]
 
 
-def random_phase_map(grid, truncation=15,
-                     search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
+def random_phase_map(grid, truncation=15):
     """Per-cell optimum of information per photon over a |V| lattice:
     symmetric (max_ratio, argmax_energy) matrices, NaN on the diagonal.
     Cell (i, j) is optimal_energy(grid[i], grid[j]): both take the same
@@ -165,8 +157,8 @@ def random_phase_map(grid, truncation=15,
     n = len(grid)
     max_ratio, opt_energy = np.full((2, n, n), np.nan)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j]]
-    for (i, j), res in zip(pairs, _scan_pairs(grid, pairs, truncation, search_range, tol,
-                                              optimum_only=True)):
+    for (i, j), res in zip(pairs, _scan_pairs(grid, pairs, truncation, DEFAULT_SEARCH_RANGE,
+                                              DEFAULT_TOL, optimum_only=True)):
         max_ratio[i, j] = max_ratio[j, i] = res.optimum_ratio
         opt_energy[i, j] = opt_energy[j, i] = res.optimum_energy
     return max_ratio, opt_energy
@@ -187,16 +179,16 @@ def coherent_map(grid):
     return out
 
 
-def energy_scan_curves(v1_mag, v2_mag, energies, limited_truncation=2, truncation=15):
+def energy_scan_curves(v1_mag, v2_mag, energies, truncation=15):
     """Information-per-photon curves over an energy grid for three
-    readouts: full statistics, K-limited resolution, and the
+    readouts: full statistics, K = LIMITED_TRUNCATION resolution, and the
     count-difference marginal. Returns (joint, limited, difference)
     arrays aligned with `energies`. The full and difference curves share
     one table pair per energy, at search_truncation(E, truncation)."""
     joint, limited, difference = np.empty((3, len(energies)))
     for i, (e, k) in enumerate(zip(energies, search_truncation(energies, truncation))):
         d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, k)
-        l1, l2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, limited_truncation)
+        l1, l2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, LIMITED_TRUNCATION)
         joint[i] = chernoff.chernoff_information(d1, d2).information / e
         limited[i] = chernoff.chernoff_information(l1, l2).information / e
         difference[i] = chernoff.chernoff_information(

@@ -269,7 +269,7 @@ class TestOptimalEnergy:
 class TestRandomPhaseMap:
     def test_symmetry_and_diagonal(self):
         grid = np.array([0.0, 0.5, 1.0])
-        ratio, energy = eo.random_phase_map(grid, tol=0.2)
+        ratio, energy = eo.random_phase_map(grid)
         assert np.isnan(np.diag(ratio)).all()
         assert np.isnan(np.diag(energy)).all()
         off = ~np.eye(3, dtype=bool)
@@ -325,6 +325,11 @@ class TestRandomPhaseMap:
     def test_lattice_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             eo.random_phase_map([0.0, 1.5])
+
+    def test_lattice_without_a_pair_is_checked_too(self):
+        # one value has no pair to solve, but its cells are still built and checked
+        with pytest.raises(DomainError, match=r"random-phase \|V\| = 1.5 must lie"):
+            eo.random_phase_map([1.5])
 
 
 class TestCoherentMap:

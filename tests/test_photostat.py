@@ -414,6 +414,57 @@ class TestSplitRows:
             [ps._checked_magnitude(v) for v in values]
 
 
+def triangle_scatter_table(params, vis_magnitude):
+    """Reference: joint_random_phase's table as built by writing every cell
+    of the full split-row triangle, 0 <= k <= n, with no mirror."""
+    params, vis = ps.effective_params(params, ps.ComplexVisibility(vis_magnitude))
+    pois = ps._poisson_rows(params.mean_detected_energy, 2 * params.truncation)
+    n = np.repeat(np.arange(len(pois)), np.arange(1, len(pois) + 1))
+    plus = np.arange(len(n)) - n * (n + 1) // 2
+    table = np.zeros((len(pois), len(pois)))
+    table[plus, n - plus] = ps._split_rows([vis.magnitude], len(pois) - 1)[0] * pois[n]
+    return ps._fold_tail(table, params.truncation)
+
+
+class TestSplitCells:
+    """The cells k <= n / 2 that every random-phase law is built from."""
+
+    @pytest.mark.parametrize("energy", [1e-4, 0.1, 1.0, 6.3, 30.0, 80.0, 208.0])
+    @pytest.mark.parametrize("truncation", [1, 2, 15, 63, 300])
+    def test_tables_equal_the_full_triangle(self, energy, truncation):
+        # each mirrored cell is written from its k <= n / 2 twin: the rows are
+        # exactly symmetric, so the table keeps every bit
+        for dark in (0.0, 0.2):
+            params = ps.DetectionParams(energy, dark, truncation)
+            for v in (0.0, 0.3, 0.56, 0.98, 1.0):
+                got = ps.joint_random_phase(params, v).probs
+                assert np.array_equal(got, triangle_scatter_table(params, v)), (dark, v)
+
+    @pytest.mark.parametrize("last", [0, 1, 2, 7, 40])
+    def test_cells_are_the_lower_half_of_the_rows(self, last):
+        values = (0.0, 0.37, 0.56, 0.98, 1.0)
+        n, k, index, split = ps.split_cells(values, last)
+        assert list(zip(n, k)) == [(m, j) for m in range(last + 1) for j in range(m // 2 + 1)]
+        assert index.tolist() == [0, 1, 2, 3, 4]
+        rows = ps._split_rows(values, last)
+        for c, (m, j) in enumerate(zip(n, k)):
+            assert np.array_equal(split[:, c], rows[:, m * (m + 1) // 2 + j])
+
+    def test_repeated_and_unsorted_values_share_rows(self):
+        values = [0.98, 0.3, 1.0, 0.98, 0.0, 0.3]
+        n, k, index, split = ps.split_cells(values, 30)
+        assert len(split) == 4
+        for v, row in zip(values, index):
+            alone = ps.split_cells([v], 30)[3][0]
+            assert np.array_equal(split[row], alone), v
+
+    @pytest.mark.parametrize("values", [[0.5, -0.1], [0.2, 1.5], [math.nan]])
+    def test_magnitude_outside_unit_interval_refused(self, values):
+        bad = values[-1]
+        with pytest.raises(DomainError, match=rf"random-phase \|V\| = {bad} must lie in \[0, 1\]"):
+            ps.split_cells(values, 10)
+
+
 class TestRetruncate:
     def test_matches_directly_built_table(self):
         fine = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.56)
