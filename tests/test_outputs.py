@@ -74,14 +74,13 @@ def test_exit_header_and_text_changes(tmp_path, capsys):
     assert entry["moves"]["# energy"]["move"] == pytest.approx(0.1 / 6.4)
     assert entry["text_count"] == 4  # a renamed column and a dropped row pair up with nothing
     assert outputs.compare(base, base) == {"result": "identical"}
+    signed = outputs.compare((0, b"k,prob\n0,0.0\n", b""), (0, b"k,prob\n0,-0.0\n", b""))
+    assert signed == {"result": "changed", "text": [{"column": "prob", "row": 1, "base": "0.0",
+                                                     "head": "-0.0"}], "text_count": 1}
 
 
-def test_short_list_and_missing_tree(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(outputs, "COMMANDS", [PLANTED, *outputs.SLOW])
+def test_missing_tree(tmp_path):
     tree = fake_tree(tmp_path / "tree", 1.0)
-    got = report(capsys, "--short", tree, tree)
-    assert [c["command"] for c in got["commands"]] == [PLANTED]
-    assert got["changed"] == 0
     with pytest.raises(SystemExit) as refused:
         outputs.main([tree, str(tmp_path / "missing")])
     assert refused.value.code == 2

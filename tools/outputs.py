@@ -1,13 +1,12 @@
 """Compare the CLI's outputs in two source trees, command by command.
 
-    python3 tools/outputs.py [--short] BASE HEAD > report.json
+    python3 tools/outputs.py BASE HEAD > report.json
 
 BASE and HEAD are vistest source trees, for example an export of the
 parent commit (`git archive HEAD^ | tar -x -C parent`) and the working
 tree. Each command in COMMANDS runs as `python -m vistest.cli ...` once
 per tree, with that tree's `src/` on PYTHONPATH, in one shared directory
-that holds the input files the commands read. --short leaves out the
-commands in SLOW.
+that holds the input files the commands read.
 
 The report on stdout is one JSON object. A command whose stdout, stderr
 and exit code are the same bytes in both trees is "identical". Otherwise
@@ -30,8 +29,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 TIMEOUT_S = 900
 
-# Every CLI command the CI workflow runs, then the paths it leaves out and
-# the figures at their default grids. Files are made by write_inputs.
+# This tool's own list, not read from the CI workflow: the CLI commands
+# that CI's numpy-only step ran when it was written, then paths that step
+# leaves out and the figures at their default grids. Its input files are
+# its own too, made by write_inputs; tags.csv is drawn here, not by
+# tagio.synthesize_tags, so both trees read the same bytes.
 COMMANDS = [
     "dist --truncation 4",
     "chernoff --json",
@@ -73,7 +75,6 @@ COMMANDS = [
     "figures --id 4c",
     "figures --id 2b",
 ]
-SLOW = {"figures --id 2b"}  # grid 50: the map's full run, seconds per tree
 
 
 def _poisson(rng, mean):
@@ -169,12 +170,13 @@ def cells(stdout):
 
 
 def move(a, b):
-    """|a - b| / max(|a|, |b|), 0 for equal text; None where either side is
-    not a number or the two are not both finite and not both the same."""
+    """|a - b| / max(|a|, |b|), 0 for equal text; None where the texts differ
+    and either side is not a finite number, or the two are the same number
+    ('-0.0' and '0.0', '1' and '1.0'), a move of no size."""
     x, y = _number(a), _number(b)
     if a == b:
         return 0.0
-    if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+    if x is None or y is None or not (math.isfinite(x) and math.isfinite(y)) or x == y:
         return None
     return abs(x - y) / max(abs(x), abs(y))
 
@@ -212,16 +214,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
     parser.add_argument("head")
-    parser.add_argument("--short", action="store_true", help="leave out the slow commands")
     args = parser.parse_args(argv)
     for tree in (args.base, args.head):
         if not os.path.isfile(os.path.join(tree, "src", "vistest", "cli.py")):
             parser.error(f"{tree} holds no src/vistest/cli.py")
-    commands = [c for c in COMMANDS if not (args.short and c in SLOW)]
     report = {"base": args.base, "head": args.head, "commands": []}
     with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(2) as pool:
         write_inputs(work)
-        for command in commands:
+        for command in COMMANDS:
             base, head = pool.map(run, (args.base, args.head), [command] * 2, [work] * 2)
             report["commands"].append({"command": command, **compare(base, head)})
     results = [entry["result"] for entry in report["commands"]]
