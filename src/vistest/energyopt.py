@@ -35,33 +35,72 @@ class EnergyScanResult:
 
 def search_truncation(energy, floor=15):
     """Smallest K >= floor with Poisson tail P(count > K) below 1e-9 at
-    this energy: the resolution of info_per_photon's tables. An array of
-    energies gets a list of K, one each, from one Poisson-law call. A floor
-    below 1, or a K above MAX_SEARCH_TRUNCATION, is refused; the latter
-    names the largest energy, and bounds the energy search's range."""
-    energies = np.asarray(energy, dtype=float)
-    if not np.all(energies > 0.0):
+    this energy. No solve reads it: it refuses a floor below 1, and a K
+    above MAX_SEARCH_TRUNCATION, naming the energy (above about 208)."""
+    if not energy > 0.0:
         raise DomainError("energy must be > 0")
     if floor < 1:
         raise DomainError("truncation must be >= 1")
     top = max(floor, MAX_SEARCH_TRUNCATION)
-    if np.all(np.isfinite(energies)):
-        # P(count > K) for K = 0..top, summed from the far end
-        laws = photostat.poisson_counts(energies, top + 1)
-        fits = np.cumsum(laws[..., ::-1], axis=-1)[..., -2::-1][..., floor:] < _TAIL_BUDGET
-        if np.all(fits.any(axis=-1)):
-            return (floor + fits.argmax(axis=-1)).tolist()
-    raise DomainError(f"E = {energies.max():g} needs a resolution K above the limit "
+    if np.isfinite(energy):
+        # P(count > K) for K = floor..top, summed from the far end
+        laws = photostat.poisson_counts(energy, top + 1)
+        fits = np.cumsum(laws[::-1])[-2::-1][floor:] < _TAIL_BUDGET
+        if fits.any():
+            return floor + int(fits.argmax())
+    raise DomainError(f"E = {energy:g} needs a resolution K above the limit "
                       f"{MAX_SEARCH_TRUNCATION}; energies up to about 208 "
                       f"can be searched")
 
 
+def _pair_cells(values, energies, truncation):
+    """Every random-phase C here is solved on these cells, with no K:
+    photostat.split_cells of values cut at the top energy's Poisson row
+    (refused above about 208), log B, and log 2 on each cell below the
+    middle, which stands for its mirror. Returns each cell's n and k,
+    row(m) (energies[m]'s log Poisson row, made once) and pair(i, j) ->
+    (l1, d, solve, ratio, ratios, alphas), values[i] against values[j].
+    solve(log_pois, energy, start) is (alpha*, C / energy) on the cells
+    that log_pois reaches, 0 for equal values; ratio(n) solves energies[n]
+    once, cold at n = 0, so no result depends on solve order."""
+    search_truncation(energies.max(), truncation)
+    row = functools.cache(lambda m: np.log(photostat._poisson_rows(energies[m])))
+    rows, plus, index, log_b = photostat.split_cells(values, len(row(int(energies.argmax()))) - 1)
+    np.log(log_b, out=log_b)  # in place: B and log B are never both held
+    twice = np.where(2 * plus < rows, np.log(2.0), 0.0)
+
+    def pair(i, j):
+        i, j = sorted(index[[i, j]])  # C is symmetric; in sorted order, bit for bit too
+        l1, d = log_b[i] + twice, log_b[j] - log_b[i]
+        ratios, alphas = np.full((2, len(energies)), np.nan)
+
+        def solve(log_pois, energy, start=None):
+            if i == j:  # equal laws: C = 0, not the rounding of the cells' sum
+                return 0.5, 0.0
+            cells = np.searchsorted(rows, len(log_pois))
+            alpha, log_min, _ = chernoff._minimum(l1[:cells] + log_pois[rows[:cells]],
+                                                  d[:cells], start)
+            return alpha, max(0.0, -log_min) / energy
+
+        def alpha(n):  # alpha* at energies[n], solving it (and what starts it) first
+            if np.isnan(ratios[n]):
+                start = alpha((n - 1) // 6 * 6) if n else None  # the _COARSE point below
+                alphas[n], ratios[n] = solve(row(n), energies[n], start)
+            return alphas[n]
+
+        def ratio(n):
+            alpha(n)
+            return ratios[n]
+
+        return l1, d, solve, ratio, ratios, alphas
+
+    return rows, plus, row, pair
+
+
 def info_per_photon(v1_mag, v2_mag, energy, truncation=15):
     """Chernoff information per detected photon, C/energy, of the full
-    random-phase statistics at K = search_truncation(energy, truncation)."""
-    d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, energy,
-                                         search_truncation(energy, truncation))
-    return chernoff.chernoff_information(d1, d2).information / energy
+    random-phase statistics: energy_scan_curves' joint curve at one energy."""
+    return energy_scan_curves(v1_mag, v2_mag, [energy], truncation)[0][0]
 
 
 def _scan_argmax(ratio):
@@ -83,12 +122,9 @@ def _scan_argmax(ratio):
 
 def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
     """EnergyScanResult for each (i, j) in pairs, values[i] against values[j],
-    from photostat.split_cells (log 2 on l1 for a mirrored cell) and each
-    scan energy's log Poisson row, made once for all pairs; no table. Each
-    pair solves what its argmax needs (all points, or _scan_argmax's if
-    optimum_only; others stay NaN). Newton at scan point n > 0 starts at the
-    alpha* of the _COARSE point below n, and in the refinement at the
-    argmax's; point 0 is solved cold, so no result depends on solve order."""
+    on _pair_cells over the scan energies. Each pair solves what its argmax
+    needs (all points, or _scan_argmax's if optimum_only; others stay NaN);
+    the refinement starts Newton at the argmax's alpha*."""
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
@@ -96,34 +132,10 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
         raise DomainError("tol must be > 0")
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
         energies = np.geomspace(lo, hi, SCAN_POINTS)
-    search_truncation(energies[-1:], truncation)  # K grows with E: refuses a top above about 208
-    scan_row = functools.cache(lambda n: np.log(photostat._poisson_rows(energies[n])))
-    last = len(scan_row(SCAN_POINTS - 1)) - 1
-    rows, plus, index, log_b = photostat.split_cells(values, last)
-    np.log(log_b, out=log_b)  # in place: B and log B are never both held
-    twice = np.where(2 * plus < rows, np.log(2.0), 0.0)
+    pair = _pair_cells(values, energies, truncation)[3]
     results = []
-    for pair in pairs:
-        i, j = sorted(index[list(pair)])  # C is symmetric; in sorted order, bit for bit too
-        l1, d = log_b[i] + twice, log_b[j] - log_b[i]
-        ratios, alphas = np.full((2, SCAN_POINTS), np.nan)
-
-        def solve(log_pois, energy, start):
-            cells = np.searchsorted(rows, len(log_pois))
-            alpha, log_min, _ = chernoff._minimum(l1[:cells] + log_pois[rows[:cells]],
-                                                  d[:cells], start)
-            return alpha, max(0.0, -log_min) / energy
-
-        def alpha(n):  # alpha* at scan point n, solving it (and what starts it) first
-            if np.isnan(ratios[n]):
-                start = alpha(_COARSE[(n - 1) // _COARSE[1]]) if n else None
-                alphas[n], ratios[n] = solve(scan_row(n), energies[n], start)
-            return alphas[n]
-
-        def ratio(n):
-            alpha(n)
-            return ratios[n]
-
+    for pair_ij in pairs:
+        _, _, solve, ratio, ratios, alphas = pair(*pair_ij)
         best = (_scan_argmax(ratio) if optimum_only
                 else int(np.argmax([ratio(n) for n in range(SCAN_POINTS)])))
         opt_e, neg = golden_section(
@@ -141,8 +153,7 @@ def optimal_energy(v1_mag, v2_mag, truncation=15,
                    search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
     """Maximize information per photon over the energy per repetition: a
     60-point log-spaced scan, then golden section around its best point.
-    A top whose search_truncation(hi, truncation) exceeds
-    MAX_SEARCH_TRUNCATION (hi above about 208) is refused."""
+    A top above about 208 is refused (search_truncation)."""
     if v1_mag == v2_mag:
         raise IndistinguishablePairError("equal visibility magnitudes")
     return _scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol)[0]
@@ -180,18 +191,23 @@ def coherent_map(grid):
 
 
 def energy_scan_curves(v1_mag, v2_mag, energies, truncation=15):
-    """Information-per-photon curves over an energy grid for three
-    readouts: full statistics, K = LIMITED_TRUNCATION resolution, and the
-    count-difference marginal. Returns (joint, limited, difference)
-    arrays aligned with `energies`. The full and difference curves share
-    one table pair per energy, at search_truncation(E, truncation)."""
-    joint, limited, difference = np.empty((3, len(energies)))
-    for i, (e, k) in enumerate(zip(energies, search_truncation(energies, truncation))):
-        d1, d2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, k)
-        l1, l2 = photostat.hypothesis_tables(v1_mag, v2_mag, e, LIMITED_TRUNCATION)
-        joint[i] = chernoff.chernoff_information(d1, d2).information / e
-        limited[i] = chernoff.chernoff_information(l1, l2).information / e
-        difference[i] = chernoff.chernoff_information(
-            photostat.marginal_difference(d1),
-            photostat.marginal_difference(d2)).information / e
-    return joint, limited, difference
+    """Information-per-photon curves of three readouts, aligned with
+    `energies`, from one _pair_cells build: joint (full statistics), limited
+    (K = LIMITED_TRUNCATION) and difference. The joint curve is the cells'
+    solve, so on the search's scan it is optimal_energy's ratios; the others
+    sum the cell laws by (min(k, K), min(k', K)) and by |k' - k|. A cell
+    stands for its mirror too: C of a symmetric law is C of this fold."""
+    energies = np.asarray(energies, dtype=float)
+    if not np.all(energies > 0.0):
+        raise DomainError("energy must be > 0")
+    rows, plus, row, pair = _pair_cells((v1_mag, v2_mag), energies, truncation)
+    l1, d, _, ratio, _, _ = pair(0, 1)
+    k = LIMITED_TRUNCATION
+    keys = ((k + 1) * np.minimum(plus, k) + np.minimum(rows - plus, k), rows - 2 * plus)
+    folds = np.empty((2, len(energies)))
+    for i, e in enumerate(energies):
+        cells = np.searchsorted(rows, len(row(i)))
+        p1 = np.exp(l1[:cells] + row(i)[rows[:cells]])
+        folds[:, i] = [chernoff.chernoff_information(*(np.bincount(key[:cells], p) for p in (
+            p1, p1 * np.exp(d[:cells])))).information / e for key in keys]
+    return np.array([ratio(n) for n in range(len(energies))]), *folds

@@ -609,6 +609,7 @@ class TestExitCodes:
         ["optimize", "--truncation", "-7"],
         ["fingerprint", "--truncation", "0"],
         ["figures", "--id", "2b", "--grid-size", "3", "--truncation", "0"],
+        ["figures", "--id", "3", "--truncation", "0"],
         # a seed must be a non-negative integer
         ["simulate", "--seed", "-1"],
         ["figures", "--id", "4c", "--seed", "-1"],
@@ -659,17 +660,18 @@ class TestFigures:
         assert rows[0] == "re_v1,re_v2,info_per_photon"
         assert len(rows) == 26
 
-    def test_scan_curves_build_one_table_pair_per_energy(self, capsys, monkeypatch):
-        # 60 energies, each one full-resolution pair shared by the joint and
-        # difference curves plus one K = 2 pair
-        calls = []
-        build = ps.joint_random_phase
-        monkeypatch.setattr(ps, "joint_random_phase",
-                            lambda *a: calls.append(a) or build(*a))
+    def test_scan_curves_build_one_split_row_set(self, capsys, monkeypatch):
+        # all 60 energies and all three readouts read one set of split-law
+        # rows, cut at the top energy; the K-table path built 240 tables
+        tables, split_rows = count_builds_and_solves(monkeypatch)[0], []
+        build = ps._split_rows
+        monkeypatch.setattr(ps, "_split_rows", lambda *a: split_rows.append(a) or build(*a))
         code, out, _ = run(capsys, "figures", "--id", "3")
         assert code == 0
-        assert len(calls) == 240
+        assert (len(split_rows), len(tables)) == (1, 0)
         assert len([l for l in out.strip().split("\n") if not l.startswith("#")]) == 61
+        energyopt.info_per_photon(0.98, 0.56, 6.3)
+        assert (len(split_rows), len(tables)) == (2, 0)
 
     @pytest.mark.parametrize("grid_size,most_solves,most_tables", [(1, 0, 0), (5, 300, 400)])
     def test_map_solves_only_what_each_optimum_needs(self, capsys, monkeypatch, grid_size,

@@ -13,6 +13,26 @@ from vistest import photostat as ps
 from vistest.util import DomainError
 
 
+def table_information(energy, v1=0.98, v2=0.56):
+    """C of the K-table oracle at this energy: the full tables at K =
+    search_truncation(E), the K = 2 tables, and the full tables' count
+    differences."""
+    full = ps.hypothesis_tables(v1, v2, energy, eo.search_truncation(energy))
+    limited = ps.hypothesis_tables(v1, v2, energy, 2)
+    return [ch.chernoff_information(*pair).information for pair in (
+        full, limited, [ps.marginal_difference(t).probs for t in full])]
+
+
+def table_tolerance(energy):
+    """Bound on |C - C_table| for a table folded at K = search_truncation(E).
+    The fold merges cells of mass at most P(count >= K) in one bucket, which
+    moves sum(p1^(1-a) p2^a), so C, by at most about that mass; the 1e-14
+    allows the rounding of C near its minimum (both sides' table and cell
+    sums differ by a few 1e-16). A K = 2 table folds its cells exactly as the
+    cells' sum by (min(k, 2), min(k', 2)) does, so it is held to 1e-14 alone."""
+    return pdtrc(eo.search_truncation(energy) - 1, energy) + 1e-14
+
+
 class TestSearchTruncation:
     def test_floor_honoured_below_budget(self):
         assert eo.search_truncation(0.5) == 15
@@ -54,23 +74,6 @@ class TestSearchTruncation:
         with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):
             eo.search_truncation(209.0)
 
-    @pytest.mark.parametrize("floor", [1, 2, 15, 50, 299, 300, 400])
-    def test_one_call_over_an_array_equals_one_call_per_energy(self, floor):
-        ranges = [np.geomspace(lo, hi, 60) for lo, hi in [
-            (0.1, 30.0), (1e-6, 1e-3), (0.5, 80.0), (1.0, 208.0), (30.0, 208.0),
-            (0.1, 200.0), (150.0, 208.0)]]
-        if floor == 15:
-            ranges.append(np.geomspace(1e-6, 208.0, 4000))
-        for energies in ranges:
-            assert eo.search_truncation(energies, floor) == [
-                eo.search_truncation(e, floor) for e in energies]
-
-    def test_array_refusal_names_the_largest_energy(self):
-        with pytest.raises(DomainError, match="E = 250 needs"):
-            eo.search_truncation([1.0, 250.0, 209.0, 6.3])
-        with pytest.raises(DomainError, match="energy must be > 0"):
-            eo.search_truncation([1.0, 0.0])
-
     @pytest.mark.parametrize("floor", [0, -7])
     def test_floor_below_one_refused(self, floor):
         with pytest.raises(DomainError, match="truncation must be >= 1"):
@@ -80,7 +83,7 @@ class TestSearchTruncation:
         calls = []
         resolve = eo.search_truncation
         monkeypatch.setattr(eo, "search_truncation",
-                            lambda *a: calls.append(np.ndim(a[0])) or resolve(*a))
+                            lambda *a: calls.append(float(a[0])) or resolve(*a))
 
         def refuse(*args):
             raise AssertionError("a table was built")
@@ -90,9 +93,11 @@ class TestSearchTruncation:
             eo.optimal_energy(0.98, 0.56, search_range=(0.1, 209.0))
         eo.optimal_energy(0.98, 0.56)
         eo.random_phase_map([0.0, 0.5, 1.0])
-        # one array call per search, which only refuses a top above about 208:
-        # the search solves on split-law cells and resolves no energy to a K
-        assert calls == [1, 1, 1]
+        eo.info_per_photon(0.98, 0.56, 6.3)
+        eo.energy_scan_curves(0.98, 0.56, [0.5, 25.0, 2.0])
+        # one call per solve path, on its top energy, which only refuses a top
+        # above about 208: every C is solved on split-law cells, with no K
+        assert calls == [209.0, 30.0, 30.0, 6.3, 25.0]
 
 
 class TestInfoPerPhoton:
@@ -101,14 +106,13 @@ class TestInfoPerPhoton:
         exact = eo.info_per_photon(0.98, 0.56, 6.3, 50)
         assert eo.info_per_photon(0.98, 0.56, 6.3) == pytest.approx(exact, rel=1e-9)
 
-    def test_truncated_uses_exact_resolution(self):
-        # a floor above the rule's K is used as given
-        assert eo.search_truncation(6.3) < 50
-        params = ps.DetectionParams(6.3, 0.0, 50)
-        expected = ch.chernoff_information(
-            ps.joint_random_phase(params, 0.98),
-            ps.joint_random_phase(params, 0.56)).information / 6.3
-        assert eo.info_per_photon(0.98, 0.56, 6.3, 50) == expected
+    @pytest.mark.parametrize("energy", [1e-3, 6.3, 30.0])
+    @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
+    def test_identical_inputs_are_exactly_zero(self, v, energy):
+        # a plain solve on d = 0 reads the rounding of the cells' sum (2.6e-13
+        # at E = 1e-3), where the tables' short-cut gave 0
+        assert eo.info_per_photon(v, v, energy) == 0.0
+        assert [c.tolist() for c in eo.energy_scan_curves(v, v, [energy])] == [[0.0]] * 3
 
     def test_difference_mode_loses_information(self):
         _, _, diff = eo.energy_scan_curves(0.98, 0.56, [6.3])
@@ -134,8 +138,21 @@ class TestSplitCellSearch:
     def test_scan_ratios_match_the_tables(self):
         # the search's split-law cells against table pairs at search_truncation(E)
         scan = eo.optimal_energy(0.98, 0.56)
-        tables = [eo.info_per_photon(0.98, 0.56, e) for e in scan.energies]
-        assert scan.ratios == pytest.approx(tables, rel=1e-10)
+        for e, ratio in zip(scan.energies, scan.ratios):
+            assert ratio * e == pytest.approx(table_information(e)[0], rel=0,
+                                              abs=table_tolerance(e))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(0.98, 0.56)
+    @example(0.3, 0.3001)  # C near 1e-12 at E = 0.1, where a cold solve moves it by 7e-6
+    def test_scan_curves_joint_is_the_search_scan(self, v1, v2):
+        # both solve on the same cells with the same warm starts, so they agree
+        # bit for bit (tables at search_truncation(E) moved it by 1.15e-11)
+        assume(v1 != v2)
+        scan = eo.optimal_energy(v1, v2)
+        joint, _, _ = eo.energy_scan_curves(v1, v2, scan.energies)
+        assert joint.tolist() == scan.ratios.tolist()
 
     def test_low_energy_limit(self):
         # only n = 2 photons can split differently as E -> 0, so C -> P(n = 2)
@@ -361,16 +378,22 @@ class TestEnergyScanCurves:
         assert np.all(joint >= diff - 1e-15)
 
     def test_equals_info_per_photon_per_mode(self):
-        energies = [0.3, 6.3, 25.0]
-        joint, limited, diff = eo.energy_scan_curves(0.98, 0.56, energies)
+        energies = np.geomspace(*eo.DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)[::3]
+        curves = eo.energy_scan_curves(0.98, 0.56, energies)
         for i, e in enumerate(energies):
-            assert joint[i] == eo.info_per_photon(0.98, 0.56, e)
-            d1, d2 = ps.hypothesis_tables(0.98, 0.56, e, 2)
-            assert limited[i] == ch.chernoff_information(d1, d2).information / e
-            d1, d2 = ps.hypothesis_tables(0.98, 0.56, e, eo.search_truncation(e))
-            assert diff[i] == ch.chernoff_information(
-                ps.marginal_difference(d1).probs,
-                ps.marginal_difference(d2).probs).information / e
+            assert curves[0][i] == pytest.approx(eo.info_per_photon(0.98, 0.56, e), rel=1e-12)
+            tables = table_information(e)
+            for curve, c, folded in zip(curves, tables, (True, False, True)):
+                assert curve[i] * e == pytest.approx(
+                    c, rel=0, abs=table_tolerance(e) if folded else 1e-14)
+
+    @pytest.mark.parametrize("floor", [1, 40])
+    def test_truncation_only_floors_the_refusal(self, floor):
+        energies = np.geomspace(*eo.DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)
+        assert np.array_equal(eo.energy_scan_curves(0.98, 0.56, energies, floor),
+                              eo.energy_scan_curves(0.98, 0.56, energies))
+        with pytest.raises(DomainError, match="truncation must be >= 1"):
+            eo.energy_scan_curves(0.98, 0.56, energies, 0)
 
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(DomainError):

@@ -71,6 +71,8 @@ COMMANDS = [
     "chernoff --marginal-diff --truncate 5",
     "chernoff --marginal-diff --truncate 5 --json",
     "figures --id 3",
+    "figures --id 3 --truncation 40",
+    "figures --id 3 --truncation 1",
     "figures --id s2",
     "figures --id 4c",
     "figures --id 2b",
