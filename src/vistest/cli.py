@@ -122,14 +122,13 @@ def cmd_chernoff(args):
     if args.coherent:
         result = chernoff.chernoff_coherent_closed_form(args.energy, args.v1, args.v2)
     else:
-        p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
+        params = photostat.DetectionParams(args.energy, 0.0, args.truncation)
+        tables = photostat.random_phase_tables(params, [args.v1, args.v2])
         if args.truncate is not None:
-            p1 = photostat.retruncate(p1, args.truncate)
-            p2 = photostat.retruncate(p2, args.truncate)
+            tables = [photostat.retruncate(table, args.truncate) for table in tables]
         if args.marginal_diff:
-            p1 = photostat.marginal_difference(p1)
-            p2 = photostat.marginal_difference(p2)
-        result = chernoff.chernoff_information(p1, p2)
+            tables = [photostat.marginal_difference(table) for table in tables]
+        result = chernoff.chernoff_information(*tables)
     per_photon = math.inf if result.infinite else result.information / args.energy
     _report(args, {"information_nats": result.information,
                    "alpha_star": result.alpha_star,
@@ -150,19 +149,14 @@ def cmd_optimize(args):
 def cmd_simulate(args):
     from . import simkit
 
-    p1, p2 = photostat.hypothesis_tables(args.v1, args.v2, args.energy, args.truncation)
-    info = chernoff.chernoff_information(p1, p2)
     # the band's test is designed at --v2, so the band ends there, and that row is printed
     band = args.band or [args.v2]
+    params = photostat.DetectionParams(args.energy, 0.0, args.truncation)
+    p1, p2, *sources = photostat.random_phase_tables(params, [args.v1, args.v2, *band])
     if max(band) != args.v2:
         raise DomainError("the largest --band value must equal --v2")
-    params = photostat.DetectionParams(args.energy, 0.0, args.truncation)
-    tables = {args.v1: p1, args.v2: p2}
-    for v in band:
-        if v not in tables:
-            tables[v] = photostat.joint_random_phase(params, v)
-    curve = simkit.worst_case_sweep(p1, p2, [tables[v] for v in band], args.n_list,
-                                    args.ensemble, args.seed)
+    info = chernoff.chernoff_information(p1, p2)
+    curve = simkit.worst_case_sweep(p1, p2, sources, args.n_list, args.ensemble, args.seed)
     records = []
     for n, point in zip(args.n_list, curve):
         estimate = point.estimates[band.index(args.v2)]

@@ -99,8 +99,9 @@ def _pair_cells(values, energies, truncation):
 
 def info_per_photon(v1_mag, v2_mag, energy, truncation=15):
     """Chernoff information per detected photon, C/energy, of the full
-    random-phase statistics: energy_scan_curves' joint curve at one energy."""
-    return energy_scan_curves(v1_mag, v2_mag, [energy], truncation)[0][0]
+    random-phase statistics: energy_scan_curves' joint readout, solved alone."""
+    pair = _pair_cells((v1_mag, v2_mag), np.array([energy], dtype=float), truncation)[3]
+    return pair(0, 1)[3](0)
 
 
 def _scan_argmax(ratio):

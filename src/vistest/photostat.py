@@ -259,23 +259,28 @@ def split_cells(values, last):
     return n, k, index, _split_rows(distinct, last)[:, n * (n + 1) // 2 + k]
 
 
-def joint_random_phase(params, vis_magnitude):
-    """Joint count distribution averaged over a uniform global phase, dark
-    counts folded in first; |V| outside [0, 1] is refused, not folded into a
-    phase. Cells (k, n - k) and (n - k, k) hold Pois(n; E) B_V(k | n) up to
-    n past 2K (split_cells); k >= K or k' >= K folds into row or column K."""
-    params, vis = effective_params(params, ComplexVisibility(_checked_magnitude(vis_magnitude)))
-    pois = _poisson_rows(params.mean_detected_energy, 2 * params.truncation)
-    n, k, _, split = split_cells([vis.magnitude], len(pois) - 1)
+def random_phase_tables(params, values):
+    """Joint count distributions averaged over a uniform global phase, one
+    per |V| in values (refused outside [0, 1], not folded into a phase),
+    dark counts folded in first. One Poisson row and one split_cells call
+    serve all: cells (k, n - k) and (n - k, k) hold Pois(n; E) B_V(k | n)
+    up to n past 2K; k >= K or k' >= K folds into row or column K."""
+    params, unit = effective_params(params, ComplexVisibility(1.0))  # |V| = 1 folds to the scale
+    values = [ComplexVisibility(_checked_magnitude(v)).magnitude * unit.magnitude for v in values]
+    k = params.truncation
+    pois = _poisson_rows(params.mean_detected_energy, 2 * k)
+    n, plus, index, split = split_cells(values, len(pois) - 1)
     table = np.zeros((len(pois), len(pois)))
-    table[k, n - k] = table[n - k, k] = split[0] * pois[n]
-    return JointPhotocountDistribution(params.truncation, _fold_tail(table, params.truncation))
+    tables = []
+    for i in index:  # every value writes the same cells, so one table serves all
+        table[plus, n - plus] = table[n - plus, plus] = split[i] * pois[n]
+        tables.append(JointPhotocountDistribution(k, _fold_tail(table, k)))
+    return tables
 
 
-def hypothesis_tables(v1_mag, v2_mag, energy, truncation):
-    """Random-phase tables of the two hypotheses at one (energy, K)."""
-    params = DetectionParams(energy, 0.0, truncation)
-    return joint_random_phase(params, v1_mag), joint_random_phase(params, v2_mag)
+def joint_random_phase(params, vis_magnitude):
+    """random_phase_tables' table for one |V|."""
+    return random_phase_tables(params, [vis_magnitude])[0]
 
 
 def retruncate(dist, truncation):

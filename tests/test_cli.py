@@ -32,6 +32,13 @@ def count_builds_and_solves(monkeypatch):
     return tables, solves
 
 
+def count_split_rows(monkeypatch):
+    """Record the arguments of every split-law row set built."""
+    split_rows, build = [], ps._split_rows
+    monkeypatch.setattr(ps, "_split_rows", lambda *a: split_rows.append(a) or build(*a))
+    return split_rows
+
+
 def make_tag_file(directory, windows=400):
     rng = np.random.default_rng(12)
     config = tagio.BinningConfig()
@@ -156,6 +163,11 @@ class TestChernoff:
         assert summary["information_nats"] == pytest.approx(1.575)
         assert "sigma,nan\n" in run(capsys, *argv)[1]
 
+    def test_builds_the_pair_from_one_split_row_set(self, capsys, monkeypatch):
+        split_rows = count_split_rows(monkeypatch)
+        assert run(capsys, "chernoff")[0] == 0
+        assert len(split_rows) == 1
+
     def test_truncate_above_truncation_refused(self, capsys):
         code, out, err = run(capsys, "chernoff", "--truncate", "40")
         assert (code, out) == (3, "")
@@ -239,39 +251,37 @@ class TestSimulate:
         assert len(rows) == 15
         for row in rows:
             assert float(row[5]) <= float(row[1]) <= float(row[6]), row
-        p1, p2 = ps.hypothesis_tables(0.98, 0.56, 6.3, 15)
-        sources = [ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), v)
-                   for v in (0.0, 0.14, 0.28, 0.42)] + [p2]
+        params = ps.DetectionParams(6.3, 0.0, 15)
+        p1, p2 = ps.random_phase_tables(params, [0.98, 0.56])
+        sources = [ps.joint_random_phase(params, v) for v in (0.0, 0.14, 0.28, 0.42)] + [p2]
         band = simkit.worst_case_sweep(p1, p2, sources, [int(row[0]) for row in rows], 300, seed)
         assert [float(row[1]) for row in rows] == [b.estimates[-1].error_mean for b in band]
 
-    def test_band_builds_at_most_8_tables_and_reads_each_stream_once(
+    def test_band_builds_one_split_row_set_and_reads_each_stream_once(
             self, capsys, monkeypatch):
-        tables, streams = [], []
-        build, stream = ps.joint_random_phase, simkit.dataset_rng
-        monkeypatch.setattr(ps, "joint_random_phase",
-                            lambda *a: tables.append(a) or build(*a))
+        streams, stream = [], simkit.dataset_rng
+        split_rows = count_split_rows(monkeypatch)
         monkeypatch.setattr(simkit, "dataset_rng",
                             lambda *a: streams.append(a) or stream(*a))
         code, _, _ = run(capsys, "simulate", "--n-list", "1,5", "--ensemble", "50", *self.BAND)
         assert code == 0
-        # the (v1, v2) pair, shared by the bounds and the sampler, then one table
-        # per other distinct visibility of the band
-        assert len(tables) <= 8
+        # every table, the (v1, v2) pair and the band's, folds from one row set
+        assert len(split_rows) == 1
         assert len(streams) == len(set(streams)) == 6
 
     def test_builds_the_pair_once_and_solves_it_once(self, capsys, monkeypatch):
-        tables, solves = count_builds_and_solves(monkeypatch)
+        solves = count_builds_and_solves(monkeypatch)[1]
+        split_rows = count_split_rows(monkeypatch)
         code, _, _ = run(capsys, "simulate", "--ensemble", "100")
         assert code == 0
-        assert (len(tables), len(solves)) == (2, 1)
+        assert (len(split_rows), len(solves)) == (1, 1)
 
     def test_without_band_equals_error_curve(self, capsys):
         n_list = [1, 3, 8]
         _, out, _ = run(capsys, "simulate", "--n-list", "1,3,8", "--ensemble", "400",
                         "--seed", "13")
         rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
-        p1, p2 = ps.hypothesis_tables(0.98, 0.56, 6.3, 15)
+        p1, p2 = ps.random_phase_tables(ps.DetectionParams(6.3, 0.0, 15), [0.98, 0.56])
         curve = simkit.estimate_error(p1, p2, n_list, 400, 13)
         assert [(int(r[0]), float(r[1]), float(r[2])) for r in rows] == [
             (n, e.error_mean, e.error_std) for n, e in zip(n_list, curve)]
@@ -283,7 +293,11 @@ class TestSimulate:
         # a negative magnitude would otherwise pass as a phase of pi
         (["--band=-0.2,0.56"], "random-phase |V| = -0.2 must lie in [0, 1]"),
         (["--v1", "-0.1"], "random-phase |V| = -0.1 must lie in [0, 1]"),
-    ], ids=["design-point", "band-visibility", "v1-visibility"])
+        # every |V| is checked, in the order v1, v2, band, before the design point
+        (["--v1", "-0.1", "--band", "0,0.3"], "random-phase |V| = -0.1 must lie in [0, 1]"),
+        (["--band=-0.2,0.3"], "random-phase |V| = -0.2 must lie in [0, 1]"),
+    ], ids=["design-point", "band-visibility", "v1-visibility", "v1-before-design-point",
+            "band-visibility-before-design-point"])
     def test_refused_before_sampling(self, capsys, monkeypatch, option, message):
         def refuse(*args):
             raise AssertionError("the Monte Carlo ran")
@@ -663,9 +677,7 @@ class TestFigures:
     def test_scan_curves_build_one_split_row_set(self, capsys, monkeypatch):
         # all 60 energies and all three readouts read one set of split-law
         # rows, cut at the top energy; the K-table path built 240 tables
-        tables, split_rows = count_builds_and_solves(monkeypatch)[0], []
-        build = ps._split_rows
-        monkeypatch.setattr(ps, "_split_rows", lambda *a: split_rows.append(a) or build(*a))
+        tables, split_rows = count_builds_and_solves(monkeypatch)[0], count_split_rows(monkeypatch)
         code, out, _ = run(capsys, "figures", "--id", "3")
         assert code == 0
         assert (len(split_rows), len(tables)) == (1, 0)
@@ -694,6 +706,11 @@ class TestFigures:
         code, out, _ = run(capsys, "figures", *figure)
         assert code == 0
         assert (0, out) == run(capsys, *command)[:2]
+
+    def test_band_figure_builds_one_split_row_set(self, capsys, monkeypatch):
+        split_rows = count_split_rows(monkeypatch)
+        assert run(capsys, "figures", "--id", "4c", "--ensemble", "100")[0] == 0
+        assert len(split_rows) == 1
 
     def test_simulation_figure_delegates(self, capsys):
         # keep it tiny: override via the shared simulate defaults is not

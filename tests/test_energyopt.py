@@ -17,8 +17,9 @@ def table_information(energy, v1=0.98, v2=0.56):
     """C of the K-table oracle at this energy: the full tables at K =
     search_truncation(E), the K = 2 tables, and the full tables' count
     differences."""
-    full = ps.hypothesis_tables(v1, v2, energy, eo.search_truncation(energy))
-    limited = ps.hypothesis_tables(v1, v2, energy, 2)
+    full = ps.random_phase_tables(ps.DetectionParams(energy, 0.0, eo.search_truncation(energy)),
+                                  [v1, v2])
+    limited = ps.random_phase_tables(ps.DetectionParams(energy, 0.0, 2), [v1, v2])
     return [ch.chernoff_information(*pair).information for pair in (
         full, limited, [ps.marginal_difference(t).probs for t in full])]
 
@@ -113,6 +114,18 @@ class TestInfoPerPhoton:
         # at E = 1e-3), where the tables' short-cut gave 0
         assert eo.info_per_photon(v, v, energy) == 0.0
         assert [c.tolist() for c in eo.energy_scan_curves(v, v, [energy])] == [[0.0]] * 3
+
+    @pytest.mark.parametrize("v1,v2,energy", [(0.98, 0.56, 6.3), (0.3, 0.3001, 1e-3),
+                                              (1.0, 0.0, 30.0), (0.5, 0.5, 2.0)])
+    def test_solves_only_the_joint_readout(self, monkeypatch, v1, v2, energy):
+        # the K = 2 and difference readouts are chernoff_information solves
+        expected = eo.energy_scan_curves(v1, v2, [energy])[0][0]
+
+        def refuse(*args):
+            raise AssertionError("a readout other than the joint one was solved")
+
+        monkeypatch.setattr(ch, "chernoff_information", refuse)
+        assert eo.info_per_photon(v1, v2, energy) == expected
 
     def test_difference_mode_loses_information(self):
         _, _, diff = eo.energy_scan_curves(0.98, 0.56, [6.3])

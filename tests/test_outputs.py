@@ -1,11 +1,14 @@
 """tools/outputs.py on two tiny fake trees whose CLI prints the same for
-every command but one, where one cell moves by 1e-12 relative."""
+every command but one, where one cell moves by 1e-12 relative; and its
+command list against the real parser."""
 
 import importlib.util
 import json
 import pathlib
 
 import pytest
+
+from vistest.cli import build_parser
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
 spec = importlib.util.spec_from_file_location("outputs", TOOL)
@@ -62,6 +65,12 @@ def test_reports_the_planted_cell_and_nothing_else(tmp_path, capsys):
     assert moved["row"] == 2  # the second row below the column names
     assert moved["move"] == pytest.approx(1e-12, rel=1e-3, abs=0.0)
     assert float(moved["base"]) == 0.3
+
+
+def test_the_parser_accepts_every_command():
+    # an entry argparse refused would compare two usage errors and read "identical"
+    for command in outputs.COMMANDS:
+        assert build_parser().parse_args(command.split()).command == command.split()[0]
 
 
 def test_exit_header_and_text_changes(tmp_path, capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom, poisson
 
@@ -261,9 +261,10 @@ class TestJointRandomPhase:
             ps.joint_random_phase(ps.DetectionParams(2.0, 0.0, 4), v)
 
     def test_float_noise_above_one_is_one(self):
-        params = ps.DetectionParams(2.0, 0.0, 4)
-        assert np.array_equal(ps.joint_random_phase(params, 1.0 + 1e-12).probs,
-                              ps.joint_random_phase(params, 1.0).probs)
+        for dark in (0.0, 0.2):  # with dark counts, |V| is clamped before it is scaled
+            params = ps.DetectionParams(2.0, dark, 4)
+            assert np.array_equal(ps.joint_random_phase(params, 1.0 + 1e-12).probs,
+                                  ps.joint_random_phase(params, 1.0).probs)
 
     def test_p00_is_exp_minus_energy(self):
         for energy in (0.5, 2.0, 6.3):
@@ -463,6 +464,30 @@ class TestSplitCells:
         bad = values[-1]
         with pytest.raises(DomainError, match=rf"random-phase \|V\| = {bad} must lie in \[0, 1\]"):
             ps.split_cells(values, 10)
+
+
+class TestRandomPhaseTables:
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 1e-12, 0.56]),
+                                     st.floats(0.0, 1.0)), min_size=1, max_size=6),
+           energy=st.sampled_from([1e-4, 0.1, 1.0, 6.3, 30.0, 80.0, 208.0]),
+           truncation=st.sampled_from([1, 2, 15, 63, 300]),
+           dark=st.sampled_from([0.0, 0.2]))
+    @example(values=[0.98, 0.3, 1.0 + 1e-12, 0.98, 0.0, 1.0], energy=6.3, truncation=15,
+             dark=0.2)
+    @example(values=[0.56, 0.0, 0.14, 0.28, 0.42, 0.56], energy=208.0, truncation=300, dark=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_each_table_equals_its_one_value_build(self, values, energy, truncation, dark):
+        # one row set for all values, repeats and clamped values sharing a row
+        params = ps.DetectionParams(energy, dark, truncation)
+        tables = ps.random_phase_tables(params, values)
+        assert len(tables) == len(values)
+        for v, table in zip(values, tables):
+            assert np.array_equal(table.probs, ps.joint_random_phase(params, v).probs), v
+
+    def test_refuses_any_value_outside_the_unit_interval_first(self, monkeypatch):
+        monkeypatch.setattr(ps, "_poisson_rows", None)  # nothing is built
+        with pytest.raises(DomainError, match=r"\|V\| = -0.1 must lie in"):
+            ps.random_phase_tables(ps.DetectionParams(6.3, 0.0, 600), [0.5, -0.1, 2.0])
 
 
 class TestRetruncate:

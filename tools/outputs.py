@@ -76,6 +76,8 @@ COMMANDS = [
     "figures --id s2",
     "figures --id 4c",
     "figures --id 2b",
+    "simulate --ensemble 100 --band 0.28,0,0.56,0.28",
+    "chernoff --v1 0.56 --v2 0.56 --json",
 ]
 
 
