@@ -65,8 +65,8 @@ def _pair_cells(values, energies, truncation):
     once, cold at n = 0, so no result depends on solve order."""
     search_truncation(energies.max(), truncation)
     row = functools.cache(lambda m: np.log(photostat._poisson_rows(energies[m])))
-    rows, plus, index, log_b = photostat.split_cells(values, len(row(int(energies.argmax()))) - 1)
-    np.log(log_b, out=log_b)  # in place: B and log B are never both held
+    rows, plus, index, blocks = photostat.split_cells(values, len(row(int(energies.argmax()))) - 1)
+    log_b = [row for block in blocks for row in np.log(block, out=block)]  # in place, no copy
     twice = np.where(2 * plus < rows, np.log(2.0), 0.0)
 
     def pair(i, j):

@@ -76,25 +76,6 @@ def delta_from_visibilities(v1, v2):
     return (1.0 - v2 / v1) / 2.0
 
 
-def visibility_from_hamming(delta):
-    """Signed visibility 1 - 2 delta of BPSK signals at relative Hamming
-    distance delta (random-phase use takes the absolute value)."""
-    return 1.0 - 2.0 * delta
-
-
-def bpsk_overlap(phases_a, phases_b):
-    """Overlap of two equal-length BPSK phase patterns (bit sequences):
-    the mean of (-1)^(a XOR b)."""
-    a = list(phases_a)
-    b = list(phases_b)
-    if len(a) != len(b):
-        raise DomainError("phase patterns differ in length")
-    if not a:
-        raise DomainError("phase patterns must be non-empty")
-    agree = sum(1 for x, y in zip(a, b) if bool(x) == bool(y))
-    return (2 * agree - len(a)) / len(a)
-
-
 def classical_lower_bound(n, eps):
     """Bits any classical protocol must reveal:
     (1 - 2 sqrt(eps)) (sqrt(n / (2 ln 2)) - 1)."""

@@ -1,6 +1,6 @@
 """Photocount statistics for two-port interference: fixed-phase and
-random-phase joint count tables, dark counts, truncation, the
-count-difference marginal, and the waveplate visibility map."""
+random-phase joint count tables, dark counts, truncation and the
+count-difference marginal."""
 
 import functools
 import math
@@ -37,19 +37,6 @@ class ComplexVisibility:
             mag = 1.0
         object.__setattr__(self, "magnitude", mag)
         object.__setattr__(self, "phase", phase % TWO_PI)
-
-    @classmethod
-    def from_complex(cls, value):
-        return cls(abs(value), math.atan2(value.imag, value.real))
-
-    @property
-    def value(self):
-        """The visibility as a complex number."""
-        return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-    @property
-    def real(self):
-        return self.magnitude * math.cos(self.phase)
 
 
 @dataclass(frozen=True)
@@ -247,35 +234,48 @@ def _checked_magnitude(vis_magnitude):  # a random-phase |V| has no sign to fold
     return vis_magnitude
 
 
+# The split-row triangles built at once, unless one value's is larger: the
+# map's 50 rows to n = 90 take one pass, and rows to n = 600 one value each.
+_ROW_BYTES = 2 ** 21
+
+
 def split_cells(values, last):
     """Split-law cells k <= n / 2 of rows 0..last, by n, then k: their n and
     k, each value's row among the distinct |V| (each refused outside [0, 1])
-    and B_V(k | n) per distinct |V|. phi -> pi - phi swaps a random phase's
-    ports, so B_V(n - k | n) = B_V(k | n) bit for bit; mirrors need no cell."""
+    and B_V(k | n) per distinct |V|, as blocks of rows made one at a time:
+    each block's triangles take at most _ROW_BYTES, or hold one value.
+    phi -> pi - phi swaps a random phase's ports, so B_V(n - k | n) =
+    B_V(k | n) bit for bit; mirrors need no cell."""
     distinct = sorted({_checked_magnitude(v) for v in values})  # np.unique maps in 0.3 MB of code
     index = np.array([distinct.index(v) for v in values], dtype=int)
     n = np.repeat(np.arange(last + 1), np.arange(last + 1) // 2 + 1)
     k = np.arange(len(n)) - n - (n - 1) * (n - 1) // 4  # row n starts at sum(m // 2 + 1, m < n)
-    return n, k, index, _split_rows(distinct, last)[:, n * (n + 1) // 2 + k]
+    step = max(1, _ROW_BYTES // (4 * (last + 1) * (last + 2)))  # 8 bytes a triangle cell
+    return n, k, index, (_split_rows(distinct[i:i + step], last)[:, n * (n + 1) // 2 + k]
+                         for i in range(0, len(distinct), step))
 
 
 def random_phase_tables(params, values):
     """Joint count distributions averaged over a uniform global phase, one
     per |V| in values (refused outside [0, 1], not folded into a phase),
     dark counts folded in first. One Poisson row and one split_cells call
-    serve all: cells (k, n - k) and (n - k, k) hold Pois(n; E) B_V(k | n)
-    up to n past 2K; k >= K or k' >= K folds into row or column K."""
+    serve all, each block of split rows folded before the next is made:
+    cells (k, n - k) and (n - k, k) hold Pois(n; E) B_V(k | n) up to n past
+    2K; k >= K or k' >= K folds into row or column K. Repeats share a table."""
     params, unit = effective_params(params, ComplexVisibility(1.0))  # |V| = 1 folds to the scale
     values = [ComplexVisibility(_checked_magnitude(v)).magnitude * unit.magnitude for v in values]
     k = params.truncation
     pois = _poisson_rows(params.mean_detected_energy, 2 * k)
-    n, plus, index, split = split_cells(values, len(pois) - 1)
-    table = np.zeros((len(pois), len(pois)))
-    tables = []
-    for i in index:  # every value writes the same cells, so one table serves all
-        table[plus, n - plus] = table[n - plus, plus] = split[i] * pois[n]
-        tables.append(JointPhotocountDistribution(k, _fold_tail(table, k)))
-    return tables
+    n, plus, index, blocks = split_cells(values, len(pois) - 1)
+
+    def fold(block):  # one scatter table per block, gone before the next block is made
+        table = np.zeros((len(pois), len(pois)))
+        for split in block:  # every |V| writes the same cells
+            table[plus, n - plus] = table[n - plus, plus] = split * pois[n]
+            yield JointPhotocountDistribution(k, _fold_tail(table, k))
+
+    tables = [table for block in blocks for table in fold(block)]
+    return [tables[i] for i in index]
 
 
 def joint_random_phase(params, vis_magnitude):
@@ -300,21 +300,3 @@ def marginal_difference(dist):
     probs = np.array([np.trace(dist.probs, offset=dk) for dk in range(-k, k + 1)])
     return CountDifferenceDistribution(k, probs)
 
-
-def waveplate_visibility(theta, phi):
-    """Visibility realized by quarter- and half-wave plates at angles
-    theta and phi: V = exp(i(4 phi - 2 theta)) cos(2 theta)."""
-    return ComplexVisibility(math.cos(2.0 * theta), 4.0 * phi - 2.0 * theta)
-
-
-def visibility_from_amplitudes(amp_a, amp_b, modal_overlap=1.0):
-    """Visibility of two signals with complex amplitudes amp_a, amp_b and
-    a given modal overlap: V = 2 a conj(b) / (|a|^2 + |b|^2) * overlap."""
-    amp_a = complex(amp_a)
-    amp_b = complex(amp_b)
-    norm = abs(amp_a) ** 2 + abs(amp_b) ** 2
-    if norm == 0.0:
-        raise DomainError("both amplitudes are zero")
-    if abs(modal_overlap) > 1.0 + _MAG_SLACK:
-        raise DomainError("modal overlap magnitude exceeds 1")
-    return ComplexVisibility.from_complex(2.0 * amp_a * amp_b.conjugate() / norm * modal_overlap)

@@ -327,16 +327,14 @@ def histogram(outcomes, truncation):
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Per-cell residuals against a theoretical distribution.
+    """An empirical histogram against a theoretical distribution.
 
-    residuals holds N_kk' - total * P_kk'; normalized divides by
-    sqrt(max(N_kk', 1)). fraction_within_2 counts occupied cells whose
-    normalized residual has magnitude <= 2; tv_distance is the total
-    variation distance between the empirical frequencies and theory.
+    fraction_within_2 counts occupied cells whose residual
+    N_kk' - total * P_kk', divided by sqrt(max(N_kk', 1)), has magnitude
+    <= 2; tv_distance is the total variation distance between the
+    empirical frequencies and theory.
     """
 
-    residuals: np.ndarray = field(repr=False)
-    normalized: np.ndarray = field(repr=False)
     fraction_within_2: float
     tv_distance: float
 
@@ -355,7 +353,7 @@ def compare_to_theory(hist, theory):
     within = np.abs(normalized[occupied]) <= 2.0
     fraction = float(within.mean()) if occupied.any() else 1.0
     tv = 0.5 * float(np.abs(counts / hist.total - theory.probs).sum())
-    return ComparisonResult(residuals, normalized, fraction, tv)
+    return ComparisonResult(fraction, tv)
 
 
 def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):

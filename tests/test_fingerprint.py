@@ -51,28 +51,11 @@ class TestVisibilityMaps:
 
     def test_delta_roundtrip(self):
         delta = 0.21
-        v = fp.visibility_from_hamming(delta)
-        assert fp.delta_from_visibilities(1.0, v) == pytest.approx(delta)
+        assert fp.delta_from_visibilities(1.0, 1.0 - 2.0 * delta) == pytest.approx(delta)
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(DomainError):
             fp.delta_from_visibilities(0.56, 0.98)
-
-    def test_bpsk_overlap(self):
-        assert fp.bpsk_overlap([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
-        assert fp.bpsk_overlap([0, 0, 0, 0], [1, 1, 1, 1]) == -1.0
-        assert fp.bpsk_overlap([0, 1, 0, 1], [0, 1, 1, 0]) == 0.0
-
-    def test_bpsk_overlap_matches_hamming_map(self):
-        a = [0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
-        b = [0, 1, 0, 0, 1, 1, 0, 0, 1, 0]
-        delta = sum(x != y for x, y in zip(a, b)) / len(a)
-        assert fp.bpsk_overlap(a, b) == pytest.approx(
-            fp.visibility_from_hamming(delta))
-
-    def test_bpsk_length_mismatch(self):
-        with pytest.raises(DomainError):
-            fp.bpsk_overlap([0], [0, 1])
 
 
 class TestClassicalBenchmarks:

@@ -86,7 +86,6 @@ class TestComplexVisibility:
         v = ps.ComplexVisibility(-0.7, 0.0)
         assert v.magnitude == 0.7
         assert v.phase == pytest.approx(math.pi)
-        assert v.real == pytest.approx(-0.7)
 
     def test_magnitude_above_one_rejected(self):
         with pytest.raises(DomainError):
@@ -94,11 +93,6 @@ class TestComplexVisibility:
 
     def test_tiny_overshoot_clamped(self):
         assert ps.ComplexVisibility(1.0 + 1e-12).magnitude == 1.0
-
-    def test_from_complex_roundtrip(self):
-        v = ps.ComplexVisibility.from_complex(0.3 - 0.4j)
-        assert v.magnitude == pytest.approx(0.5)
-        assert v.value == pytest.approx(0.3 - 0.4j)
 
 
 class TestPortIntensities:
@@ -444,7 +438,8 @@ class TestSplitCells:
     @pytest.mark.parametrize("last", [0, 1, 2, 7, 40])
     def test_cells_are_the_lower_half_of_the_rows(self, last):
         values = (0.0, 0.37, 0.56, 0.98, 1.0)
-        n, k, index, split = ps.split_cells(values, last)
+        n, k, index, blocks = ps.split_cells(values, last)
+        split = np.concatenate([*blocks])
         assert list(zip(n, k)) == [(m, j) for m in range(last + 1) for j in range(m // 2 + 1)]
         assert index.tolist() == [0, 1, 2, 3, 4]
         rows = ps._split_rows(values, last)
@@ -453,10 +448,25 @@ class TestSplitCells:
 
     def test_repeated_and_unsorted_values_share_rows(self):
         values = [0.98, 0.3, 1.0, 0.98, 0.0, 0.3]
-        n, k, index, split = ps.split_cells(values, 30)
+        n, k, index, blocks = ps.split_cells(values, 30)
+        split = np.concatenate([*blocks])
         assert len(split) == 4
         for v, row in zip(values, index):
-            alone = ps.split_cells([v], 30)[3][0]
+            alone = next(ps.split_cells([v], 30)[3])[0]
+            assert np.array_equal(split[row], alone), v
+
+    @pytest.mark.parametrize("last, sizes", [(30, [6]), (338, [4, 2]), (500, [2, 2, 2]),
+                                             (600, [1] * 6), (900, [1] * 6)])
+    def test_rows_come_in_blocks_under_the_byte_budget(self, last, sizes):
+        # blocks of the 6 distinct values under _ROW_BYTES; at n = 900 one
+        # value's triangle alone passes it
+        values = [0.98, 0.3, 1.0 + 1e-12, 0.98, 0.0, 1.0, 0.56, 0.3]
+        n, k, index, blocks = ps.split_cells(values, last)
+        blocks = [*blocks]
+        assert [len(b) for b in blocks] == sizes
+        split = np.concatenate(blocks)
+        for v, row in zip(values, index):
+            alone = next(ps.split_cells([v], last)[3])[0]
             assert np.array_equal(split[row], alone), v
 
     @pytest.mark.parametrize("values", [[0.5, -0.1], [0.2, 1.5], [math.nan]])
@@ -483,6 +493,24 @@ class TestRandomPhaseTables:
         assert len(tables) == len(values)
         for v, table in zip(values, tables):
             assert np.array_equal(table.probs, ps.joint_random_phase(params, v).probs), v
+
+    def test_holds_one_block_of_rows_at_a_time(self):
+        # 21 values with rows to n = 600 (K = 300): the peak is the tables
+        # returned, one scatter table, and one value's triangle, node array
+        # and four arrays the size of its cells; all 21 triangles at once
+        # would take twice the tables alone
+        values = [0.028 * i for i in range(21)]
+        last = 2 * 300
+        triangle = (last + 1) * (last + 2) // 2
+        cells = sum(m // 2 + 1 for m in range(last + 1))
+        tracemalloc.start()
+        try:
+            ps.random_phase_tables(ps.DetectionParams(6.3, 0.0, 300), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps._poisson_rows(6.3, last)) == last + 1
+        assert peak < 8 * (len(values) * 301 ** 2 + (last + 1) ** 2 + 2 * triangle + 4 * cells)
 
     def test_refuses_any_value_outside_the_unit_interval_first(self, monkeypatch):
         monkeypatch.setattr(ps, "_poisson_rows", None)  # nothing is built
@@ -529,47 +557,3 @@ class TestMarginalDifference:
         dist = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 15), 0.56)
         diff = ps.marginal_difference(dist)
         assert diff.probs[15] == pytest.approx(float(np.trace(dist.probs)))
-
-
-class TestWaveplateVisibility:
-    def test_aligned_plates(self):
-        v = ps.waveplate_visibility(0.0, 0.0)
-        assert v.magnitude == 1.0
-        assert v.phase == 0.0
-
-    def test_null_at_quarter_turn(self):
-        assert ps.waveplate_visibility(math.pi / 4.0, 0.3).magnitude == pytest.approx(
-            0.0, abs=1e-15)
-
-    def test_negative_cosine_folds_into_phase(self):
-        # cos(2 theta) < 0 with zero net phase flips the visibility sign
-        v = ps.waveplate_visibility(math.pi / 2.0, math.pi / 4.0)
-        assert v.magnitude == pytest.approx(1.0)
-        assert v.real == pytest.approx(-1.0)
-
-    def test_half_wave_plate_sweep_covers_phases(self):
-        # 50 half-wave plate angles over one visibility-phase period
-        theta = 0.1
-        phis = [math.pi / 2.0 * i / 50.0 for i in range(50)]
-        phases = sorted(ps.waveplate_visibility(theta, p).phase for p in phis)
-        gaps = np.diff(phases)
-        assert phases[0] < 2.0 * math.pi / 50.0
-        assert gaps.max() == pytest.approx(2.0 * math.pi / 50.0, rel=1e-9)
-
-
-class TestVisibilityFromAmplitudes:
-    def test_equal_amplitudes_perfect_overlap(self):
-        v = ps.visibility_from_amplitudes(1.0, 1.0, 1.0)
-        assert v.magnitude == pytest.approx(1.0)
-
-    def test_single_arm(self):
-        assert ps.visibility_from_amplitudes(1.0, 0.0, 1.0).magnitude == 0.0
-
-    def test_overlap_sets_magnitude(self):
-        v = ps.visibility_from_amplitudes(1.0, 1.0, 0.56)
-        assert v.magnitude == pytest.approx(0.56)
-
-    def test_zero_amplitudes_rejected(self):
-        with pytest.raises(DomainError):
-            ps.visibility_from_amplitudes(0.0, 0.0)
-
