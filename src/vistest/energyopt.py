@@ -199,6 +199,8 @@ def energy_scan_curves(v1_mag, v2_mag, energies, truncation=15):
     sum the cell laws by (min(k, K), min(k', K)) and by |k' - k|. A cell
     stands for its mirror too: C of a symmetric law is C of this fold."""
     energies = np.asarray(energies, dtype=float)
+    if not energies.size:
+        raise DomainError("energies must list at least one energy")
     if not np.all(energies > 0.0):
         raise DomainError("energy must be > 0")
     rows, plus, row, pair = _pair_cells((v1_mag, v2_mag), energies, truncation)

@@ -98,12 +98,12 @@ class CountDifferenceDistribution:
         object.__setattr__(self, "probs", checked_probabilities(self.probs, (2 * k + 1,)))
 
 
-def port_intensities(energy, vis, phase_offset=0.0):
-    """Mean counts (I_plus, I_minus) at the two output ports, with a global
-    phase_offset on top of the visibility's phase; they sum to energy."""
+def port_intensities(energy, vis):
+    """Mean counts (I_plus, I_minus) at the two output ports at the
+    visibility's phase; they sum to energy."""
     if not (math.isfinite(energy) and energy >= 0.0):
         raise DomainError("energy must be finite and >= 0")
-    i_plus = energy * (1.0 + vis.magnitude * math.cos(vis.phase + phase_offset)) / 2.0
+    i_plus = energy * (1.0 + vis.magnitude * math.cos(vis.phase)) / 2.0
     return i_plus, energy - i_plus
 
 

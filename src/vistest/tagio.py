@@ -5,9 +5,11 @@ count histograms, compares them against theoretical distributions, and
 synthesizes tag streams from the random-phase model for end-to-end
 checks.
 
-Timestamps are stored internally as integer tenths of nanoseconds so a
-3.3 ns detector resolution accumulates no drift over long streams; the
-on-disk format is decimal nanoseconds with one optional decimal digit.
+A tag stream is a list of blocks, each a pair of arrays: uint8 channels
+(0 for the '+' port, 1 for '-') and int64 timestamps in integer tenths of
+nanoseconds since stream start, so a 3.3 ns detector resolution
+accumulates no drift over long streams; the on-disk format is decimal
+nanoseconds with one optional decimal digit.
 """
 
 import math
@@ -51,26 +53,6 @@ class BinningConfig:
         return self.window_ns * 10
 
 
-class TagStream:
-    """A time-sorted detection stream in blocks of uint8 channels (0 for the '+'
-    port, 1 for '-') and int64 timestamps in tenths of ns since stream start."""
-
-    def __init__(self, channels, timestamps_tenths, duration_tenths=None, *, blocks=None):
-        self.blocks = blocks or [(np.asarray(channels, dtype=np.uint8),
-                                  np.asarray(timestamps_tenths, dtype=np.int64))]
-        ends = [t for _, ts in self.blocks if len(ts) for t in (ts[0], ts[-1])]
-        if any(ch.shape != ts.shape or ch.max(initial=0) > 1 or (ts[1:] < ts[:-1]).any()
-               for ch, ts in self.blocks) or np.any(np.diff(ends) < 0):  # windows are sorted runs
-            raise DomainError("channels must be 0 or 1, one to a timestamp, in time order")
-        self.duration_tenths = duration_tenths
-
-    channels = property(lambda self: np.concatenate([ch for ch, _ in self.blocks]))
-    timestamps_tenths = property(lambda self: np.concatenate([ts for _, ts in self.blocks]))
-
-    def __len__(self):
-        return sum(len(ts) for _, ts in self.blocks)
-
-
 _CHUNK_BYTES = 1 << 17  # sets the parse's memory: 4 MiB chunks doubled its peak
 _MAX_DIGITS = 17  # integer digits of a timestamp, so that its tenths fit in int64
 _ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
@@ -104,23 +86,6 @@ def _parse_line(raw, line_number, expect_header=False):
     if dot and not (len(frac) == 1 and frac.isascii() and frac.isdigit()):
         raise TagFormatError(line_number, f"timestamp {text!r} needs exactly one decimal digit")
     return int(channel), int(whole) * 10 + int(frac or 0)
-
-
-def _reader(source):
-    """readinto(view) -> bytes read: a binary file's own, else one feeding text or lines."""
-    if hasattr(source, "readinto"):
-        return source.readinto
-    pieces = (iter(lambda: source.read(_CHUNK_BYTES).encode(), b"") if hasattr(source, "read")
-              else ((line.encode() if isinstance(line, str) else line).rstrip(b"\n") + b"\n"
-                    for line in source))
-    rest = bytearray()
-    def readinto(view):
-        while len(rest) < len(view) and (piece := next(pieces, b"")):
-            rest.extend(piece)
-        size = min(len(view), len(rest))
-        view[:size], rest[:size] = rest[:size], b""
-        return size
-    return readinto
 
 
 def _decode(buf, starts, ends, rows):
@@ -172,16 +137,17 @@ def _decode(buf, starts, ends, rows):
 
 
 def parse_tags(source):
-    """Parse a tag CSV stream, a binary or text file object or an iterable of
-    str or bytes lines, lazily: one checked (uint8 channels, int64 tenths)
-    block per chunk of about 128 KiB, the whole stream being
-    `TagStream(None, None, blocks=list(parse_tags(source)))`. Requires the
-    `channel,timestamp_ns` header (a file without it, even an empty one, is
-    refused), channels in {0, 1}, and non-decreasing timestamps; the first
-    violation raises, naming its line, after the blocks before it. Lines
-    [01],[0-9]{1,17}(.[0-9])? (LF or CRLF) decode together in numpy, eight
+    """Parse a tag CSV file opened in binary mode, lazily: one checked block per
+    chunk of about 128 KiB, the whole stream being `list(parse_tags(source))`.
+    Requires the `channel,timestamp_ns` header (a file without it, even an
+    empty one, is refused), channels in {0, 1}, and non-decreasing timestamps;
+    the first violation raises, naming its line, after the blocks before it.
+    Lines [01],[0-9]{1,17}(.[0-9])? (LF or CRLF) decode together in numpy, eight
     digits a word (_decode), any other one by one, in arrays made once per stream."""
-    read, chunk, held = _reader(source), _CHUNK_BYTES, 0
+    if not hasattr(source, "readinto"):
+        raise DomainError(f"tags are read from a binary file; a {type(source).__name__} "
+                          "has no readinto")
+    read, chunk, held = source.readinto, _CHUNK_BYTES, 0
     buf, newline = np.empty(chunk, np.uint8), np.empty(chunk, bool)
     rows, previous, number, saw_header = np.empty((0, 0)), -1, 0, False
     while (size := read(memoryview(buf)[held:chunk if held < chunk else held + chunk])) or held:
@@ -228,25 +194,25 @@ def parse_tags(source):
         raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
 
 
-def write_tags(stream, out):
-    """Write a tag stream in the CSV format accepted by parse_tags."""
+def write_tags(blocks, out):
+    """Write (channels, tenths) blocks to a text file in the CSV format parse_tags reads."""
     out.write(TAG_HEADER + "\n")
-    for ch, ts in zip(stream.channels, stream.timestamps_tenths):
-        out.write(f"{ch},{ts // 10}.{ts % 10}\n")
+    for ch, ts in blocks:
+        for c, t in zip(ch.tolist(), ts.tolist()):
+            out.write(f"{c},{t // 10}.{t % 10}\n")
 
 
-def bin_counts(stream, config, duration_ns=None):
-    """Group tags into consecutive windows of window_ns.
+def bin_counts(blocks, config, duration_ns=None):
+    """Group the tags of (channels, tenths) blocks into consecutive windows of window_ns.
 
     Returns an (n_windows, 2) integer array of per-window (k_plus,
-    k_minus) counts, clamped at the truncation. With an explicit
-    duration the final partial window is discarded; otherwise the
-    window containing the last tag closes the stream (the stream's own
-    recorded duration, if any, takes precedence).
+    k_minus) counts, clamped at the truncation. With a duration the
+    windows run to its last whole one, the final partial window being
+    discarded; otherwise the window containing the last tag closes the
+    stream.
     """
-    duration = stream.duration_tenths if duration_ns is None else int(duration_ns * 10)
     runs = []
-    n_windows, _ = _windows(stream.blocks, config, duration, lambda *run: runs.append(run))
+    n_windows, _ = _windows(blocks, config, duration_ns, lambda *run: runs.append(run))
     counts = np.zeros((n_windows, 2), dtype=np.int64)
     for index, run in runs:
         counts[index] = run
@@ -257,28 +223,34 @@ def tally(blocks, config, duration_ns=None):
     """One pass over (channels, tenths) blocks, as parse_tags yields them, storing no
     window or block: (histogram(bin_counts(...), truncation), the tag count)."""
     counts = np.zeros((config.truncation + 1,) * 2, np.int64)
-    duration = None if duration_ns is None else int(duration_ns * 10)
-    n_windows, tags = _windows(blocks, config, duration, lambda _, run: np.add(
+    n_windows, tags = _windows(blocks, config, duration_ns, lambda _, run: np.add(
         counts, histogram(run, config.truncation).counts, out=counts))
     counts[0, 0] += n_windows - counts.sum()  # the empty windows
     return EmpiricalHistogram(config.truncation, counts), tags
 
 
-def _windows(blocks, config, duration, visit):
+def _windows(blocks, config, duration_ns, visit):
     """visit(indices, unclamped (k_plus, k_minus) counts) of the occupied windows, block by
-    block; returns the window and tag counts, windows ending at the last tag's if no duration."""
+    block; returns the window and tag counts, windows ending at the last tag's if no duration.
+    Refuses a block whose channels are not 0 or 1, one to a timestamp, or whose windows go
+    back in time, within it or to one already counted."""
+    if duration_ns is not None and not 0 <= duration_ns * 10 <= np.iinfo(np.int64).max:
+        raise DomainError(f"duration_ns = {duration_ns} must be >= 0 and fit int64 in "
+                          "tenths of a ns")
     window = config.window_tenths
-    cut = np.iinfo(np.int64).max if duration is None else duration // window
+    cut = np.iinfo(np.int64).max if duration_ns is None else int(duration_ns * 10) // window
     index, tail, tags = -1, np.zeros((1, 2), np.int64), 0  # the open window (none yet)
     work = np.empty((4, 0), np.int64)  # w, minus, run bounds and opens, kept for the call
     for ch, ts in blocks:
+        if ch.shape != ts.shape or ch.max(initial=0) > 1 or ch.min(initial=0) < 0:
+            raise DomainError("tag blocks need channels 0 or 1, one to a timestamp")
         tags += len(ts)
         if work.shape[1] < len(ts) + 2:
             work = np.zeros((4, len(ts) * 9 // 8 + 2), np.int64)  # minus[0], ends[0] stay 0
         w = np.floor_divide(ts, window, out=work[0, :len(ts)])
-        if len(w) and w[0] < index:  # its first run would reopen a window already counted
-            raise DomainError("tag blocks go back in time")
         opens = work[3].view(bool)[:len(w)]  # tag i starts a run of its window
+        if len(w) and w[0] < index or np.less(w[1:], w[:-1], out=opens[1:]).any():
+            raise DomainError("tag blocks go back in time")  # windows are runs of sorted tags
         np.not_equal(w[1:], w[:-1], out=opens[1:])
         opens[:1] = w[:1] != index
         # run bounds: run 0 continues the open window, and is empty if tag 0 opens one
@@ -295,7 +267,7 @@ def _windows(blocks, config, duration, visit):
         keep = (runs[:-1] >= 0) & (runs[:-1] < cut)
         visit(runs[:-1][keep], counts[:-1][keep])
         index, tail = int(runs[-1]), counts[-1:]
-    n_windows = index + 1 if duration is None else cut  # 0 if no tag
+    n_windows = index + 1 if duration_ns is None else cut  # 0 if no tag
     if 0 <= index < n_windows:
         visit(np.array([index]), tail)
     return n_windows, tags
@@ -357,13 +329,13 @@ def compare_to_theory(hist, theory):
 
 
 def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
-    """Generate a synthetic tag stream from the random-phase model.
+    """Generate one (channels, tenths) block from the random-phase model.
 
     Per window: a fresh uniform global phase, Poisson counts at the two
     port intensities (unclamped; binning applies the truncation), each
     count placed at a uniform multiple of the timing resolution inside
-    the window. The stream records its duration, so bin_counts
-    round-trips the exact per-window counts.
+    the window. bin_counts([block], config, windows * config.window_ns)
+    round-trips the exact per-window counts, trailing empty windows too.
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
@@ -390,5 +362,4 @@ def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
     channels = np.concatenate([p[0] for p in parts])
     timestamps = np.concatenate([p[1] for p in parts])
     order = np.lexsort((channels, timestamps))
-    return TagStream(channels[order], timestamps[order],
-                     duration_tenths=windows * window)
+    return channels[order], timestamps[order]

@@ -162,17 +162,16 @@ def test_criterion_10_tag_pipeline_self_consistency():
     # around 0.957 across seeds, so an arbitrary seed sits too close to
     # the 0.95 threshold
     rng = np.random.default_rng(103)
-    stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=1_500_000)
+    channels, tenths = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=1_500_000)
 
     # exercise the text ingestion path on a slice, then run the full
     # stream through binning -> histogram -> comparison
     buf = io.StringIO()
-    head = tagio.TagStream(stream.channels[:5000], stream.timestamps_tenths[:5000])
-    tagio.write_tags(head, buf)
-    parsed = tagio.TagStream(None, None, blocks=list(tagio.parse_tags(io.StringIO(buf.getvalue()))))
-    assert len(parsed) == 5000
+    tagio.write_tags([(channels[:5000], tenths[:5000])], buf)
+    parsed = list(tagio.parse_tags(io.BytesIO(buf.getvalue().encode())))
+    assert sum(len(ts) for _, ts in parsed) == 5000
 
-    outcomes = tagio.bin_counts(stream, config)
+    outcomes = tagio.bin_counts([(channels, tenths)], config, 1_500_000 * config.window_ns)
     hist = tagio.histogram(outcomes, config.truncation)
     theory = ps.joint_random_phase(
         ps.DetectionParams(6.3, 0.0, config.truncation), 0.56)

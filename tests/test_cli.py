@@ -42,10 +42,10 @@ def count_split_rows(monkeypatch):
 def make_tag_file(directory, windows=400):
     rng = np.random.default_rng(12)
     config = tagio.BinningConfig()
-    stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=windows)
+    block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=windows)
     path = directory / "tags.csv"
     with open(path, "w") as f:
-        tagio.write_tags(stream, f)
+        tagio.write_tags([block], f)
     return path
 
 

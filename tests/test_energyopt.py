@@ -411,3 +411,8 @@ class TestEnergyScanCurves:
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(DomainError):
             eo.energy_scan_curves(0.98, 0.56, [1.0, 0.0])
+
+    def test_empty_energy_list_rejected(self):
+        # with no energy, the cells would be built to the maximum of an empty list
+        with pytest.raises(DomainError, match="energies must list at least one energy"):
+            eo.energy_scan_curves(0.98, 0.56, [])

@@ -100,11 +100,10 @@ class TestPortIntensities:
         assert ps.port_intensities(2.0, ps.ComplexVisibility(1.0)) == (2.0, 0.0)
 
     def test_zero_visibility(self):
-        assert ps.port_intensities(2.0, ps.ComplexVisibility(0.0), 1.2) == (1.0, 1.0)
+        assert ps.port_intensities(2.0, ps.ComplexVisibility(0.0, 1.2)) == (1.0, 1.0)
 
     def test_quarter_phase_offset(self):
-        i_plus, i_minus = ps.port_intensities(
-            6.3, ps.ComplexVisibility(0.56), math.pi / 2.0)
+        i_plus, i_minus = ps.port_intensities(6.3, ps.ComplexVisibility(0.56, math.pi / 2.0))
         assert i_plus == pytest.approx(3.15)
         assert i_minus == pytest.approx(3.15)
 
@@ -115,8 +114,7 @@ class TestPortIntensities:
     @given(st.floats(0.0, 50.0), st.floats(0.0, 1.0),
            st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     def test_energy_conserved(self, energy, mag, phase, offset):
-        i_plus, i_minus = ps.port_intensities(
-            energy, ps.ComplexVisibility(mag, phase), offset)
+        i_plus, i_minus = ps.port_intensities(energy, ps.ComplexVisibility(mag, phase + offset))
         assert i_plus + i_minus == pytest.approx(energy, rel=1e-15)
         assert i_plus >= 0.0 and i_minus >= 0.0
 

@@ -14,97 +14,97 @@ from vistest.util import DomainError
 HEADER = "channel,timestamp_ns\n"
 
 
-def make_stream(text):
-    return tagio.TagStream(None, None, blocks=list(tagio.parse_tags(io.StringIO(text))))
+def parse(text):
+    """The blocks of a tag file's text, read as a binary file."""
+    return list(tagio.parse_tags(io.BytesIO(text.encode())))
+
+
+def joined(blocks):
+    """The channels and the tenths of a list of blocks, as two lists."""
+    return ([c for ch, _ in blocks for c in ch.tolist()],
+            [t for _, ts in blocks for t in ts.tolist()])
 
 
 class TestParseTags:
     def test_basic_parse(self):
-        stream = make_stream(HEADER + "0,100\n1,103.3\n0,200.0\n")
-        assert len(stream) == 3
-        assert stream.channels.tolist() == [0, 1, 0]
-        assert stream.timestamps_tenths.tolist() == [1000, 1033, 2000]
+        channels, tenths = joined(parse(HEADER + "0,100\n1,103.3\n0,200.0\n"))
+        assert channels == [0, 1, 0]
+        assert tenths == [1000, 1033, 2000]
 
     @pytest.mark.parametrize("text,line", [("", 1), ("\n  \n\n", 4)],
                              ids=["empty", "blank-lines"])
     def test_file_without_header_rejected(self, text, line):
         # an empty or blank file is not an empty stream: it has no header
         with pytest.raises(tagio.TagFormatError, match="expected header") as err:
-            make_stream(text)
+            parse(text)
         assert err.value.line_number == line
 
     def test_header_only(self):
-        assert len(make_stream(HEADER)) == 0
-        assert len(make_stream("\n" + HEADER + "\n")) == 0
+        assert joined(parse(HEADER)) == ([], [])
+        assert joined(parse("\n" + HEADER + "\n")) == ([], [])
 
     def test_missing_header_reports_line_1(self):
         with pytest.raises(tagio.TagFormatError) as err:
-            make_stream("0,100\n")
+            parse("0,100\n")
         assert err.value.line_number == 1
 
     def test_bad_channel_reports_line(self):
         with pytest.raises(tagio.TagFormatError) as err:
-            make_stream(HEADER + "0,100\n2,200\n")
+            parse(HEADER + "0,100\n2,200\n")
         assert err.value.line_number == 3
         assert "channel" in str(err.value)
 
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(tagio.TagFormatError) as err:
-            make_stream(HEADER + "0,200\n0,100\n")
+            parse(HEADER + "0,200\n0,100\n")
         assert err.value.line_number == 3
 
     def test_equal_timestamps_allowed(self):
-        assert len(make_stream(HEADER + "0,100\n1,100\n")) == 2
+        assert joined(parse(HEADER + "0,100\n1,100\n")) == ([0, 1], [1000, 1000])
 
     def test_too_many_decimal_digits_rejected(self):
         with pytest.raises(tagio.TagFormatError):
-            make_stream(HEADER + "0,100.33\n")
+            parse(HEADER + "0,100.33\n")
 
     def test_non_numeric_timestamp_rejected(self):
         with pytest.raises(tagio.TagFormatError):
-            make_stream(HEADER + "0,abc\n")
+            parse(HEADER + "0,abc\n")
 
     def test_wrong_field_count_rejected(self):
         with pytest.raises(tagio.TagFormatError):
-            make_stream(HEADER + "0,100,extra\n")
+            parse(HEADER + "0,100,extra\n")
 
     def test_blank_lines_skipped(self):
-        assert len(make_stream(HEADER + "\n0,100\n\n")) == 1
+        assert joined(parse(HEADER + "\n0,100\n\n")) == ([0], [1000])
 
     def test_roundtrip_through_writer(self):
-        stream = make_stream(HEADER + "0,100\n1,103.3\n")
+        blocks = parse(HEADER + "0,100\n1,103.3\n")
         buf = io.StringIO()
-        tagio.write_tags(stream, buf)
-        again = make_stream(buf.getvalue())
-        assert np.array_equal(again.channels, stream.channels)
-        assert np.array_equal(again.timestamps_tenths, stream.timestamps_tenths)
+        tagio.write_tags(blocks, buf)
+        assert joined(parse(buf.getvalue())) == joined(blocks) == ([0, 1], [1000, 1033])
 
     @pytest.mark.parametrize("timestamp", ["1_000", "+2000", "-0", "-5", "\u0661\u0660\u0660",
                                            "1e3", "0x10", ".5", ""])
     def test_timestamp_outside_the_grammar_rejected(self, timestamp):
         with pytest.raises(tagio.TagFormatError, match="bad timestamp") as err:
-            make_stream(HEADER + "0,100\n1," + timestamp + "\n")
+            parse(HEADER + "0,100\n1," + timestamp + "\n")
         assert err.value.line_number == 3
 
     @pytest.mark.parametrize("line", [" 0 , 100.5 ", "\t0,100.5", "0,100.5\r", "0,\t100.5  "])
     def test_surrounding_whitespace_accepted(self, line):
-        stream = make_stream(HEADER + "\n" + line + "\n\n0,100.5\r\n")
-        assert stream.channels.tolist() == [0, 0]
-        assert stream.timestamps_tenths.tolist() == [1005, 1005]
+        assert joined(parse(HEADER + "\n" + line + "\n\n0,100.5\r\n")) == ([0, 0], [1005, 1005])
 
     def test_seventeen_integer_digits_is_the_limit(self):
         # 17 digits keep every timestamp's tenths below 1e18 < 2**63
-        stream = make_stream(HEADER + "1,99999999999999999.9\n")
-        assert stream.timestamps_tenths.tolist() == [10**18 - 1]
+        assert joined(parse(HEADER + "1,99999999999999999.9\n"))[1] == [10**18 - 1]
         with pytest.raises(tagio.TagFormatError, match="bad timestamp") as err:
-            make_stream(HEADER + "0,1\n1,100000000000000000\n")
+            parse(HEADER + "0,1\n1,100000000000000000\n")
         assert err.value.line_number == 3
 
     def test_last_line_without_newline(self):
-        stream = make_stream(HEADER + "0,100\n1,103.3")
-        assert stream.timestamps_tenths.tolist() == [1000, 1033]
+        assert joined(parse(HEADER + "0,100\n1,103.3"))[1] == [1000, 1033]
         with pytest.raises(tagio.TagFormatError) as err:
-            make_stream(HEADER + "0,100\n1,13")
+            parse(HEADER + "0,100\n1,13")
         assert err.value.line_number == 3
 
     @pytest.mark.parametrize("first,second,message", [
@@ -115,7 +115,7 @@ class TestParseTags:
         # line 5 fails one check and line 9 another: the earlier is reported
         lines = ["0,100", "1,200", "0,300", first, "1,600", "0,700", "1,800", second]
         with pytest.raises(tagio.TagFormatError, match=message) as err:
-            make_stream(HEADER + "\n".join(lines) + "\n")
+            parse(HEADER + "\n".join(lines) + "\n")
         assert err.value.line_number == 5
 
     def test_one_line_parser_sees_only_lines_outside_the_grammar(self, monkeypatch):
@@ -126,27 +126,23 @@ class TestParseTags:
             return parse_line(raw, *args, **kwargs)
 
         monkeypatch.setattr(tagio, "_parse_line", spy)
-        stream = make_stream(HEADER + "0,100\n1,103.3\r\n\n 0,200\n1,99999999999999999.9\n")
-        assert len(stream) == 4
+        blocks = parse(HEADER + "0,100\n1,103.3\r\n\n 0,200\n1,99999999999999999.9\n")
+        assert joined(blocks)[1] == [1000, 1033, 2000, 10**18 - 1]
         assert seen == [HEADER.strip().encode(), b"", b" 0,200"]
 
-    def test_iterable_of_lines(self):
-        lines = [HEADER.strip(), b"0,100", "1,103.3\n", b"\n"]
-        stream = tagio.TagStream(None, None, blocks=list(tagio.parse_tags(lines)))
-        assert stream.timestamps_tenths.tolist() == [1000, 1033]
+    @pytest.mark.parametrize("source", [io.StringIO(HEADER + "0,100\n"), [HEADER, "0,100\n"],
+                                        HEADER + "0,100\n"], ids=["text-file", "lines", "str"])
+    def test_text_source_refused(self, source):
+        # the one input form is a file opened "rb": its readinto fills the parse's buffer
+        with pytest.raises(DomainError, match="binary file.* has no readinto"):
+            next(tagio.parse_tags(source))
 
-    def test_iterable_is_read_a_chunk_at_a_time(self):
+    def test_file_is_read_a_chunk_at_a_time(self):
         # about 4 MB of lines of 14 bytes: the first block comes after one chunk of them
-        pulled = 0
-
-        def lines():
-            nonlocal pulled
-            for i in range(300_000):
-                pulled += 1
-                yield HEADER if i == 0 else f"{i % 2},{10**8 + i}.5"
-
-        channels, tenths = next(tagio.parse_tags(lines()))
-        assert pulled <= tagio._CHUNK_BYTES // 14 + 10
+        source = io.BytesIO((HEADER + "".join(f"{i % 2},{10**8 + i}.5\n"
+                                              for i in range(1, 300_000))).encode())
+        channels, tenths = next(tagio.parse_tags(source))
+        assert source.tell() == tagio._CHUNK_BYTES
         assert tenths[:2].tolist() == [(10**8 + 1) * 10 + 5, (10**8 + 2) * 10 + 5]
 
     def test_line_longer_than_the_chunk(self):
@@ -156,10 +152,7 @@ class TestParseTags:
                 + "".join(f"{i % 2},{1000 + i}.0\n" for i in range(20_000)))
         channels, tenths = reference_parse(text)
         assert len(tenths) == 20_001 and tenths[0] == 1005
-        for source in (io.StringIO(text), io.BytesIO(text.encode())):
-            stream = tagio.TagStream(None, None, blocks=list(tagio.parse_tags(source)))
-            assert stream.channels.tolist() == channels
-            assert stream.timestamps_tenths.tolist() == tenths
+        assert joined(parse(text)) == (channels, tenths)
 
 
 def reference_parse(text):
@@ -213,23 +206,21 @@ def tag_texts(draw):
 
 class TestParserAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(text=tag_texts(), chunk=st.integers(1, 64), binary=st.booleans())
-    def test_same_records_or_same_error(self, text, chunk, binary):
+    @given(text=tag_texts(), chunk=st.integers(1, 64))
+    def test_same_records_or_same_error(self, text, chunk):
         try:
             expected = reference_parse(text)
         except tagio.TagFormatError as exc:
             expected = exc
-        source = io.BytesIO(text.encode()) if binary else io.StringIO(text)
         with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
             try:
-                stream = tagio.TagStream(None, None, blocks=list(tagio.parse_tags(source)))
+                blocks = parse(text)
             except tagio.TagFormatError as exc:
                 assert str(exc) == str(expected)
                 assert exc.line_number == expected.line_number
                 return
         assert not isinstance(expected, Exception), expected
-        assert stream.channels.tolist() == expected[0]
-        assert stream.timestamps_tenths.tolist() == expected[1]
+        assert joined(blocks) == expected
 
     def test_blocks_share_no_memory(self):
         # the parse reuses its working set from chunk to chunk, so every block it
@@ -238,7 +229,7 @@ class TestParserAgainstReference:
                  for i in range(600)]
         text = HEADER + "\n".join(lines) + "\n"
         with mock.patch.object(tagio, "_CHUNK_BYTES", 64):
-            blocks = list(tagio.parse_tags(io.StringIO(text)))
+            blocks = parse(text)
         assert len(blocks) > 50
         arrays = [array for block in blocks for array in block]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
@@ -253,42 +244,46 @@ class TestParserAgainstReference:
 
 class TestBinCounts:
     def test_single_window(self):
-        stream = make_stream(HEADER + "0,10\n0,20\n1,30\n")
-        counts = tagio.bin_counts(stream, tagio.BinningConfig())
+        blocks = parse(HEADER + "0,10\n0,20\n1,30\n")
+        counts = tagio.bin_counts(blocks, tagio.BinningConfig())
         assert counts.tolist() == [[2, 1]]
 
     def test_window_boundaries(self):
         # 80 us windows: a tag at exactly 80000 ns opens the second window
-        stream = make_stream(HEADER + "0,79999.9\n1,80000\n")
-        counts = tagio.bin_counts(stream, tagio.BinningConfig())
+        blocks = parse(HEADER + "0,79999.9\n1,80000\n")
+        counts = tagio.bin_counts(blocks, tagio.BinningConfig())
         assert counts.tolist() == [[1, 0], [0, 1]]
 
     def test_explicit_duration_discards_partial_window(self):
-        stream = make_stream(HEADER + "0,10\n0,90000\n")
-        counts = tagio.bin_counts(stream, tagio.BinningConfig(), duration_ns=160_000)
+        blocks = parse(HEADER + "0,10\n0,90000\n")
+        counts = tagio.bin_counts(blocks, tagio.BinningConfig(), duration_ns=160_000)
         assert counts.tolist() == [[1, 0], [1, 0]]
-        partial = tagio.bin_counts(stream, tagio.BinningConfig(), duration_ns=150_000)
+        partial = tagio.bin_counts(blocks, tagio.BinningConfig(), duration_ns=150_000)
         assert partial.tolist() == [[1, 0]]
 
-    def test_stream_duration_takes_precedence(self):
-        stream = tagio.TagStream([0], [100], duration_tenths=3 * 800_000)
-        counts = tagio.bin_counts(stream, tagio.BinningConfig())
-        assert counts.shape == (3, 2)
-        assert counts.sum() == 1
+    def test_duration_keeps_trailing_empty_windows(self):
+        block = (np.array([0], np.uint8), np.array([100]))
+        counts = tagio.bin_counts([block], tagio.BinningConfig(), duration_ns=3 * 80_000)
+        assert counts.tolist() == [[1, 0], [0, 0], [0, 0]]
+
+    @pytest.mark.parametrize("duration_ns", [-80_000, -0.5, float("nan"), float("inf"), 10**18])
+    def test_bad_duration_refused(self, duration_ns):
+        # a negative duration would ask for a negative number of windows
+        with pytest.raises(DomainError, match=r"duration_ns = .* must be >= 0 and fit int64"):
+            tagio.bin_counts(parse(HEADER + "0,10\n"), tagio.BinningConfig(), duration_ns)
 
     def test_counts_clamped_at_truncation(self):
         lines = "".join(f"0,{10 * i}\n" for i in range(20))
-        stream = make_stream(HEADER + lines)
-        counts = tagio.bin_counts(stream, tagio.BinningConfig(truncation=15))
+        counts = tagio.bin_counts(parse(HEADER + lines), tagio.BinningConfig(truncation=15))
         assert counts.tolist() == [[15, 0]]
 
     def test_empty_stream(self):
-        counts = tagio.bin_counts(make_stream(HEADER), tagio.BinningConfig())
+        counts = tagio.bin_counts(parse(HEADER), tagio.BinningConfig())
         assert counts.shape == (0, 2)
         assert counts.dtype == np.int64
 
     def test_empty_stream_over_a_duration_gives_empty_windows(self):
-        counts = tagio.bin_counts(make_stream(HEADER), tagio.BinningConfig(),
+        counts = tagio.bin_counts(parse(HEADER), tagio.BinningConfig(),
                                   duration_ns=160_000)
         assert counts.tolist() == [[0, 0], [0, 0]]
 
@@ -337,14 +332,14 @@ def check_tally(tags, config, duration_ns=None, chunk=24):
     the reference and, where the windows are few, against bin_counts."""
     text = tag_text(tags)
     with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
-        stream = make_stream(text)
-    hist, _ = tagio.tally(stream.blocks, config, duration_ns)
+        blocks = parse(text)
+    hist, _ = tagio.tally(blocks, config, duration_ns)
     expected = reference_tally(tags, config, duration_ns)
-    assert len(stream) == len(tags)
+    assert len(joined(blocks)[1]) == len(tags)
     assert hist.truncation == config.truncation
     assert hist.counts.tolist() == expected.tolist()
     if hist.total <= 10**5:
-        counts = tagio.bin_counts(stream, config, duration_ns)
+        counts = tagio.bin_counts(blocks, config, duration_ns)
         assert len(counts) == hist.total
         assert hist.counts.tolist() == tagio.histogram(counts, config.truncation).counts.tolist()
     return hist
@@ -365,9 +360,10 @@ class TestTally:
         tags, config, duration_ns = case
         text = tag_text(tags)
         with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
-            stream = make_stream(text)
-            hist, count = tagio.tally(tagio.parse_tags(io.StringIO(text)), config, duration_ns)
-        assert count == len(tags) == len(stream)
+            blocks = parse(text)
+            hist, count = tagio.tally(tagio.parse_tags(io.BytesIO(text.encode())), config,
+                                      duration_ns)
+        assert count == len(tags) == len(joined(blocks)[1])
         assert hist.counts.tolist() == reference_tally(tags, config, duration_ns).tolist()
 
     @settings(max_examples=100, deadline=None)
@@ -380,7 +376,7 @@ class TestTally:
         blank = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
         text = "".join(line + "\n" * (2 * chunk * gap) for line, gap in zip(lines, blank))
         with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
-            blocks = list(tagio.parse_tags(io.StringIO(text)))
+            blocks = parse(text)
         sizes = [len(ts) for _, ts in blocks]
         full = np.flatnonzero(sizes)
         if any(blank[1:-1]):  # a tag line, its blanks, then another tag line
@@ -410,20 +406,30 @@ class TestTally:
         assert hist.counts[0, 0] == 10**15 - 1
 
     def test_stream_built_from_arrays(self):
-        stream = tagio.TagStream([0, 1, 1, 0], [5, 7, 900_000, 900_001],
-                                 duration_tenths=3 * 800_000)
-        hist, _ = tagio.tally(stream.blocks, tagio.BinningConfig(), stream.duration_tenths // 10)
-        expected = tagio.histogram(tagio.bin_counts(stream, tagio.BinningConfig()), 15)
+        blocks = [(np.array([0, 1, 1, 0]), np.array([5, 7, 900_000, 900_001]))]
+        hist, _ = tagio.tally(blocks, tagio.BinningConfig(), 3 * 80_000)
+        expected = tagio.histogram(tagio.bin_counts(blocks, tagio.BinningConfig(), 3 * 80_000), 15)
         assert hist.counts.tolist() == expected.counts.tolist()
-        assert len(stream.blocks) == 1 and stream.channels.dtype == np.uint8
+        assert hist.total == 3 and hist.counts[1, 1] == 2 and hist.counts[0, 0] == 1
 
-    @pytest.mark.parametrize("channels,stamps",
-                             [([0, 2], [1, 2]), ([0, 1], [1]), ([0, 1], [2, 1])],
-                             ids=["channel-2", "lengths-differ", "unsorted"])
-    def test_stream_from_arrays_checked(self, channels, stamps):
-        # the tally sums a window's channels and finds windows as runs of sorted tags
-        with pytest.raises(DomainError, match="channels must be 0 or 1"):
-            tagio.TagStream(np.array(channels), stamps)
+    @pytest.mark.parametrize("channels,stamps,message", [
+        ([0, 2], [1, 2], "channels 0 or 1"), ([0, -1], [1, 2], "channels 0 or 1"),
+        ([0, 1], [1], "one to a timestamp"), ([0, 1], [900_000, 5], "back in time"),
+    ], ids=["channel-2", "channel-minus-1", "lengths-differ", "unsorted"])
+    def test_stream_from_arrays_checked(self, channels, stamps, message):
+        # the window pass sums a window's channels and finds windows as runs of
+        # sorted tags: counted, a channel-2 tag would land in cell (0, 2) and an
+        # unsorted block would leave cell (0, 0) a count of -1
+        block = (np.array(channels), np.array(stamps))
+        for count in (tagio.tally, tagio.bin_counts):
+            with pytest.raises(DomainError, match=message):
+                count([block], tagio.BinningConfig())
+
+    @pytest.mark.parametrize("duration_ns", [-80_000, -0.5, float("nan"), float("inf"), 10**18])
+    def test_bad_duration_refused(self, duration_ns):
+        # counted, -80000 ns would leave cell (0, 0) a count of -1
+        with pytest.raises(DomainError, match=r"duration_ns = .* must be >= 0 and fit int64"):
+            tagio.tally(parse(HEADER + "0,10\n"), tagio.BinningConfig(), duration_ns)
 
     BACKWARDS = [(np.array([0, 1], np.uint8), np.array([100, 900_000])),
                  (np.array([0], np.uint8), np.array([50]))]
@@ -431,12 +437,11 @@ class TestTally:
     def test_stream_of_blocks_going_back_in_time_refused(self):
         # each block is sorted, but the second starts before the first ends;
         # an empty block between sorted ones is no offence
-        with pytest.raises(DomainError, match="in time order"):
-            tagio.TagStream(None, None, blocks=self.BACKWARDS)
+        with pytest.raises(DomainError, match="tag blocks go back in time"):
+            tagio.bin_counts(self.BACKWARDS, tagio.BinningConfig())
         empty = (np.array([], np.uint8), np.array([], np.int64))
         sorted_blocks = [self.BACKWARDS[0], empty, (np.array([1], np.uint8), np.array([900_000]))]
-        stream = tagio.TagStream(None, None, blocks=sorted_blocks)
-        assert tagio.bin_counts(stream, tagio.BinningConfig()).tolist() == [[1, 0], [0, 2]]
+        assert tagio.bin_counts(sorted_blocks, tagio.BinningConfig()).tolist() == [[1, 0], [0, 2]]
 
     def test_tally_of_blocks_going_back_in_time_refused(self):
         # counted, its tag at window 0 would reopen a window already visited
@@ -539,40 +544,41 @@ class TestSynthesizeTags:
     def test_round_trip_counts(self):
         rng = np.random.default_rng(5)
         config = tagio.BinningConfig()
-        stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=200)
-        counts = tagio.bin_counts(stream, config)
+        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=200)
+        counts = tagio.bin_counts([block], config, 200 * config.window_ns)
         assert counts.shape == (200, 2)
-        assert counts.sum() == len(stream)
+        assert counts.sum() == len(block[1])
 
     def test_mean_energy(self):
         rng = np.random.default_rng(6)
         config = tagio.BinningConfig(truncation=40)
-        stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=50_000)
-        counts = tagio.bin_counts(stream, config)
+        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=50_000)
+        counts = tagio.bin_counts([block], config, 50_000 * config.window_ns)
         assert counts.sum(axis=1).mean() == pytest.approx(6.3, abs=0.05)
 
     def test_timestamps_on_resolution_grid(self):
         rng = np.random.default_rng(7)
         config = tagio.BinningConfig()
-        stream = tagio.synthesize_tags(rng, 3.0, 0.9, config, windows=100)
-        offsets = stream.timestamps_tenths % config.window_tenths
+        channels, tenths = tagio.synthesize_tags(rng, 3.0, 0.9, config, windows=100)
+        assert channels.dtype == np.uint8 and tenths.dtype == np.int64
+        offsets = tenths % config.window_tenths
         assert not np.any(offsets % config.resolution_tenths)
 
     def test_sorted_output_parses_back(self):
         rng = np.random.default_rng(8)
         config = tagio.BinningConfig()
-        stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=500)
-        assert np.all(np.diff(stream.timestamps_tenths) >= 0)
+        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=500)
+        assert np.all(np.diff(block[1]) >= 0)
         buf = io.StringIO()
-        tagio.write_tags(stream, buf)
-        again = make_stream(buf.getvalue())
-        assert len(again) == len(stream)
+        tagio.write_tags([block], buf)
+        assert joined(parse(buf.getvalue())) == joined([block])
 
     def test_histogram_matches_model(self):
         rng = np.random.default_rng(9)
         config = tagio.BinningConfig()
-        stream = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=100_000)
-        hist = tagio.histogram(tagio.bin_counts(stream, config), config.truncation)
+        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=100_000)
+        hist = tagio.histogram(tagio.bin_counts([block], config, 100_000 * config.window_ns),
+                               config.truncation)
         theory = ps.joint_random_phase(
             ps.DetectionParams(6.3, 0.0, config.truncation), 0.56)
         result = tagio.compare_to_theory(hist, theory)
@@ -605,6 +611,7 @@ class TestBinningConfig:
     def test_window_tenths_must_fit_int64(self):
         # the largest window whose tenths of a ns fit an int64 still bins
         widest = tagio.BinningConfig(window_ns=922337203685477580)
-        assert tagio.bin_counts(tagio.TagStream([0, 1], [5, 10**18]), widest).tolist() == [[1, 1]]
+        block = (np.array([0, 1], np.uint8), np.array([5, 10**18]))
+        assert tagio.bin_counts([block], widest).tolist() == [[1, 1]]
         with pytest.raises(DomainError, match="exceeds int64"):
             tagio.BinningConfig(window_ns=922337203685477581)
