@@ -7,6 +7,8 @@ error.
 """
 
 import argparse
+import contextlib
+import itertools
 import math
 import os
 import re
@@ -20,6 +22,8 @@ from . import __version__, chernoff, energyopt, photostat
 from .util import DomainError, format_float
 
 OUTPUT_DIR_ENV = "VISTEST_OUTPUT_DIR"
+# CSV lines joined into one write: stdout may be unbuffered, making a syscall of each write
+ROWS_PER_WRITE = 1024
 
 DEFAULT_V1 = 0.98
 DEFAULT_V2 = 0.56
@@ -40,13 +44,16 @@ def _resolve_out(path):
     return path
 
 
-def _emit(text, out_path):
+def _emit(head, lines, out_path):
+    """Write head, then the lines in blocks of ROWS_PER_WRITE, to stdout or
+    to the --out file, so that no more than one block is held as text."""
     path = _resolve_out(out_path)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as f:
+        f.write(head)
+        lines = iter(lines)
+        while block := "".join(itertools.islice(lines, ROWS_PER_WRITE)):
+            f.write(block)
 
 
 def _float_list(text):
@@ -89,7 +96,7 @@ def _report(args, summary, header=None, rows=()):
                    else value for key, value in summary.items()}
         doc = {"tool": f"vistest {__version__}", "command": args.command,
                "config": config, "summary": summary}
-        _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
+        _emit(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", (), args.out)
         return
     lines = [f"vistest {__version__}", f"command = {args.command}"]
     lines += [f"{key} = {value}" for key, value in config.items()]
@@ -97,8 +104,8 @@ def _report(args, summary, header=None, rows=()):
         header, rows = "quantity,value", summary.items()
     else:
         lines += [f"{key} = {_cell(value)}" for key, value in summary.items()]
-    text = "".join(f"# {line}\n" for line in lines) + header + "\n"
-    _emit(text + "".join(",".join(map(_cell, row)) + "\n" for row in rows), args.out)
+    _emit("".join(f"# {line}\n" for line in lines) + header + "\n",
+          (",".join(map(_cell, row)) + "\n" for row in rows), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +202,22 @@ def cmd_fingerprint(args):
 def cmd_ingest(args):
     from . import tagio
 
-    # every option is checked before the file is read, so that a bad one costs no parse
+    # every option is checked before the file is read, so that a bad one costs no parse;
+    # the table is built after the tally, so the numpy code it first runs is not
+    # resident under the parse's peak
     binning = tagio.BinningConfig(window_ns=args.window, truncation=args.truncation)
-    theory = None
     if args.theory:
         if len(args.theory) != 2:
             raise DomainError("--theory takes v,energy")
         v, energy = args.theory
-        theory = photostat.joint_random_phase(
-            photostat.DetectionParams(energy, 0.0, args.truncation), v)
+        params = photostat.DetectionParams(energy, 0.0, args.truncation)
+        photostat._checked_magnitude(v)
+        photostat._poisson_rows(energy, 2 * args.truncation)  # refused past MAX_SPLIT_ROW
     with open(args.tags, "rb") as f:
         hist, tags = tagio.tally(tagio.parse_tags(f), binning)
     summary = {"tags": tags, "windows": hist.total, "total_outcomes": hist.total}
-    if theory is not None:
-        comparison = tagio.compare_to_theory(hist, theory)
+    if args.theory:
+        comparison = tagio.compare_to_theory(hist, photostat.joint_random_phase(params, v))
         summary["fraction_within_2"] = comparison.fraction_within_2
         summary["tv_distance"] = comparison.tv_distance
         summary["consistent"] = comparison.fraction_within_2 >= 0.9
@@ -232,13 +241,13 @@ def cmd_figures(args):
         grid = np.linspace(-1.0, 1.0, args.grid_size)
         table = energyopt.coherent_map(grid)
         header = "re_v1,re_v2,info_per_photon"
-        records = [(a, b, table[i, j]) for i, a in enumerate(grid) for j, b in enumerate(grid)]
+        records = ((a, b, table[i, j]) for i, a in enumerate(grid) for j, b in enumerate(grid))
     elif args.id in ("2b", "2c"):
         grid = np.linspace(0.0, 1.0, args.grid_size)
         ratio, energy = energyopt.random_phase_map(grid, args.truncation)
         header = "v1,v2,max_ratio,opt_energy"
-        records = [(a, b, ratio[i, j], energy[i, j])
-                   for i, a in enumerate(grid) for j, b in enumerate(grid)]
+        records = ((a, b, ratio[i, j], energy[i, j])
+                   for i, a in enumerate(grid) for j, b in enumerate(grid))
     else:  # 3
         energies = np.geomspace(*energyopt.DEFAULT_SEARCH_RANGE, energyopt.SCAN_POINTS)
         header = "energy,ratio_joint,ratio_k2,ratio_diff"

@@ -123,9 +123,10 @@ def _scan_argmax(ratio):
 
 def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
     """EnergyScanResult for each (i, j) in pairs, values[i] against values[j],
-    on _pair_cells over the scan energies. Each pair solves what its argmax
-    needs (all points, or _scan_argmax's if optimum_only; others stay NaN);
-    the refinement starts Newton at the argmax's alpha*."""
+    on _pair_cells over the scan energies, yielded as it is made; the inputs
+    are checked at the first next(). Each pair solves what its argmax needs
+    (all points, or _scan_argmax's if optimum_only; others stay NaN); the
+    refinement starts Newton at the argmax's alpha*."""
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
@@ -134,7 +135,6 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
         energies = np.geomspace(lo, hi, SCAN_POINTS)
     pair = _pair_cells(values, energies, truncation)[3]
-    results = []
     for pair_ij in pairs:
         _, _, solve, ratio, ratios, alphas = pair(*pair_ij)
         best = (_scan_argmax(ratio) if optimum_only
@@ -145,9 +145,8 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
         opt_ratio = -neg
         if ratios[best] > opt_ratio:
             opt_e, opt_ratio = energies[best], ratios[best]
-        results.append(EnergyScanResult(energies, ratios, float(opt_e), float(opt_ratio),
-                                        opt_e in (energies[0], energies[-1])))
-    return results
+        yield EnergyScanResult(energies, ratios, float(opt_e), float(opt_ratio),
+                               opt_e in (energies[0], energies[-1]))
 
 
 def optimal_energy(v1_mag, v2_mag, truncation=15,
@@ -157,20 +156,25 @@ def optimal_energy(v1_mag, v2_mag, truncation=15,
     A top above about 208 is refused (search_truncation)."""
     if v1_mag == v2_mag:
         raise IndistinguishablePairError("equal visibility magnitudes")
-    return _scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol)[0]
+    return next(_scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol))
 
 
 def random_phase_map(grid, truncation=15):
     """Per-cell optimum of information per photon over a |V| lattice:
     symmetric (max_ratio, argmax_energy) matrices, NaN on the diagonal.
     Cell (i, j) is optimal_energy(grid[i], grid[j]): both take the same
-    scan argmax wherever the pair's scan is unimodal (_scan_argmax)."""
+    scan argmax wherever the pair's scan is unimodal (_scan_argmax). Each
+    pair's result is written into the matrices before the next is made."""
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
     max_ratio, opt_energy = np.full((2, n, n), np.nan)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j]]
-    for (i, j), res in zip(pairs, _scan_pairs(grid, pairs, truncation, DEFAULT_SEARCH_RANGE,
-                                              DEFAULT_TOL, optimum_only=True)):
+
+    def pairs():
+        return ((i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j])
+
+    # the scan comes first in the zip, so it checks the lattice even when no pair is left
+    for res, (i, j) in zip(_scan_pairs(grid, pairs(), truncation, DEFAULT_SEARCH_RANGE,
+                                       DEFAULT_TOL, optimum_only=True), pairs()):
         max_ratio[i, j] = max_ratio[j, i] = res.optimum_ratio
         opt_energy[i, j] = opt_energy[j, i] = res.optimum_energy
     return max_ratio, opt_energy

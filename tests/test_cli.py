@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vistest import __version__, chernoff, energyopt, photostat as ps, simkit, tagio
+from vistest import __version__, chernoff, cli, energyopt, photostat as ps, simkit, tagio
 from vistest.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -89,6 +89,26 @@ class TestDist:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith(f"# vistest {__version__}")
+
+    @pytest.mark.parametrize("block", [1, 5, 16])
+    def test_rows_are_written_in_blocks(self, capsys, tmp_path, monkeypatch, block):
+        # 16 rows: one write each, blocks with a short last one, and one block
+        whole = run(capsys, "dist", "--truncation", "3")[1]
+        monkeypatch.setattr(cli, "ROWS_PER_WRITE", block)
+
+        class Sink(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["dist", "--truncation", "3"]) == 0
+        assert (sys.stdout.getvalue(), sys.stdout.writes) == (whole, 1 + -(-16 // block))
+        target = tmp_path / "dist.csv"
+        assert main(["dist", "--truncation", "3", "--out", str(target)]) == 0
+        assert target.read_text() == whole
 
     def test_output_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VISTEST_OUTPUT_DIR", str(tmp_path))
@@ -444,7 +464,16 @@ class TestIngest:
         # its tenths of a ns would overflow the int64 window arithmetic
         (["--window", "922337203685477581"],
          "window of 922337203685477581 ns exceeds int64 in tenths of a ns"),
-    ], ids=["theory-arity", "theory-visibility", "window", "truncation", "window-int64"])
+        (["--theory", "0.56,-1"], "mean_detected_energy must be finite and >= 0"),
+        (["--theory", "0.56,nan"], "mean_detected_energy must be finite and >= 0"),
+        (["--theory", "0.56,inf"], "mean_detected_energy must be finite and >= 0"),
+        # the table's split-law rows would pass the row limit: at E = 900, or at 2K = 1200
+        (["--theory", "0.56,900"], "split-law rows to n = 1182 at E = 900 pass 1000"),
+        (["--truncation", "600", "--theory", "0.5,1"],
+         "split-law rows to n = 1200 at E = 1 pass 1000"),
+    ], ids=["theory-arity", "theory-visibility", "window", "truncation", "window-int64",
+            "theory-negative-energy", "theory-nan-energy", "theory-infinite-energy",
+            "theory-rows-past-the-limit", "theory-truncation-past-the-limit"])
     def test_bad_option_refused_before_the_file_is_read(self, capsys, tmp_path, monkeypatch,
                                                         option, message):
         def refuse(source):
@@ -454,6 +483,16 @@ class TestIngest:
         code, out, err = run(capsys, "ingest", "--tags", str(make_tag_file(tmp_path)), *option)
         assert (code, out) == (3, "")
         assert err == f"error: {message}\n"
+
+    def test_theory_table_is_built_after_the_tally(self, capsys, tmp_path, monkeypatch):
+        # so that the numpy code the table build first runs is not resident under the parse
+        calls, tally, build = [], tagio.tally, ps.joint_random_phase
+        monkeypatch.setattr(tagio, "tally", lambda *a: calls.append("tally") or tally(*a))
+        monkeypatch.setattr(ps, "joint_random_phase",
+                            lambda *a: calls.append("table") or build(*a))
+        code, _, err = run(capsys, "ingest", "--tags", str(make_tag_file(tmp_path)),
+                           "--theory", "0.56,6.3")
+        assert (code, err, calls) == (0, "", ["tally", "table"])
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "ingest", "--tags", str(tmp_path / "nope.csv"))

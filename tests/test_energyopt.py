@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -190,8 +191,8 @@ class TestSplitCellSearch:
         solves, minimum = [], ch._minimum
         with mock.patch.object(ch, "_minimum",
                                lambda *a: solves.append((a, minimum(*a))) or solves[-1][1]):
-            eo._scan_pairs((v1, v2), [(0, 1)], 15, (energy, 1.04 * energy), eo.DEFAULT_TOL,
-                           optimum_only=True)
+            next(eo._scan_pairs((v1, v2), [(0, 1)], 15, (energy, 1.04 * energy),
+                                eo.DEFAULT_TOL, optimum_only=True))
         (_, folded_d, start), (alpha, log_min, _) = solves[0]
         pois = ps._poisson_rows(energy)
         last = len(pois) - 1
@@ -318,6 +319,23 @@ class TestRandomPhaseMap:
                     scan = eo.optimal_energy(grid[i], grid[j], floor)
                     assert (ratio[i, j], energy[i, j]) == (scan.optimum_ratio,
                                                            scan.optimum_energy)
+
+    def test_holds_one_pair_result_at_a_time(self, monkeypatch):
+        # each pair's result goes into the two matrices before the next is made;
+        # kept per pair, they would take about 1.4 kB each, 6 GB at grid 3000
+        made, alive, held = eo.EnergyScanResult, Counter(), []
+
+        def counted(*args):
+            result = made(*args)
+            held.append(alive["results"])  # results still alive when this one is made
+            alive["results"] += 1
+            weakref.finalize(result, alive.subtract, ["results"])
+            return result
+
+        monkeypatch.setattr(eo, "EnergyScanResult", counted)
+        ratio, _ = eo.random_phase_map(np.linspace(0.0, 1.0, 6))
+        assert len(held) == 15 and max(held) <= 1
+        assert ratio[0, 5] == eo.optimal_energy(0.0, 1.0).optimum_ratio
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 60),

@@ -1,6 +1,7 @@
 """tools/outputs.py on two tiny fake trees whose CLI prints the same for
-every command but one, where one cell moves by 1e-12 relative; and its
-command list against the real parser."""
+every command but two, one to stdout and one to its --out file, where one
+cell moves by 1e-12 relative; and its command list against the real
+parser."""
 
 import importlib.util
 import json
@@ -15,25 +16,29 @@ spec = importlib.util.spec_from_file_location("outputs", TOOL)
 outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(outputs)
 
-PLANTED = "dist --truncation 4"
+PLANTED = ["dist --truncation 4", "figures --id 2b --grid-size 20 --out map.csv"]
 
 FAKE_CLI = '''import json, os, sys
 args = sys.argv[1:]
 probs = [0.125, 0.3, 0.575]
-if " ".join(args) == {planted!r}:
+if " ".join(args) in {planted!r}:
     probs[1] *= {factor!r}
+lines = []
 if "--tags" in args:  # the input files are there, in the working directory
-    print("# bytes =", os.path.getsize(args[args.index("--tags") + 1]))
+    lines.append(f"# bytes = {{os.path.getsize(args[args.index('--tags') + 1])}}")
 if "--json" in args:
-    print(json.dumps({{"command": args[0], "summary": {{"p": probs[1]}}}}))
+    lines.append(json.dumps({{"command": args[0], "summary": {{"p": probs[1]}}}}))
 elif "bad.csv" in args:
     sys.exit("error: line 3: not a tag")
 else:
-    print("# command = " + " ".join(args))
-    print("# energy = 6.3")
-    print("k,prob")
-    for k, p in enumerate(probs):
-        print(f"{{k}},{{p!r}}")
+    lines += ["# command = " + " ".join(args), "# energy = 6.3", "k,prob"]
+    lines += [f"{{k}},{{p!r}}" for k, p in enumerate(probs)]
+text = "".join(line + "\\n" for line in lines)
+if "--out" in args:
+    with open(args[args.index("--out") + 1], "w") as f:
+        f.write(text)
+else:
+    sys.stdout.write(text)
 '''
 
 
@@ -56,15 +61,15 @@ def test_reports_the_planted_cell_and_nothing_else(tmp_path, capsys):
     got = report(capsys, base, head)
     assert [c["command"] for c in got["commands"]] == outputs.COMMANDS
     changed = [c for c in got["commands"] if c["result"] != "identical"]
-    assert (got["identical"], got["changed"]) == (len(outputs.COMMANDS) - 1, 1)
-    assert [c["command"] for c in changed] == [PLANTED]
-    entry, = changed
-    assert set(entry) == {"command", "result", "moves"}  # same exit, stderr and header
-    assert list(entry["moves"]) == ["prob"]
-    moved = entry["moves"]["prob"]
-    assert moved["row"] == 2  # the second row below the column names
-    assert moved["move"] == pytest.approx(1e-12, rel=1e-3, abs=0.0)
-    assert float(moved["base"]) == 0.3
+    assert (got["identical"], got["changed"]) == (len(outputs.COMMANDS) - 2, 2)
+    assert [c["command"] for c in changed] == PLANTED
+    for entry in changed:  # the --out file's bytes are that command's output
+        assert set(entry) == {"command", "result", "moves"}  # same exit, stderr and header
+        assert list(entry["moves"]) == ["prob"]
+        moved = entry["moves"]["prob"]
+        assert moved["row"] == 2  # the second row below the column names
+        assert moved["move"] == pytest.approx(1e-12, rel=1e-3, abs=0.0)
+        assert float(moved["base"]) == 0.3
 
 
 def test_the_parser_accepts_every_command():

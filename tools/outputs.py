@@ -5,10 +5,12 @@
 BASE and HEAD are vistest source trees, for example an export of the
 parent commit (`git archive HEAD^ | tar -x -C parent`) and the working
 tree. Each command in COMMANDS runs as `python -m vistest.cli ...` once
-per tree, with that tree's `src/` on PYTHONPATH, in one shared directory
-that holds the input files the commands read.
+per tree, with that tree's `src/` on PYTHONPATH, in that tree's own
+directory, which holds its copy of the input files the commands read. A
+command's output is its stdout, followed by the bytes of its --out file
+when it names one and writes it.
 
-The report on stdout is one JSON object. A command whose stdout, stderr
+The report on stdout is one JSON object. A command whose output, stderr
 and exit code are the same bytes in both trees is "identical". Otherwise
 it lists what changed: the exit codes, the header lines that differ (the
 `#` echo and the column names of CSV output, or the keys of JSON output),
@@ -65,6 +67,8 @@ COMMANDS = [
     "ingest --tags long.csv",
     "ingest --tags late.csv",
     "ingest --tags late.csv --out late.out",
+    "figures --id 2b --grid-size 20 --out map.csv",
+    "optimize --out opt.csv",
     "dist --dark 0.2 --v 0.9 --truncation 6",
     "dist --dark 0.2 --v 1.5",
     "dist --fixed-phase 0.3 --truncation 5",
@@ -120,16 +124,25 @@ def write_inputs(directory):
 
 
 def run(tree, command, work):
-    """(exit code, stdout, stderr) of one command on one tree; exit code
-    None if it ran past TIMEOUT_S."""
+    """(exit code, output, stderr) of one command on one tree, run in work;
+    exit code None if it ran past TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    env.pop("VISTEST_OUTPUT_DIR", None)  # a relative --out then lands in work
+    argv = command.split()
+    out_path = os.path.join(work, argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out_path is not None and os.path.exists(out_path):
+        os.remove(out_path)  # an earlier command's file is no output of this one
     try:
-        done = subprocess.run([sys.executable, "-m", "vistest.cli", *command.split()],
+        done = subprocess.run([sys.executable, "-m", "vistest.cli", *argv],
                               cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None, b"", b"timed out"
-    return done.returncode, done.stdout, done.stderr
+    output = done.stdout
+    if out_path is not None and os.path.exists(out_path):
+        with open(out_path, "rb") as f:
+            output += f.read()
+    return done.returncode, output, done.stderr
 
 
 def _number(text):
@@ -148,13 +161,13 @@ def _flatten(value, path=""):
             for leaf in _flatten(item, f"{path}.{key}" if path else key)]
 
 
-def cells(stdout):
-    """(header lines, {(column, row): text}) of one command's stdout. CSV
+def cells(output):
+    """(header lines, {(column, row): text}) of one command's output. CSV
     output: each `# key = value` line with a numeric value is the one cell
     (row None) of column `# key`; other `#` lines and the column names are
     the header, and the rows below the names are numbered from 1. JSON
     output: the sorted columns are the header, and each leaf is a cell."""
-    text = stdout.decode(errors="replace")
+    text = output.decode(errors="replace")
     try:
         doc = json.loads(text)
     except ValueError:
@@ -189,7 +202,7 @@ def move(a, b):
 
 
 def compare(base, head):
-    """The report entry of one command from its two (exit, stdout, stderr)."""
+    """The report entry of one command from its two (exit, output, stderr)."""
     if base == head:
         return {"result": "identical"}
     entry = {"result": "changed"}
@@ -227,9 +240,12 @@ def main(argv=None):
             parser.error(f"{tree} holds no src/vistest/cli.py")
     report = {"base": args.base, "head": args.head, "commands": []}
     with tempfile.TemporaryDirectory() as work, ThreadPoolExecutor(2) as pool:
-        write_inputs(work)
+        works = [os.path.join(work, side) for side in ("base", "head")]
+        for directory in works:  # the trees run at once, so each writes its own --out files
+            os.mkdir(directory)
+            write_inputs(directory)
         for command in COMMANDS:
-            base, head = pool.map(run, (args.base, args.head), [command] * 2, [work] * 2)
+            base, head = pool.map(run, (args.base, args.head), [command] * 2, works)
             report["commands"].append({"command": command, **compare(base, head)})
     results = [entry["result"] for entry in report["commands"]]
     report["identical"], report["changed"] = results.count("identical"), results.count("changed")
