@@ -33,37 +33,34 @@ class EnergyScanResult:
     at_boundary: bool  # the optimum is an end of the search range
 
 
-def search_truncation(energy, floor=15):
-    """Smallest K >= floor with Poisson tail P(count > K) below 1e-9 at
-    this energy. No solve reads it: it refuses a floor below 1, and a K
-    above MAX_SEARCH_TRUNCATION, naming the energy (above about 208)."""
+def _check_top(energy, floor):
+    """Refuse a floor below 1, and an energy whose Poisson tail
+    P(count > max(floor, MAX_SEARCH_TRUNCATION)) is not below 1e-9 (above
+    about 208 for any floor up to 300). No solve reads a K: the floor only
+    moves this refusal."""
     if not energy > 0.0:
         raise DomainError("energy must be > 0")
     if floor < 1:
         raise DomainError("truncation must be >= 1")
-    top = max(floor, MAX_SEARCH_TRUNCATION)
-    if np.isfinite(energy):
-        # P(count > K) for K = floor..top, summed from the far end
-        laws = photostat.poisson_counts(energy, top + 1)
-        fits = np.cumsum(laws[::-1])[-2::-1][floor:] < _TAIL_BUDGET
-        if fits.any():
-            return floor + int(fits.argmax())
-    raise DomainError(f"E = {energy:g} needs a resolution K above the limit "
-                      f"{MAX_SEARCH_TRUNCATION}; energies up to about 208 "
-                      f"can be searched")
+    k = max(floor, MAX_SEARCH_TRUNCATION)
+    if not (np.isfinite(energy) and photostat.poisson_counts(energy, k + 1)[-1] < _TAIL_BUDGET):
+        raise DomainError(f"E = {energy:g} needs a resolution K above the limit "
+                          f"{MAX_SEARCH_TRUNCATION}; energies up to about 208 "
+                          f"can be searched")
 
 
 def _pair_cells(values, energies, truncation):
     """Every random-phase C here is solved on these cells, with no K:
     photostat.split_cells of values cut at the top energy's Poisson row
-    (refused above about 208), log B, and log 2 on each cell below the
-    middle, which stands for its mirror. Returns each cell's n and k,
-    row(m) (energies[m]'s log Poisson row, made once) and pair(i, j) ->
-    (l1, d, solve, ratio, ratios, alphas), values[i] against values[j].
+    (a top above about 208 is refused by _check_top), log B, and log 2 on
+    each cell below the middle, which stands for its mirror. Returns each
+    cell's n and k, row(m) (energies[m]'s log Poisson row, made once) and
+    pair(i, j) -> (l1, d, solve, ratio, ratios, alphas), values[i] against
+    values[j].
     solve(log_pois, energy, start) is (alpha*, C / energy) on the cells
     that log_pois reaches, 0 for equal values; ratio(n) solves energies[n]
     once, cold at n = 0, so no result depends on solve order."""
-    search_truncation(energies.max(), truncation)
+    _check_top(energies.max(), truncation)
     row = functools.cache(lambda m: np.log(photostat._poisson_rows(energies[m])))
     rows, plus, index, blocks = photostat.split_cells(values, len(row(int(energies.argmax()))) - 1)
     log_b = [row for block in blocks for row in np.log(block, out=block)]  # in place, no copy
@@ -122,11 +119,11 @@ def _scan_argmax(ratio):
 
 
 def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
-    """EnergyScanResult for each (i, j) in pairs, values[i] against values[j],
-    on _pair_cells over the scan energies, yielded as it is made; the inputs
-    are checked at the first next(). Each pair solves what its argmax needs
-    (all points, or _scan_argmax's if optimum_only; others stay NaN); the
-    refinement starts Newton at the argmax's alpha*."""
+    """((i, j), EnergyScanResult) for each (i, j) in pairs, values[i] against
+    values[j], on _pair_cells over the scan energies, yielded as it is made;
+    the inputs are checked at the first next(). Each pair solves what its
+    argmax needs (all points, or _scan_argmax's if optimum_only; others stay
+    NaN); the refinement starts Newton at the argmax's alpha*."""
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
@@ -145,18 +142,18 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
         opt_ratio = -neg
         if ratios[best] > opt_ratio:
             opt_e, opt_ratio = energies[best], ratios[best]
-        yield EnergyScanResult(energies, ratios, float(opt_e), float(opt_ratio),
-                               opt_e in (energies[0], energies[-1]))
+        yield pair_ij, EnergyScanResult(energies, ratios, float(opt_e), float(opt_ratio),
+                                        opt_e in (energies[0], energies[-1]))
 
 
 def optimal_energy(v1_mag, v2_mag, truncation=15,
                    search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
     """Maximize information per photon over the energy per repetition: a
     60-point log-spaced scan, then golden section around its best point.
-    A top above about 208 is refused (search_truncation)."""
+    A top above about 208 is refused (_check_top)."""
     if v1_mag == v2_mag:
         raise IndistinguishablePairError("equal visibility magnitudes")
-    return next(_scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol))
+    return next(_scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol))[1]
 
 
 def random_phase_map(grid, truncation=15):
@@ -169,12 +166,9 @@ def random_phase_map(grid, truncation=15):
     n = len(grid)
     max_ratio, opt_energy = np.full((2, n, n), np.nan)
 
-    def pairs():
-        return ((i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j])
-
-    # the scan comes first in the zip, so it checks the lattice even when no pair is left
-    for res, (i, j) in zip(_scan_pairs(grid, pairs(), truncation, DEFAULT_SEARCH_RANGE,
-                                       DEFAULT_TOL, optimum_only=True), pairs()):
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j])
+    for (i, j), res in _scan_pairs(grid, pairs, truncation, DEFAULT_SEARCH_RANGE,
+                                   DEFAULT_TOL, optimum_only=True):
         max_ratio[i, j] = max_ratio[j, i] = res.optimum_ratio
         opt_energy[i, j] = opt_energy[j, i] = res.optimum_energy
     return max_ratio, opt_energy

@@ -339,8 +339,8 @@ def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
-    if energy_per_window < 0.0:
-        raise DomainError("energy must be >= 0")
+    if not 0.0 <= energy_per_window < math.inf:
+        raise DomainError("energy must be finite and >= 0")
     if not 0.0 <= vis_magnitude <= 1.0:
         raise DomainError("visibility magnitude must lie in [0, 1]")
     window = config.window_tenths

@@ -14,11 +14,21 @@ from vistest import photostat as ps
 from vistest.util import DomainError
 
 
+def pdtrc_truncation(energy, floor=15):
+    """The resolution rule as first written: step K up from the floor until
+    pdtrc(K, E) < 1e-9; None when no K <= max(floor, 300) fits."""
+    if not energy > 0.0:
+        return None
+    ks = np.arange(floor, max(floor, eo.MAX_SEARCH_TRUNCATION) + 1)
+    fits = np.flatnonzero(pdtrc(ks, energy) < 1e-9)
+    return int(ks[fits[0]]) if len(fits) else None
+
+
 def table_information(energy, v1=0.98, v2=0.56):
     """C of the K-table oracle at this energy: the full tables at K =
-    search_truncation(E), the K = 2 tables, and the full tables' count
+    pdtrc_truncation(E), the K = 2 tables, and the full tables' count
     differences."""
-    full = ps.random_phase_tables(ps.DetectionParams(energy, 0.0, eo.search_truncation(energy)),
+    full = ps.random_phase_tables(ps.DetectionParams(energy, 0.0, pdtrc_truncation(energy)),
                                   [v1, v2])
     limited = ps.random_phase_tables(ps.DetectionParams(energy, 0.0, 2), [v1, v2])
     return [ch.chernoff_information(*pair).information for pair in (
@@ -26,66 +36,46 @@ def table_information(energy, v1=0.98, v2=0.56):
 
 
 def table_tolerance(energy):
-    """Bound on |C - C_table| for a table folded at K = search_truncation(E).
+    """Bound on |C - C_table| for a table folded at K = pdtrc_truncation(E).
     The fold merges cells of mass at most P(count >= K) in one bucket, which
     moves sum(p1^(1-a) p2^a), so C, by at most about that mass; the 1e-14
     allows the rounding of C near its minimum (both sides' table and cell
     sums differ by a few 1e-16). A K = 2 table folds its cells exactly as the
     cells' sum by (min(k, 2), min(k', 2)) does, so it is held to 1e-14 alone."""
-    return pdtrc(eo.search_truncation(energy) - 1, energy) + 1e-14
+    return pdtrc(pdtrc_truncation(energy) - 1, energy) + 1e-14
 
 
 class TestSearchTruncation:
-    def test_floor_honoured_below_budget(self):
-        assert eo.search_truncation(0.5) == 15
-        assert eo.search_truncation(0.5, floor=10) == 10
-        # a floor above the cap is the caller's own resolution, kept as is
-        assert eo.search_truncation(6.3, floor=400) == 400
-        # resolution requirement wins when the floor is tiny
-        assert eo.search_truncation(0.5, floor=4) > 4
-
-    @pytest.mark.parametrize("energy", [0.5, 1.7, 6.3, 30.0, 80.0, 200.0])
-    def test_minimal_above_floor(self, energy):
-        k = eo.search_truncation(energy, floor=1)
-        assert pdtrc(k - 1, energy) >= 1e-9 > pdtrc(k, energy)
-        assert eo.search_truncation(energy) == max(15, k)
-
     @pytest.mark.parametrize("floor", [1, 2, 15, 50, 299, 300, 301, 400])
     def test_equals_the_pdtrc_rule(self, floor):
-        # the rule as first written: step K up from the floor until
-        # pdtrc(K, E) < 1e-9, refusing a K stepped past the cap
-        def pdtrc_rule(energy):
-            if not energy > 0.0:
-                return None
-            ks = np.arange(floor, max(floor, eo.MAX_SEARCH_TRUNCATION) + 1)
-            fits = np.flatnonzero(pdtrc(ks, energy) < 1e-9)
-            return int(ks[fits[0]]) if len(fits) else None
-
-        def rule(energy):
+        # the check refuses exactly the inputs for which the rule finds no K
+        def refused(energy):
             try:
-                return eo.search_truncation(energy, floor)
+                eo._check_top(energy, floor)
             except DomainError:
-                return None
+                return True
+            return False
 
         energies = np.concatenate([np.geomspace(1e-6, 1e4, 4000),
                                    np.linspace(207.9, 209.0, 12), [math.inf, math.nan]])
-        assert [rule(e) for e in energies] == [pdtrc_rule(e) for e in energies]
+        assert [refused(e) for e in energies] == [pdtrc_truncation(e, floor) is None
+                                                  for e in energies]
 
     def test_cap_names_the_limit(self):
-        assert eo.search_truncation(208.0) <= eo.MAX_SEARCH_TRUNCATION
+        eo._check_top(208.0, 15)
         with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):
-            eo.search_truncation(209.0)
+            eo._check_top(209.0, 15)
 
     @pytest.mark.parametrize("floor", [0, -7])
     def test_floor_below_one_refused(self, floor):
         with pytest.raises(DomainError, match="truncation must be >= 1"):
-            eo.search_truncation(0.5, floor)
+            eo._check_top(0.5, floor)
 
     def test_scan_resolves_every_energy_in_one_call(self, monkeypatch):
         calls = []
-        resolve = eo.search_truncation
-        monkeypatch.setattr(eo, "search_truncation",
-                            lambda *a: calls.append(float(a[0])) or resolve(*a))
+        check = eo._check_top
+        monkeypatch.setattr(eo, "_check_top",
+                            lambda *a: calls.append(float(a[0])) or check(*a))
 
         def refuse(*args):
             raise AssertionError("a table was built")
@@ -150,7 +140,7 @@ class TestInfoPerPhoton:
 
 class TestSplitCellSearch:
     def test_scan_ratios_match_the_tables(self):
-        # the search's split-law cells against table pairs at search_truncation(E)
+        # the search's split-law cells against table pairs at pdtrc_truncation(E)
         scan = eo.optimal_energy(0.98, 0.56)
         for e, ratio in zip(scan.energies, scan.ratios):
             assert ratio * e == pytest.approx(table_information(e)[0], rel=0,
@@ -162,7 +152,7 @@ class TestSplitCellSearch:
     @example(0.3, 0.3001)  # C near 1e-12 at E = 0.1, where a cold solve moves it by 7e-6
     def test_scan_curves_joint_is_the_search_scan(self, v1, v2):
         # both solve on the same cells with the same warm starts, so they agree
-        # bit for bit (tables at search_truncation(E) moved it by 1.15e-11)
+        # bit for bit (tables at pdtrc_truncation(E) moved it by 1.15e-11)
         assume(v1 != v2)
         scan = eo.optimal_energy(v1, v2)
         joint, _, _ = eo.energy_scan_curves(v1, v2, scan.energies)
@@ -343,9 +333,9 @@ class TestRandomPhaseMap:
     def test_optimum_only_scan_keeps_the_full_scan_argmax(self, v1, v2, floor, a, b):
         assume(v1 != v2 and a != b)
         search_range = (min(a, b), max(a, b))
-        full, = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL)
-        lazy, = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL,
-                               optimum_only=True)
+        (_, full), = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL)
+        (_, lazy), = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL,
+                                    optimum_only=True)
         # the points the lazy path solved carry the full scan's bits, so its
         # search reads what the search below reads
         solved = ~np.isnan(lazy.ratios)

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -593,6 +594,9 @@ class TestSynthesizeTags:
             tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=0)
         with pytest.raises(DomainError):
             tagio.synthesize_tags(rng, 6.3, 1.2, config, windows=1)
+        for energy in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="energy must be finite"):
+                tagio.synthesize_tags(rng, energy, 0.56, config, windows=1)
 
 
 class TestBinningConfig:

@@ -85,6 +85,9 @@ COMMANDS = [
     "simulate --truncation 300 --ensemble 10 --n-list 1 --band "
     "0,0.028,0.056,0.084,0.112,0.14,0.168,0.196,0.224,0.252,0.28,0.308,0.336,0.364,0.392,0.42,"
     "0.448,0.476,0.504,0.532,0.56",
+    "optimize --hi 208",
+    "optimize --truncation 301 --hi 209",
+    "optimize --truncation 0",
 ]
 
 
