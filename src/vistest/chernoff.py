@@ -121,7 +121,7 @@ def chernoff_coherent_closed_form(energy, re_v1, re_v2):
     full photon-number resolution; proportional to the detected energy."""
     if not (math.isfinite(energy) and energy >= 0.0):
         raise DomainError("energy must be finite and >= 0")
-    if abs(re_v1) > 1.0 or abs(re_v2) > 1.0:
+    if not (abs(re_v1) <= 1.0 and abs(re_v2) <= 1.0):
         raise DomainError("Re(V) must lie in [-1, 1]")
     if re_v1 == re_v2:
         return ChernoffResult(0.0, 0.5, 0.0)

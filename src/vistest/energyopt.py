@@ -14,7 +14,7 @@ DEFAULT_TOL = 0.05
 _TAIL_BUDGET = 1e-9
 MAX_SEARCH_TRUNCATION = 300  # the rule's K at E = 208
 SCAN_POINTS = 60  # log-spaced energies of the scan ahead of the refinement
-_COARSE = (*range(0, SCAN_POINTS, 6), SCAN_POINTS - 1)  # the map's shared scan indices
+_COARSE = (*range(0, SCAN_POINTS, 6), SCAN_POINTS - 1)  # every pair's shared scan indices
 LIMITED_TRUNCATION = 2  # the paper's K-limited readout
 
 
@@ -55,11 +55,11 @@ def _pair_cells(values, energies, truncation):
     (a top above about 208 is refused by _check_top), log B, and log 2 on
     each cell below the middle, which stands for its mirror. Returns each
     cell's n and k, row(m) (energies[m]'s log Poisson row, made once) and
-    pair(i, j) -> (l1, d, solve, ratio, ratios, alphas), values[i] against
-    values[j].
+    pair(i, j) -> (l1, d, solve, point), values[i] against values[j].
     solve(log_pois, energy, start) is (alpha*, C / energy) on the cells
-    that log_pois reaches, 0 for equal values; ratio(n) solves energies[n]
-    once, cold at n = 0, so no result depends on solve order."""
+    that log_pois reaches, 0 for equal values; point(n) is solve at
+    energies[n], made once, from the alpha* of the _COARSE point below it
+    (cold at n = 0), so no result depends on solve order."""
     _check_top(energies.max(), truncation)
     row = functools.cache(lambda m: np.log(photostat._poisson_rows(energies[m])))
     rows, plus, index, blocks = photostat.split_cells(values, len(row(int(energies.argmax()))) - 1)
@@ -79,17 +79,13 @@ def _pair_cells(values, energies, truncation):
                                                   d[:cells], start)
             return alpha, max(0.0, -log_min) / energy
 
-        def alpha(n):  # alpha* at energies[n], solving it (and what starts it) first
+        def point(n):
             if np.isnan(ratios[n]):
-                start = alpha((n - 1) // 6 * 6) if n else None  # the _COARSE point below
+                start = point((n - 1) // 6 * 6)[0] if n else None
                 alphas[n], ratios[n] = solve(row(n), energies[n], start)
-            return alphas[n]
+            return alphas[n], ratios[n]
 
-        def ratio(n):
-            alpha(n)
-            return ratios[n]
-
-        return l1, d, solve, ratio, ratios, alphas
+        return l1, d, solve, point
 
     return rows, plus, row, pair
 
@@ -98,7 +94,7 @@ def info_per_photon(v1_mag, v2_mag, energy, truncation=15):
     """Chernoff information per detected photon, C/energy, of the full
     random-phase statistics: energy_scan_curves' joint readout, solved alone."""
     pair = _pair_cells((v1_mag, v2_mag), np.array([energy], dtype=float), truncation)[3]
-    return pair(0, 1)[3](0)
+    return pair(0, 1)[3](0)[1]
 
 
 def _scan_argmax(ratio):
@@ -118,12 +114,28 @@ def _scan_argmax(ratio):
     return max(range(a, b + 1), key=ratio)
 
 
-def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False):
-    """((i, j), EnergyScanResult) for each (i, j) in pairs, values[i] against
-    values[j], on _pair_cells over the scan energies, yielded as it is made;
-    the inputs are checked at the first next(). Each pair solves what its
-    argmax needs (all points, or _scan_argmax's if optimum_only; others stay
-    NaN); the refinement starts Newton at the argmax's alpha*."""
+def _optimum(pair, energies, tol):
+    """(energy, ratio) of a _pair_cells pair's maximum of C / E: the scan
+    point _scan_argmax picks, refined by golden section between its scan
+    neighbours, Newton starting at its alpha*; the scan point if it reads
+    higher."""
+    _, _, solve, point = pair
+    best = _scan_argmax(lambda n: point(n)[1])
+    alpha, ratio = point(best)
+    opt_e, neg = golden_section(
+        lambda e: -solve(np.log(photostat._poisson_rows(e)), e, alpha)[1],
+        energies[max(0, best - 1)], energies[min(SCAN_POINTS - 1, best + 1)], tol=tol)
+    return (float(energies[best]), float(ratio)) if ratio > -neg else (float(opt_e), float(-neg))
+
+
+def optimal_energy(v1_mag, v2_mag, truncation=15,
+                   search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
+    """Maximize information per photon over the energy per repetition: a
+    60-point log-spaced scan, then golden section around its best point
+    (_optimum). A top above about 208 is refused (_check_top), and so are
+    two |V| that clamp to the same value."""
+    if v1_mag == v2_mag:
+        raise IndistinguishablePairError("equal visibility magnitudes")
     lo, hi = search_range
     if not 0.0 < lo < hi:
         raise DomainError("search range must satisfy 0 < lo < hi")
@@ -131,46 +143,31 @@ def _scan_pairs(values, pairs, truncation, search_range, tol, optimum_only=False
         raise DomainError("tol must be > 0")
     with np.errstate(invalid="ignore"):  # an infinite hi scans as inf, refused next
         energies = np.geomspace(lo, hi, SCAN_POINTS)
-    pair = _pair_cells(values, energies, truncation)[3]
-    for pair_ij in pairs:
-        _, _, solve, ratio, ratios, alphas = pair(*pair_ij)
-        best = (_scan_argmax(ratio) if optimum_only
-                else int(np.argmax([ratio(n) for n in range(SCAN_POINTS)])))
-        opt_e, neg = golden_section(
-            lambda e: -solve(np.log(photostat._poisson_rows(e)), e, alphas[best])[1],
-            energies[max(0, best - 1)], energies[min(SCAN_POINTS - 1, best + 1)], tol=tol)
-        opt_ratio = -neg
-        if ratios[best] > opt_ratio:
-            opt_e, opt_ratio = energies[best], ratios[best]
-        yield pair_ij, EnergyScanResult(energies, ratios, float(opt_e), float(opt_ratio),
-                                        opt_e in (energies[0], energies[-1]))
-
-
-def optimal_energy(v1_mag, v2_mag, truncation=15,
-                   search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
-    """Maximize information per photon over the energy per repetition: a
-    60-point log-spaced scan, then golden section around its best point.
-    A top above about 208 is refused (_check_top)."""
-    if v1_mag == v2_mag:
+    pair = _pair_cells((v1_mag, v2_mag), energies, truncation)[3](0, 1)
+    if min(v1_mag, 1.0) == min(v2_mag, 1.0):  # as photostat clamps a checked |V|
         raise IndistinguishablePairError("equal visibility magnitudes")
-    return next(_scan_pairs((v1_mag, v2_mag), [(0, 1)], truncation, search_range, tol))[1]
+    opt_e, opt_ratio = _optimum(pair, energies, tol)
+    ratios = np.array([pair[3](n)[1] for n in range(SCAN_POINTS)])
+    return EnergyScanResult(energies, ratios, opt_e, opt_ratio,
+                            opt_e in (energies[0], energies[-1]))
 
 
 def random_phase_map(grid, truncation=15):
     """Per-cell optimum of information per photon over a |V| lattice:
-    symmetric (max_ratio, argmax_energy) matrices, NaN on the diagonal.
-    Cell (i, j) is optimal_energy(grid[i], grid[j]): both take the same
-    scan argmax wherever the pair's scan is unimodal (_scan_argmax). Each
-    pair's result is written into the matrices before the next is made."""
+    symmetric (max_ratio, argmax_energy) matrices, NaN where the two |V|
+    clamp to one value, as on the diagonal. Cell (i, j) is _optimum of the
+    pair, as optimal_energy(grid[i], grid[j]) reports it."""
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
     max_ratio, opt_energy = np.full((2, n, n), np.nan)
-
-    pairs = ((i, j) for i in range(n) for j in range(i + 1, n) if grid[i] != grid[j])
-    for (i, j), res in _scan_pairs(grid, pairs, truncation, DEFAULT_SEARCH_RANGE,
-                                   DEFAULT_TOL, optimum_only=True):
-        max_ratio[i, j] = max_ratio[j, i] = res.optimum_ratio
-        opt_energy[i, j] = opt_energy[j, i] = res.optimum_energy
+    energies = np.geomspace(*DEFAULT_SEARCH_RANGE, SCAN_POINTS)
+    pair = _pair_cells(grid, energies, truncation)[3]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if min(grid[i], 1.0) != min(grid[j], 1.0):  # else optimal_energy refuses
+                energy, ratio = _optimum(pair(i, j), energies, DEFAULT_TOL)
+                max_ratio[i, j] = max_ratio[j, i] = ratio
+                opt_energy[i, j] = opt_energy[j, i] = energy
     return max_ratio, opt_energy
 
 
@@ -178,7 +175,7 @@ def coherent_map(grid):
     """Per-cell coherent information per photon over a Re(V) lattice;
     the ratio is energy-independent."""
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.abs(grid) > 1.0):
+    if not np.all(np.abs(grid) <= 1.0):
         raise DomainError("Re(V) lattice values must lie in [-1, 1]")
     n = len(grid)
     out = np.zeros((n, n))
@@ -202,7 +199,7 @@ def energy_scan_curves(v1_mag, v2_mag, energies, truncation=15):
     if not np.all(energies > 0.0):
         raise DomainError("energy must be > 0")
     rows, plus, row, pair = _pair_cells((v1_mag, v2_mag), energies, truncation)
-    l1, d, _, ratio, _, _ = pair(0, 1)
+    l1, d, _, point = pair(0, 1)
     k = LIMITED_TRUNCATION
     keys = ((k + 1) * np.minimum(plus, k) + np.minimum(rows - plus, k), rows - 2 * plus)
     folds = np.empty((2, len(energies)))
@@ -211,4 +208,4 @@ def energy_scan_curves(v1_mag, v2_mag, energies, truncation=15):
         p1 = np.exp(l1[:cells] + row(i)[rows[:cells]])
         folds[:, i] = [chernoff.chernoff_information(*(np.bincount(key[:cells], p) for p in (
             p1, p1 * np.exp(d[:cells])))).information / e for key in keys]
-    return np.array([ratio(n) for n in range(len(energies))]), *folds
+    return np.array([point(n)[1] for n in range(len(energies))]), *folds

@@ -291,8 +291,10 @@ class TestCoherentClosedForm:
         assert result.information > 0.0
 
     def test_out_of_range_visibility_rejected(self):
-        with pytest.raises(DomainError):
-            ch.chernoff_coherent_closed_form(1.0, 1.2, 0.0)
+        # a NaN passes a "> 1" test, and would be refused later as a bad probability
+        for re_v in [(1.2, 0.0), (math.nan, 0.0), (0.0, math.nan)]:
+            with pytest.raises(DomainError, match=r"Re\(V\)"):
+                ch.chernoff_coherent_closed_form(1.0, *re_v)
 
 
 class TestChernoffBound:

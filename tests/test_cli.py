@@ -26,8 +26,8 @@ def count_builds_and_solves(monkeypatch):
     """Record the arguments of every table build and every Newton solve,
     on a table pair or on the energy search's split-law cells."""
     tables, solves = [], []
-    build, solve = ps.joint_random_phase, chernoff._minimum
-    monkeypatch.setattr(ps, "joint_random_phase", lambda *a: tables.append(a) or build(*a))
+    build, solve = ps.random_phase_tables, chernoff._minimum
+    monkeypatch.setattr(ps, "random_phase_tables", lambda *a: tables.append(a) or build(*a))
     monkeypatch.setattr(chernoff, "_minimum", lambda *a: solves.append(a) or solve(*a))
     return tables, solves
 
@@ -695,6 +695,11 @@ class TestExitCodes:
                                       "energies up to about 208 can be searched"),
         (["optimize", "--hi", "inf"], "E = inf needs a resolution K above the limit 300; "
                                       "energies up to about 208 can be searched"),
+        # two |V| that clamp to 1 are one law, whichever comes first; a |V| past
+        # the clamp's slack is refused by value, before the pair is compared
+        (["optimize", "--v1", "1", "--v2", "1.0000000001"], "equal visibility magnitudes"),
+        (["optimize", "--v1", "1.0000000001", "--v2", "1"], "equal visibility magnitudes"),
+        (["optimize", "--v1", "1.5", "--v2", "1"], "random-phase |V| = 1.5 must lie in [0, 1]"),
     ])
     def test_search_refusal_names_the_input(self, capsys, argv, message):
         assert run(capsys, *argv) == (3, "", f"error: {message}\n")
@@ -724,7 +729,7 @@ class TestFigures:
         energyopt.info_per_photon(0.98, 0.56, 6.3)
         assert (len(split_rows), len(tables)) == (2, 0)
 
-    @pytest.mark.parametrize("grid_size,most_solves,most_tables", [(1, 0, 0), (5, 300, 400)])
+    @pytest.mark.parametrize("grid_size,most_solves,most_tables", [(1, 0, 0), (5, 300, 0)])
     def test_map_solves_only_what_each_optimum_needs(self, capsys, monkeypatch, grid_size,
                                                      most_solves, most_tables):
         # 11 shared scan energies, a short search per pair, then the refinement;

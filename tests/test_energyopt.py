@@ -1,5 +1,4 @@
 import math
-import weakref
 from collections import Counter
 from unittest import mock
 
@@ -80,7 +79,7 @@ class TestSearchTruncation:
         def refuse(*args):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(ps, "joint_random_phase", refuse)
+        monkeypatch.setattr(ps, "random_phase_tables", refuse)
         with pytest.raises(DomainError, match="E = 209 needs"):
             eo.optimal_energy(0.98, 0.56, search_range=(0.1, 209.0))
         eo.optimal_energy(0.98, 0.56)
@@ -181,8 +180,7 @@ class TestSplitCellSearch:
         solves, minimum = [], ch._minimum
         with mock.patch.object(ch, "_minimum",
                                lambda *a: solves.append((a, minimum(*a))) or solves[-1][1]):
-            next(eo._scan_pairs((v1, v2), [(0, 1)], 15, (energy, 1.04 * energy),
-                                eo.DEFAULT_TOL, optimum_only=True))
+            eo.optimal_energy(v1, v2, 15, (energy, 1.04 * energy))
         (_, folded_d, start), (alpha, log_min, _) = solves[0]
         pois = ps._poisson_rows(energy)
         last = len(pois) - 1
@@ -268,7 +266,7 @@ class TestOptimalEnergy:
         def refuse(*args):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(ps, "joint_random_phase", refuse)
+        monkeypatch.setattr(ps, "random_phase_tables", refuse)
         with pytest.raises(DomainError, match=str(eo.MAX_SEARCH_TRUNCATION)):
             eo.optimal_energy(0.98, 0.56, search_range=(0.1, hi))
 
@@ -277,7 +275,7 @@ class TestOptimalEnergy:
         def refuse(*args):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(ps, "joint_random_phase", refuse)
+        monkeypatch.setattr(ps, "random_phase_tables", refuse)
         with pytest.raises(DomainError, match="tol"):
             eo.optimal_energy(0.98, 0.56, tol=tol)
 
@@ -311,38 +309,25 @@ class TestRandomPhaseMap:
                                                            scan.optimum_energy)
 
     def test_holds_one_pair_result_at_a_time(self, monkeypatch):
-        # each pair's result goes into the two matrices before the next is made;
-        # kept per pair, they would take about 1.4 kB each, 6 GB at grid 3000
-        made, alive, held = eo.EnergyScanResult, Counter(), []
-
-        def counted(*args):
-            result = made(*args)
-            held.append(alive["results"])  # results still alive when this one is made
-            alive["results"] += 1
-            weakref.finalize(result, alive.subtract, ["results"])
-            return result
-
-        monkeypatch.setattr(eo, "EnergyScanResult", counted)
+        # each pair's (energy, ratio) goes straight into the two matrices, with
+        # no EnergyScanResult; one kept per pair took 1.4 kB, 6 GB at grid 3000
+        made = []
+        monkeypatch.setattr(eo, "EnergyScanResult", lambda *a: made.append(a))
         ratio, _ = eo.random_phase_map(np.linspace(0.0, 1.0, 6))
-        assert len(held) == 15 and max(held) <= 1
+        assert made == []
+        monkeypatch.undo()
         assert ratio[0, 5] == eo.optimal_energy(0.0, 1.0).optimum_ratio
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 60),
            st.floats(0.05, 80.0, exclude_min=True), st.floats(0.05, 80.0, exclude_min=True))
-    def test_optimum_only_scan_keeps_the_full_scan_argmax(self, v1, v2, floor, a, b):
+    def test_search_argmax_is_the_printed_scan_argmax(self, v1, v2, floor, a, b):
+        # the search reads only the points _scan_argmax needs; the rows it
+        # prints peak where it looked, and none reads above its optimum
         assume(v1 != v2 and a != b)
-        search_range = (min(a, b), max(a, b))
-        (_, full), = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL)
-        (_, lazy), = eo._scan_pairs((v1, v2), [(0, 1)], floor, search_range, eo.DEFAULT_TOL,
-                                    optimum_only=True)
-        # the points the lazy path solved carry the full scan's bits, so its
-        # search reads what the search below reads
-        solved = ~np.isnan(lazy.ratios)
-        assert np.array_equal(lazy.ratios[solved], full.ratios[solved])
-        assert eo._scan_argmax(full.ratios.__getitem__) == np.argmax(full.ratios)
-        assert (lazy.optimum_energy, lazy.optimum_ratio) == (full.optimum_energy,
-                                                             full.optimum_ratio)
+        scan = eo.optimal_energy(v1, v2, floor, (min(a, b), max(a, b)))
+        assert eo._scan_argmax(scan.ratios.__getitem__) == np.argmax(scan.ratios)
+        assert scan.ratios.max() <= scan.optimum_ratio
 
     def test_scan_argmax_of_a_unimodal_scan(self):
         # a flat top of two points keeps np.argmax's first index
@@ -359,6 +344,12 @@ class TestRandomPhaseMap:
         read = []
         assert eo._scan_argmax(lambda n: read.append(n) or scan[n]) == np.argmax(scan)
         assert set(read) == set(range(60))
+
+    def test_values_that_clamp_to_one_are_one_value(self):
+        # optimal_energy refuses such a pair, so its cell is NaN, not rounding
+        ratio, energy = eo.random_phase_map([1.0, 1.0 + 1e-10, 0.5])
+        assert np.isnan(ratio[:2, :2]).all() and np.isnan(energy[:2, :2]).all()
+        assert ratio[1, 2] == ratio[0, 2] == eo.optimal_energy(1.0, 0.5).optimum_ratio
 
     def test_lattice_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -382,8 +373,9 @@ class TestCoherentMap:
         assert table[0, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            eo.coherent_map([-2.0, 0.0])
+        for grid in [[-2.0, 0.0], [0.0, math.nan]]:
+            with pytest.raises(DomainError, match=r"Re\(V\)"):
+                eo.coherent_map(grid)
 
 
 class TestEnergyScanCurves:

@@ -286,8 +286,8 @@ class TestWorstCaseSweep:
         p1, p2 = tables()
         sources = [table(0.28), p2]
         builds = []
-        build = ps.joint_random_phase
-        monkeypatch.setattr(ps, "joint_random_phase", lambda *a: builds.append(a) or build(*a))
+        build = ps.random_phase_tables
+        monkeypatch.setattr(ps, "random_phase_tables", lambda *a: builds.append(a) or build(*a))
         sk.estimate_error(p1, p2, [1, 4], 300, 5)
         sk.worst_case_sweep(p1, p2, sources, [1, 4], 300, 5)
         assert builds == []

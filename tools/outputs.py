@@ -88,6 +88,11 @@ COMMANDS = [
     "optimize --hi 208",
     "optimize --truncation 301 --hi 209",
     "optimize --truncation 0",
+    "optimize --v1 1e-5 --v2 0",
+    "optimize --lo 1 --hi 1.0000001",
+    "optimize --tol inf",
+    "chernoff --coherent --v1 nan",
+    "optimize --v1 1 --v2 1.0000000001",
 ]
 
 
