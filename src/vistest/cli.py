@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-# build_parser reads energyopt's search defaults, and energyopt loads chernoff and
-# photostat; each command imports the rest of what it runs, and nothing more
-from . import __version__, chernoff, energyopt, photostat
-from .util import DomainError, format_float
+# photostat runs in every command but two; each command imports the rest of what it
+# runs, and nothing more, so that no command compiles a module it does not run
+from . import __version__, photostat
+from .util import DEFAULT_SEARCH_RANGE, DEFAULT_TOL, DomainError, format_float
 
 OUTPUT_DIR_ENV = "VISTEST_OUTPUT_DIR"
 # CSV lines joined into one write: stdout may be unbuffered, making a syscall of each write
@@ -124,6 +124,8 @@ def cmd_dist(args):
 
 
 def cmd_chernoff(args):
+    from . import chernoff
+
     if not args.energy > 0.0:
         raise DomainError("energy must be > 0")
     if args.coherent:
@@ -145,6 +147,8 @@ def cmd_chernoff(args):
 
 
 def cmd_optimize(args):
+    from . import energyopt
+
     scan = energyopt.optimal_energy(args.v1, args.v2, args.truncation,
                                     (args.lo, args.hi), args.tol)
     _report(args, {"optimum_energy": scan.optimum_energy,
@@ -154,7 +158,7 @@ def cmd_optimize(args):
 
 
 def cmd_simulate(args):
-    from . import simkit
+    from . import chernoff, simkit
 
     # the band's test is designed at --v2, so the band ends there, and that row is printed
     band = args.band or [args.v2]
@@ -237,6 +241,8 @@ def cmd_figures(args):
         delegate = build_parser().parse_args(argv + ["--truncation", str(args.truncation)])
         delegate.out = args.out
         return delegate.func(delegate)
+    from . import energyopt
+
     if args.id == "2a":
         grid = np.linspace(-1.0, 1.0, args.grid_size)
         table = energyopt.coherent_map(grid)
@@ -249,7 +255,7 @@ def cmd_figures(args):
         records = ((a, b, ratio[i, j], energy[i, j])
                    for i, a in enumerate(grid) for j, b in enumerate(grid))
     else:  # 3
-        energies = np.geomspace(*energyopt.DEFAULT_SEARCH_RANGE, energyopt.SCAN_POINTS)
+        energies = np.geomspace(*DEFAULT_SEARCH_RANGE, energyopt.SCAN_POINTS)
         header = "energy,ratio_joint,ratio_k2,ratio_diff"
         records = zip(energies, *energyopt.energy_scan_curves(
             DEFAULT_V1, DEFAULT_V2, energies, args.truncation))
@@ -303,9 +309,9 @@ def build_parser():
     p = command("optimize", cmd_optimize, "energy-per-repetition optimization")
     p.add_argument("--v1", type=float, default=DEFAULT_V1)
     p.add_argument("--v2", type=float, default=DEFAULT_V2)
-    p.add_argument("--lo", type=float, default=energyopt.DEFAULT_SEARCH_RANGE[0])
-    p.add_argument("--hi", type=float, default=energyopt.DEFAULT_SEARCH_RANGE[1])
-    p.add_argument("--tol", type=float, default=energyopt.DEFAULT_TOL)
+    p.add_argument("--lo", type=float, default=DEFAULT_SEARCH_RANGE[0])
+    p.add_argument("--hi", type=float, default=DEFAULT_SEARCH_RANGE[1])
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
 
     p = command("simulate", cmd_simulate, "Monte Carlo error-rate curves")

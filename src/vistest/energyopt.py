@@ -6,11 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chernoff, photostat
+from . import chernoff, photostat, util
 from .util import DomainError, golden_section
 
-DEFAULT_SEARCH_RANGE = (0.1, 30.0)
-DEFAULT_TOL = 0.05
 _TAIL_BUDGET = 1e-9
 MAX_SEARCH_TRUNCATION = 300  # the rule's K at E = 208
 SCAN_POINTS = 60  # log-spaced energies of the scan ahead of the refinement
@@ -129,7 +127,7 @@ def _optimum(pair, energies, tol):
 
 
 def optimal_energy(v1_mag, v2_mag, truncation=15,
-                   search_range=DEFAULT_SEARCH_RANGE, tol=DEFAULT_TOL):
+                   search_range=util.DEFAULT_SEARCH_RANGE, tol=util.DEFAULT_TOL):
     """Maximize information per photon over the energy per repetition: a
     60-point log-spaced scan, then golden section around its best point
     (_optimum). A top above about 208 is refused (_check_top), and so are
@@ -160,12 +158,12 @@ def random_phase_map(grid, truncation=15):
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
     max_ratio, opt_energy = np.full((2, n, n), np.nan)
-    energies = np.geomspace(*DEFAULT_SEARCH_RANGE, SCAN_POINTS)
+    energies = np.geomspace(*util.DEFAULT_SEARCH_RANGE, SCAN_POINTS)
     pair = _pair_cells(grid, energies, truncation)[3]
     for i in range(n):
         for j in range(i + 1, n):
             if min(grid[i], 1.0) != min(grid[j], 1.0):  # else optimal_energy refuses
-                energy, ratio = _optimum(pair(i, j), energies, DEFAULT_TOL)
+                energy, ratio = _optimum(pair(i, j), energies, util.DEFAULT_TOL)
                 max_ratio[i, j] = max_ratio[j, i] = ratio
                 opt_energy[i, j] = opt_energy[j, i] = energy
     return max_ratio, opt_energy

@@ -207,6 +207,8 @@ def worst_case_sweep(p1, p2, sources, n_values, ensemble_size, seed):
     """
     if len({t.truncation for t in (p1, p2, *sources)}) != 1:
         raise DomainError("the tables must share one truncation")
+    if not len(n_values):
+        raise DomainError("the N list is empty: name at least one N")
     if any(n < 1 for n in n_values):
         raise DomainError("every N must be >= 1")
     if ensemble_size < 1:

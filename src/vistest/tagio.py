@@ -1,9 +1,7 @@
 """Time-tagged photodetection ingestion and analysis.
 
 Parses tag CSV streams, bins counts into fixed windows, builds joint
-count histograms, compares them against theoretical distributions, and
-synthesizes tag streams from the random-phase model for end-to-end
-checks.
+count histograms and compares them against theoretical distributions.
 
 A tag stream is a list of blocks, each a pair of arrays: uint8 channels
 (0 for the '+' port, 1 for '-') and int64 timestamps in integer tenths of
@@ -12,14 +10,11 @@ accumulates no drift over long streams; the on-disk format is decimal
 nanoseconds with one optional decimal digit.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .util import DomainError
-
-TWO_PI = 2.0 * math.pi
 
 TAG_HEADER = "channel,timestamp_ns"
 
@@ -194,14 +189,6 @@ def parse_tags(source):
         raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
 
 
-def write_tags(blocks, out):
-    """Write (channels, tenths) blocks to a text file in the CSV format parse_tags reads."""
-    out.write(TAG_HEADER + "\n")
-    for ch, ts in blocks:
-        for c, t in zip(ch.tolist(), ts.tolist()):
-            out.write(f"{c},{t // 10}.{t % 10}\n")
-
-
 def bin_counts(blocks, config, duration_ns=None):
     """Group the tags of (channels, tenths) blocks into consecutive windows of window_ns.
 
@@ -326,40 +313,3 @@ def compare_to_theory(hist, theory):
     fraction = float(within.mean()) if occupied.any() else 1.0
     tv = 0.5 * float(np.abs(counts / hist.total - theory.probs).sum())
     return ComparisonResult(fraction, tv)
-
-
-def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
-    """Generate one (channels, tenths) block from the random-phase model.
-
-    Per window: a fresh uniform global phase, Poisson counts at the two
-    port intensities (unclamped; binning applies the truncation), each
-    count placed at a uniform multiple of the timing resolution inside
-    the window. bin_counts([block], config, windows * config.window_ns)
-    round-trips the exact per-window counts, trailing empty windows too.
-    """
-    if windows < 1:
-        raise DomainError("windows must be >= 1")
-    if not 0.0 <= energy_per_window < math.inf:
-        raise DomainError("energy must be finite and >= 0")
-    if not 0.0 <= vis_magnitude <= 1.0:
-        raise DomainError("visibility magnitude must lie in [0, 1]")
-    window = config.window_tenths
-    slots = window // config.resolution_tenths
-
-    phases = rng.uniform(0.0, TWO_PI, windows)
-    i_plus = energy_per_window * (1.0 + vis_magnitude * np.cos(phases)) / 2.0
-    counts = np.empty((windows, 2), dtype=np.int64)
-    counts[:, 0] = rng.poisson(i_plus)
-    counts[:, 1] = rng.poisson(energy_per_window - i_plus)
-
-    parts = []
-    for channel in (0, 1):
-        n = int(counts[:, channel].sum())
-        window_of_tag = np.repeat(np.arange(windows, dtype=np.int64), counts[:, channel])
-        offsets = rng.integers(0, slots, size=n) * config.resolution_tenths
-        ts = window_of_tag * window + offsets
-        parts.append((np.full(n, channel, dtype=np.uint8), ts))
-    channels = np.concatenate([p[0] for p in parts])
-    timestamps = np.concatenate([p[1] for p in parts])
-    order = np.lexsort((channels, timestamps))
-    return channels[order], timestamps[order]

@@ -7,6 +7,12 @@ class DomainError(ValueError):
     """Invalid parameter value for an operation."""
 
 
+# the energy search's defaults, here so that the CLI's parser shows them
+# without loading energyopt
+DEFAULT_SEARCH_RANGE = (0.1, 30.0)
+DEFAULT_TOL = 0.05
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _MAX_ITER = 200

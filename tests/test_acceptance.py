@@ -20,6 +20,7 @@ from vistest import simkit as sk
 from vistest import tagio
 from vistest.cli import main as cli_main
 
+import tagsynth
 from test_photostat import quadrature_random_phase
 
 
@@ -162,12 +163,12 @@ def test_criterion_10_tag_pipeline_self_consistency():
     # around 0.957 across seeds, so an arbitrary seed sits too close to
     # the 0.95 threshold
     rng = np.random.default_rng(103)
-    channels, tenths = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=1_500_000)
+    channels, tenths = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=1_500_000)
 
     # exercise the text ingestion path on a slice, then run the full
     # stream through binning -> histogram -> comparison
     buf = io.StringIO()
-    tagio.write_tags([(channels[:5000], tenths[:5000])], buf)
+    tagsynth.write_tags([(channels[:5000], tenths[:5000])], buf)
     parsed = list(tagio.parse_tags(io.BytesIO(buf.getvalue().encode())))
     assert sum(len(ts) for _, ts in parsed) == 5000
 

@@ -13,6 +13,8 @@ import pytest
 from vistest import __version__, chernoff, cli, energyopt, photostat as ps, simkit, tagio
 from vistest.cli import build_parser, main
 
+import tagsynth
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -42,10 +44,10 @@ def count_split_rows(monkeypatch):
 def make_tag_file(directory, windows=400):
     rng = np.random.default_rng(12)
     config = tagio.BinningConfig()
-    block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=windows)
+    block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=windows)
     path = directory / "tags.csv"
     with open(path, "w") as f:
-        tagio.write_tags([block], f)
+        tagsynth.write_tags([block], f)
     return path
 
 
@@ -326,6 +328,13 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--n-list", "1", "--ensemble", "10", *option)
         assert (code, out) == (3, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("option", [["--n-list="], ["--n-list", ","]])
+    def test_empty_n_list_is_3(self, capsys, option):
+        # no N is refused, not answered with a header of no rows
+        code, out, err = run(capsys, "simulate", "--ensemble", "10", *option)
+        assert (code, out) == (3, "")
+        assert err == "error: the N list is empty: name at least one N\n"
 
 
 class TestFingerprint:
@@ -781,14 +790,32 @@ class TestNoScipyAtRunTime:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    # what `import vistest.cli` loads: the parser needs photostat and util alone
+    LOADED_BY_IMPORT = ["vistest", "vistest.cli", "vistest.photostat", "vistest.util"]
+
     def test_cli_import_loads_only_what_the_parser_needs(self):
         # each command imports the modules it runs: ingest alone loads tagio
         done = self.python("import sys, vistest.cli; print(sorted(m for m in sys.modules "
-                           "if m.startswith('vistest.') or m == 'json'))")
+                           "if m.startswith('vistest') or m == 'json'))")
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == str(["vistest.chernoff", "vistest.cli",
-                                           "vistest.energyopt", "vistest.photostat",
-                                           "vistest.util"])
+        assert done.stdout.strip() == str(self.LOADED_BY_IMPORT)
+
+    @pytest.mark.parametrize("argv,runs", [
+        (["dist", "--truncation", "4"], []),
+        (["ingest", "--tags", TAGS, "--theory", "0.56,6.3"], ["vistest.tagio"]),
+        (["simulate", "--ensemble", "10", "--n-list", "1"], ["vistest.chernoff", "vistest.simkit"]),
+    ], ids=["dist", "ingest", "simulate"])
+    def test_a_command_loads_only_the_modules_it_runs(self, tmp_path, argv, runs):
+        # in a fresh interpreter: this session has imported every module already
+        argv = [str(make_tag_file(tmp_path, windows=50)) if a == TAGS else a for a in argv]
+        done = self.python(
+            "import json, os, sys\n"
+            "from vistest.cli import main\n"
+            "code = main(json.loads(sys.argv[1]) + ['--out', os.devnull])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('vistest'))]))\n",
+            json.dumps(argv))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, sorted(self.LOADED_BY_IMPORT + runs)]
 
     def test_every_command_runs_with_scipy_blocked(self, tmp_path):
         commands = [

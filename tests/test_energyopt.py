@@ -10,7 +10,7 @@ from scipy.special import pdtrc
 from vistest import chernoff as ch
 from vistest import energyopt as eo
 from vistest import photostat as ps
-from vistest.util import DomainError
+from vistest.util import DEFAULT_SEARCH_RANGE, DomainError
 
 
 def pdtrc_truncation(energy, floor=15):
@@ -205,7 +205,7 @@ class TestSplitCellSearch:
         monkeypatch.setattr(ps, "_poisson_rows",
                             lambda e, *a: calls.update([e]) or rows(e, *a))
         eo.random_phase_map(np.linspace(0.0, 1.0, 5))
-        scan = np.geomspace(*eo.DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)
+        scan = np.geomspace(*DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)
         assert calls[scan[-1]] == 1
         assert max(calls[e] for e in scan) == 1
 
@@ -391,7 +391,7 @@ class TestEnergyScanCurves:
         assert np.all(joint >= diff - 1e-15)
 
     def test_equals_info_per_photon_per_mode(self):
-        energies = np.geomspace(*eo.DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)[::3]
+        energies = np.geomspace(*DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)[::3]
         curves = eo.energy_scan_curves(0.98, 0.56, energies)
         for i, e in enumerate(energies):
             assert curves[0][i] == pytest.approx(eo.info_per_photon(0.98, 0.56, e), rel=1e-12)
@@ -402,7 +402,7 @@ class TestEnergyScanCurves:
 
     @pytest.mark.parametrize("floor", [1, 40])
     def test_truncation_only_floors_the_refusal(self, floor):
-        energies = np.geomspace(*eo.DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)
+        energies = np.geomspace(*DEFAULT_SEARCH_RANGE, eo.SCAN_POINTS)
         assert np.array_equal(eo.energy_scan_curves(0.98, 0.56, energies, floor),
                               eo.energy_scan_curves(0.98, 0.56, energies))
         with pytest.raises(DomainError, match="truncation must be >= 1"):

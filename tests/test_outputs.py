@@ -72,10 +72,20 @@ def test_reports_the_planted_cell_and_nothing_else(tmp_path, capsys):
         assert float(moved["base"]) == 0.3
 
 
-def test_the_parser_accepts_every_command():
+# the entries that stop in the parser on purpose, with their exit codes
+PARSER_EXITS = {"--version": 0, "": 2}
+
+
+def test_the_parser_accepts_every_command(capsys):
     # an entry argparse refused would compare two usage errors and read "identical"
     for command in outputs.COMMANDS:
-        assert build_parser().parse_args(command.split()).command == command.split()[0]
+        if command in PARSER_EXITS:
+            with pytest.raises(SystemExit) as stopped:
+                build_parser().parse_args(command.split())
+            assert stopped.value.code == PARSER_EXITS[command]
+        else:
+            assert build_parser().parse_args(command.split()).command == command.split()[0]
+    assert PARSER_EXITS.keys() <= set(outputs.COMMANDS)
 
 
 def test_exit_header_and_text_changes(tmp_path, capsys):

@@ -320,6 +320,14 @@ class TestErrorCurve:
             with pytest.raises(DomainError, match="every N must be >= 1"):
                 sk.estimate_error(p1, p2, n_values, 50, 1)
 
+    def test_empty_n_list_rejected(self):
+        # an empty list would return an empty curve, and simulate a CSV of no rows
+        p1, p2 = tables()
+        for sweep in (lambda n: sk.estimate_error(p1, p2, n, 50, 1),
+                      lambda n: sk.worst_case_sweep(p1, p2, [p2], n, 50, 1)):
+            with pytest.raises(DomainError, match="the N list is empty"):
+                sweep([])
+
     @pytest.mark.parametrize("m,seed,message", [
         (0, 1, "ensemble_size must be >= 1"),
         (50, -1, "seed must be >= 0"),

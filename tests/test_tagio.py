@@ -12,6 +12,8 @@ from vistest import photostat as ps
 from vistest import tagio
 from vistest.util import DomainError
 
+import tagsynth
+
 HEADER = "channel,timestamp_ns\n"
 
 
@@ -81,7 +83,7 @@ class TestParseTags:
     def test_roundtrip_through_writer(self):
         blocks = parse(HEADER + "0,100\n1,103.3\n")
         buf = io.StringIO()
-        tagio.write_tags(blocks, buf)
+        tagsynth.write_tags(blocks, buf)
         assert joined(parse(buf.getvalue())) == joined(blocks) == ([0, 1], [1000, 1033])
 
     @pytest.mark.parametrize("timestamp", ["1_000", "+2000", "-0", "-5", "\u0661\u0660\u0660",
@@ -545,7 +547,7 @@ class TestSynthesizeTags:
     def test_round_trip_counts(self):
         rng = np.random.default_rng(5)
         config = tagio.BinningConfig()
-        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=200)
+        block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=200)
         counts = tagio.bin_counts([block], config, 200 * config.window_ns)
         assert counts.shape == (200, 2)
         assert counts.sum() == len(block[1])
@@ -553,14 +555,14 @@ class TestSynthesizeTags:
     def test_mean_energy(self):
         rng = np.random.default_rng(6)
         config = tagio.BinningConfig(truncation=40)
-        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=50_000)
+        block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=50_000)
         counts = tagio.bin_counts([block], config, 50_000 * config.window_ns)
         assert counts.sum(axis=1).mean() == pytest.approx(6.3, abs=0.05)
 
     def test_timestamps_on_resolution_grid(self):
         rng = np.random.default_rng(7)
         config = tagio.BinningConfig()
-        channels, tenths = tagio.synthesize_tags(rng, 3.0, 0.9, config, windows=100)
+        channels, tenths = tagsynth.synthesize_tags(rng, 3.0, 0.9, config, windows=100)
         assert channels.dtype == np.uint8 and tenths.dtype == np.int64
         offsets = tenths % config.window_tenths
         assert not np.any(offsets % config.resolution_tenths)
@@ -568,16 +570,16 @@ class TestSynthesizeTags:
     def test_sorted_output_parses_back(self):
         rng = np.random.default_rng(8)
         config = tagio.BinningConfig()
-        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=500)
+        block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=500)
         assert np.all(np.diff(block[1]) >= 0)
         buf = io.StringIO()
-        tagio.write_tags([block], buf)
+        tagsynth.write_tags([block], buf)
         assert joined(parse(buf.getvalue())) == joined([block])
 
     def test_histogram_matches_model(self):
         rng = np.random.default_rng(9)
         config = tagio.BinningConfig()
-        block = tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=100_000)
+        block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=100_000)
         hist = tagio.histogram(tagio.bin_counts([block], config, 100_000 * config.window_ns),
                                config.truncation)
         theory = ps.joint_random_phase(
@@ -591,12 +593,12 @@ class TestSynthesizeTags:
         rng = np.random.default_rng(0)
         config = tagio.BinningConfig()
         with pytest.raises(DomainError):
-            tagio.synthesize_tags(rng, 6.3, 0.56, config, windows=0)
+            tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=0)
         with pytest.raises(DomainError):
-            tagio.synthesize_tags(rng, 6.3, 1.2, config, windows=1)
+            tagsynth.synthesize_tags(rng, 6.3, 1.2, config, windows=1)
         for energy in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="energy must be finite"):
-                tagio.synthesize_tags(rng, energy, 0.56, config, windows=1)
+                tagsynth.synthesize_tags(rng, energy, 0.56, config, windows=1)
 
 
 class TestBinningConfig:

@@ -34,8 +34,8 @@ TIMEOUT_S = 900
 # This tool's own list, not read from the CI workflow: the CLI commands
 # that CI's numpy-only step ran when it was written, then paths that step
 # leaves out and the figures at their default grids. Its input files are
-# its own too, made by write_inputs; tags.csv is drawn here, not by
-# tagio.synthesize_tags, so both trees read the same bytes.
+# its own too, made by write_inputs; tags.csv is drawn here, not by the
+# tests' tagsynth.synthesize_tags, so both trees read the same bytes.
 COMMANDS = [
     "dist --truncation 4",
     "chernoff --json",
@@ -93,6 +93,12 @@ COMMANDS = [
     "optimize --tol inf",
     "chernoff --coherent --v1 nan",
     "optimize --v1 1 --v2 1.0000000001",
+    "ingest --tags bad.csv --theory 0.56,900",
+    # the parser's own paths: the version, no command (exit 2), defaults from a file
+    "--version",
+    "",
+    "optimize --config opt.cfg",
+    "simulate --ensemble 10 --n-list=",
 ]
 
 
@@ -105,9 +111,10 @@ def _poisson(rng, mean):
 
 
 def write_inputs(directory):
-    """The tag files the ingest commands read: a random-phase stream of 2000
-    80 us windows at E = 6.3 and |V| = 0.56 from a fixed seed, and the CI
-    workflow's CRLF, bad-byte, over-long-line and late-decrease files."""
+    """The files the commands read: a random-phase stream of 2000 80 us
+    windows at E = 6.3 and |V| = 0.56 from a fixed seed, the CI workflow's
+    CRLF, bad-byte, over-long-line and late-decrease tag files, and an
+    optimize --config file."""
     rng = random.Random(1)
     tags = []
     for w in range(2000):
@@ -125,6 +132,7 @@ def write_inputs(directory):
         "long.csv": "channel,timestamp_ns\n" + " " * 300000 + "0,100.5\n"
                     + "".join(f"{i % 2},{1000 + i}.0\n" for i in range(5000)),
         "late.csv": "channel,timestamp_ns\n" + "\n".join(late) + "\n",
+        "opt.cfg": "# the search's low end and stop width\nlo = 0.5\ntol = 0.02\n",
     }
     for name, text in files.items():
         with open(os.path.join(directory, name), "w", newline="") as f:
