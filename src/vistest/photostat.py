@@ -113,6 +113,8 @@ def effective_params(params, vis):
     if params.dark_mean == 0.0:
         return params, vis
     energy = params.mean_detected_energy + 2.0 * params.dark_mean
+    if energy == math.inf:
+        raise DomainError(f"E + 2*dark_mean overflows at dark_mean = {params.dark_mean!r}")
     scale = params.mean_detected_energy / energy
     eff = DetectionParams(energy, 0.0, params.truncation)
     return eff, ComplexVisibility(vis.magnitude * scale, vis.phase)

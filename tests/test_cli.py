@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -709,6 +710,8 @@ class TestExitCodes:
         (["optimize", "--v1", "1", "--v2", "1.0000000001"], "equal visibility magnitudes"),
         (["optimize", "--v1", "1.0000000001", "--v2", "1"], "equal visibility magnitudes"),
         (["optimize", "--v1", "1.5", "--v2", "1"], "random-phase |V| = 1.5 must lie in [0, 1]"),
+        # a dark count whose fold into the energy overflows is refused by name
+        (["dist", "--dark", "1e308"], "E + 2*dark_mean overflows at dark_mean = 1e+308"),
     ])
     def test_search_refusal_names_the_input(self, capsys, argv, message):
         assert run(capsys, *argv) == (3, "", f"error: {message}\n")
@@ -837,3 +840,10 @@ class TestNoScipyAtRunTime:
             json.dumps(commands))
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == [0] * len(commands)
+
+    def test_the_readme_library_example_runs(self):
+        readme = (SRC.parent / "README.md").read_text()
+        block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+        done = self.python(block)
+        assert done.returncode == 0, done.stderr
+        assert len([float(line) for line in done.stdout.splitlines()]) == 2

@@ -1,7 +1,7 @@
 """tools/outputs.py on two tiny fake trees whose CLI prints the same for
-every command but two, one to stdout and one to its --out file, where one
-cell moves by 1e-12 relative; and its command list against the real
-parser."""
+each of a few rows but three, one of them to its --out file, where one
+cell moves by 1e-12 relative; on a fake tree that misses three rows'
+expectations; and its command table against the real parser."""
 
 import importlib.util
 import json
@@ -16,52 +16,66 @@ spec = importlib.util.spec_from_file_location("outputs", TOOL)
 outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(outputs)
 
-PLANTED = ["dist --truncation 4", "figures --id 2b --grid-size 20 --out map.csv"]
+PLANTED = ["dist --truncation 4", "figures --id 2b --grid-size 20",
+           "figures --id 2b --grid-size 20 --out map.csv"]
+ROWS = [outputs.Row(command) for command in PLANTED] + [
+    outputs.Row("chernoff --json"),
+    outputs.refused("ingest --tags bad.csv", "line 3: bad timestamp '12a4.5'"),
+    outputs.refused("chernoff --coherent --v1 nan", "Re(V) must lie in [-1, 1]"),
+]
 
-FAKE_CLI = '''import json, os, sys
-args = sys.argv[1:]
+# broken: ingest exits 1, the nan refusal is reworded, and the --out file gains a line
+FAKE_CLI = '''import json, sys
+args, broken = sys.argv[1:], {broken!r}
+if "--tags" in args:  # the input files are there, in the working directory
+    stamp = open(args[args.index("--tags") + 1]).read().splitlines()[2].split(",")[1]
+    sys.stderr.write(f"error: line 3: bad timestamp {{stamp!r}}\\n")
+    sys.exit(1 if broken else 3)
+if "nan" in args:
+    sys.stderr.write("error: Re(V) is out of range\\n" if broken
+                     else "error: Re(V) must lie in [-1, 1]\\n")
+    sys.exit(3)
 probs = [0.125, 0.3, 0.575]
 if " ".join(args) in {planted!r}:
     probs[1] *= {factor!r}
-lines = []
-if "--tags" in args:  # the input files are there, in the working directory
-    lines.append(f"# bytes = {{os.path.getsize(args[args.index('--tags') + 1])}}")
 if "--json" in args:
-    lines.append(json.dumps({{"command": args[0], "summary": {{"p": probs[1]}}}}))
-elif "bad.csv" in args:
-    sys.exit("error: line 3: not a tag")
+    text = json.dumps({{"command": args[0], "summary": {{"p": probs[1]}}}}) + "\\n"
 else:
-    lines += ["# command = " + " ".join(args), "# energy = 6.3", "k,prob"]
-    lines += [f"{{k}},{{p!r}}" for k, p in enumerate(probs)]
-text = "".join(line + "\\n" for line in lines)
+    text = "# energy = 6.3\\nk,prob\\n" + "".join(f"{{k}},{{p!r}}\\n" for k, p in enumerate(probs))
 if "--out" in args:
     with open(args[args.index("--out") + 1], "w") as f:
-        f.write(text)
+        f.write(text + "extra\\n" * broken)
 else:
     sys.stdout.write(text)
 '''
 
 
-def fake_tree(root, factor):
+@pytest.fixture
+def few_rows(monkeypatch):
+    # so that tier-1 does not run the whole table
+    monkeypatch.setattr(outputs, "COMMANDS", ROWS)
+
+
+def fake_tree(root, factor=1.0, broken=False):
     package = root / "src" / "vistest"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(FAKE_CLI.format(planted=PLANTED, factor=factor))
+    (package / "cli.py").write_text(FAKE_CLI.format(planted=PLANTED, factor=factor, broken=broken))
     return str(root)
 
 
-def report(capsys, *argv):
-    assert outputs.main(list(argv)) == 0
+def report(capsys, *argv, code=0):
+    assert outputs.main(list(argv)) == code
     return json.loads(capsys.readouterr().out)
 
 
-def test_reports_the_planted_cell_and_nothing_else(tmp_path, capsys):
-    base = fake_tree(tmp_path / "base", 1.0)
+def test_reports_the_planted_cell_and_nothing_else(tmp_path, capsys, few_rows):
+    base = fake_tree(tmp_path / "base")
     head = fake_tree(tmp_path / "head", 1.0 + 1e-12)
     got = report(capsys, base, head)
-    assert [c["command"] for c in got["commands"]] == outputs.COMMANDS
+    assert [c["command"] for c in got["commands"]] == [row.command for row in ROWS]
     changed = [c for c in got["commands"] if c["result"] != "identical"]
-    assert (got["identical"], got["changed"]) == (len(outputs.COMMANDS) - 2, 2)
+    assert (got["identical"], got["changed"], got["misses"]) == (len(ROWS) - 3, 3, [])
     assert [c["command"] for c in changed] == PLANTED
     for entry in changed:  # the --out file's bytes are that command's output
         assert set(entry) == {"command", "result", "moves"}  # same exit, stderr and header
@@ -72,20 +86,49 @@ def test_reports_the_planted_cell_and_nothing_else(tmp_path, capsys):
         assert float(moved["base"]) == 0.3
 
 
-# the entries that stop in the parser on purpose, with their exit codes
-PARSER_EXITS = {"--version": 0, "": 2}
+def test_a_missed_expectation_fails_naming_its_row(tmp_path, capsys, few_rows):
+    got = report(capsys, fake_tree(tmp_path / "base"), fake_tree(tmp_path / "head", broken=True),
+                 code=1)
+    assert [miss.split(": ")[0] for miss in got["misses"]] == [
+        "figures --id 2b --grid-size 20 --out map.csv", "ingest --tags bad.csv",
+        "chernoff --coherent --v1 nan"]
+    assert got["misses"][1] == "ingest --tags bad.csv: exit 1, not 3"
 
 
-def test_the_parser_accepts_every_command(capsys):
-    # an entry argparse refused would compare two usage errors and read "identical"
-    for command in outputs.COMMANDS:
-        if command in PARSER_EXITS:
-            with pytest.raises(SystemExit) as stopped:
-                build_parser().parse_args(command.split())
-            assert stopped.value.code == PARSER_EXITS[command]
-        else:
-            assert build_parser().parse_args(command.split()).command == command.split()[0]
-    assert PARSER_EXITS.keys() <= set(outputs.COMMANDS)
+def test_each_rule_names_what_missed():
+    rows = [outputs.Row("a --json"), outputs.Row("b", echo="# n = 1"), outputs.Row("c", same="b"),
+            outputs.Row("d", differs="b"), outputs.refused("e --out e.csv", "no"),
+            outputs.refused("e", "no"), outputs.Row("f", limit=60)]
+    results = {"a --json": (0, b'{"p": NaN}', b"", False), "b": (0, b"# n = 10\n", b"", False),
+               "c": (0, b"", b"", False), "d": (0, b"# n = 10\n", b"", False),
+               "e --out e.csv": (3, b"", b"error: no\n", True), "e": (3, b"", b"error: no\n", False),
+               "f": (None, b"", b"", False)}
+    assert [outputs.misses(row, results) for row in rows] == [
+        ["not strict JSON: NaN is not JSON"], ["no line '# n = 1'"],
+        ["output differs from that of 'b'"], ["output equals that of 'b'"],
+        ["a refusal printed or wrote output"], [], ["ran past 60 s"]]
+
+
+def test_the_parser_accepts_every_command():
+    # a row the parser stops (--version, and no command) stops with the row's exit code
+    for row in outputs.COMMANDS:
+        try:
+            assert build_parser().parse_args(row.command.split()).command == row.command.split()[0]
+        except SystemExit as stopped:
+            assert stopped.code == row.exit
+    commands = [row.command for row in outputs.COMMANDS]
+    assert len(set(commands)) == len(commands)
+    named = {name for row in outputs.COMMANDS for name in (outputs.twin(row.command), row.same,
+                                                           row.differs)}
+    assert named - {None} <= set(commands)
+
+
+def test_the_tag_rows_echo_their_files_data_lines(tmp_path):
+    outputs.write_inputs(tmp_path)
+    for row in outputs.COMMANDS:
+        if row.echo is not None and row.echo.startswith("# tags = "):
+            data_lines = (tmp_path / row.command.split()[2]).read_bytes().count(b"\n") - 1
+            assert row.echo == f"# tags = {data_lines}"
 
 
 def test_exit_header_and_text_changes(tmp_path, capsys):
@@ -104,7 +147,7 @@ def test_exit_header_and_text_changes(tmp_path, capsys):
 
 
 def test_missing_tree(tmp_path):
-    tree = fake_tree(tmp_path / "tree", 1.0)
+    tree = fake_tree(tmp_path / "tree")
     with pytest.raises(SystemExit) as refused:
         outputs.main([tree, str(tmp_path / "missing")])
     assert refused.value.code == 2

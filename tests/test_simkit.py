@@ -110,12 +110,15 @@ class TestCounterStream:
         stat = float(((counts - expected) ** 2).sum() / expected)
         assert stat < chi2.isf(1e-6, 63)
 
-    def test_simulate_loads_no_numpy_random(self):
+    # figure 4c is simulate's band run
+    @pytest.mark.parametrize("argv", [["simulate", "--ensemble", "100"],
+                                      ["figures", "--id", "4c", "--ensemble", "100"]], ids=" ".join)
+    def test_simulate_loads_no_numpy_random(self, argv):
         src = Path(sk.__file__).resolve().parents[1]
         code = ("import sys, io, contextlib\n"
                 "from vistest import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    code = cli.main(['simulate', '--ensemble', '100'])\n"
+                f"    code = cli.main({argv!r})\n"
                 "print(code, 'numpy.random' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
