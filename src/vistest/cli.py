@@ -218,15 +218,15 @@ def cmd_ingest(args):
         photostat._checked_magnitude(v)
         photostat._poisson_rows(energy, 2 * args.truncation)  # refused past MAX_SPLIT_ROW
     with open(args.tags, "rb") as f:
-        hist, tags = tagio.tally(tagio.parse_tags(f), binning)
-    summary = {"tags": tags, "windows": hist.total, "total_outcomes": hist.total}
+        table, tags = tagio.tally(tagio.parse_tags(f), binning)
+    summary = {"tags": tags, "windows": int(table.sum()), "total_outcomes": int(table.sum())}
     if args.theory:
-        comparison = tagio.compare_to_theory(hist, photostat.joint_random_phase(params, v))
+        comparison = tagio.compare_to_theory(table, photostat.joint_random_phase(params, v))
         summary["fraction_within_2"] = comparison.fraction_within_2
         summary["tv_distance"] = comparison.tv_distance
         summary["consistent"] = comparison.fraction_within_2 >= 0.9
     _report(args, summary, "k,kprime,count",
-            ((k, kp, hist.counts[k, kp]) for k, kp in np.ndindex(hist.counts.shape)))
+            ((k, kp, table[k, kp]) for k, kp in np.ndindex(table.shape)))
 
 
 def cmd_figures(args):

@@ -10,13 +10,14 @@ accumulates no drift over long streams; the on-disk format is decimal
 nanoseconds with one optional decimal digit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .util import DomainError
 
 TAG_HEADER = "channel,timestamp_ns"
+RESOLUTION_TENTHS = 33  # the detectors' timing resolution, 3.3 ns
 
 
 class TagFormatError(DomainError):
@@ -30,15 +31,14 @@ class TagFormatError(DomainError):
 @dataclass(frozen=True)
 class BinningConfig:
     window_ns: int = 80_000
-    resolution_tenths: int = 33  # 3.3 ns
     truncation: int = 15
 
     def __post_init__(self):
-        if self.window_ns <= 0 or self.resolution_tenths <= 0:
+        if self.window_ns <= 0:
             raise DomainError("window and resolution must be positive")
         if self.window_ns * 10 > np.iinfo(np.int64).max:
             raise DomainError(f"window of {self.window_ns} ns exceeds int64 in tenths of a ns")
-        if self.window_ns * 10 < self.resolution_tenths:
+        if self.window_ns * 10 < RESOLUTION_TENTHS:
             raise DomainError("window shorter than the timing resolution")
         if self.truncation < 1:
             raise DomainError("truncation must be >= 1")
@@ -189,43 +189,34 @@ def parse_tags(source):
         raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
 
 
-def bin_counts(blocks, config, duration_ns=None):
-    """Group the tags of (channels, tenths) blocks into consecutive windows of window_ns.
-
-    Returns an (n_windows, 2) integer array of per-window (k_plus,
-    k_minus) counts, clamped at the truncation. With a duration the
-    windows run to its last whole one, the final partial window being
-    discarded; otherwise the window containing the last tag closes the
-    stream.
-    """
+def bin_counts(blocks, config):
+    """Group the tags of (channels, tenths) blocks into consecutive windows of window_ns,
+    from time 0 to the last tag's: an (n_windows, 2) int64 array of per-window (k_plus,
+    k_minus) counts, clamped at the truncation."""
     runs = []
-    n_windows, _ = _windows(blocks, config, duration_ns, lambda *run: runs.append(run))
+    n_windows, _ = _windows(blocks, config, lambda *run: runs.append(run))
     counts = np.zeros((n_windows, 2), dtype=np.int64)
     for index, run in runs:
         counts[index] = run
     return np.minimum(counts, config.truncation)
 
 
-def tally(blocks, config, duration_ns=None):
+def tally(blocks, config):
     """One pass over (channels, tenths) blocks, as parse_tags yields them, storing no
     window or block: (histogram(bin_counts(...), truncation), the tag count)."""
     counts = np.zeros((config.truncation + 1,) * 2, np.int64)
-    n_windows, tags = _windows(blocks, config, duration_ns, lambda _, run: np.add(
-        counts, histogram(run, config.truncation).counts, out=counts))
+    n_windows, tags = _windows(blocks, config, lambda _, run: np.add(
+        counts, histogram(run, config.truncation), out=counts))
     counts[0, 0] += n_windows - counts.sum()  # the empty windows
-    return EmpiricalHistogram(config.truncation, counts), tags
+    return counts, tags
 
 
-def _windows(blocks, config, duration_ns, visit):
+def _windows(blocks, config, visit):
     """visit(indices, unclamped (k_plus, k_minus) counts) of the occupied windows, block by
-    block; returns the window and tag counts, windows ending at the last tag's if no duration.
-    Refuses a block whose channels are not 0 or 1, one to a timestamp, or whose windows go
-    back in time, within it or to one already counted."""
-    if duration_ns is not None and not 0 <= duration_ns * 10 <= np.iinfo(np.int64).max:
-        raise DomainError(f"duration_ns = {duration_ns} must be >= 0 and fit int64 in "
-                          "tenths of a ns")
+    block; returns the window and tag counts, windows ending at the last tag's.
+    Refuses a block whose channels are not 0 or 1, one to a timestamp, with a timestamp
+    below 0, or whose windows go back in time, within it or to one already counted."""
     window = config.window_tenths
-    cut = np.iinfo(np.int64).max if duration_ns is None else int(duration_ns * 10) // window
     index, tail, tags = -1, np.zeros((1, 2), np.int64), 0  # the open window (none yet)
     work = np.empty((4, 0), np.int64)  # w, minus, run bounds and opens, kept for the call
     for ch, ts in blocks:
@@ -235,6 +226,8 @@ def _windows(blocks, config, duration_ns, visit):
         if work.shape[1] < len(ts) + 2:
             work = np.zeros((4, len(ts) * 9 // 8 + 2), np.int64)  # minus[0], ends[0] stay 0
         w = np.floor_divide(ts, window, out=work[0, :len(ts)])
+        if len(w) and w[0] < 0:  # a sorted block's first tag is its earliest
+            raise DomainError("tag blocks need timestamps >= 0")
         opens = work[3].view(bool)[:len(w)]  # tag i starts a run of its window
         if len(w) and w[0] < index or np.less(w[1:], w[:-1], out=opens[1:]).any():
             raise DomainError("tag blocks go back in time")  # windows are runs of sorted tags
@@ -251,42 +244,29 @@ def _windows(blocks, config, duration_ns, visit):
         counts[:1] += tail
         runs = np.empty(len(counts), np.int64)  # each run's window
         runs[0], runs[1:] = index, w[ends[1:-1]]
-        keep = (runs[:-1] >= 0) & (runs[:-1] < cut)
-        visit(runs[:-1][keep], counts[:-1][keep])
+        first = int(index < 0)  # before the first tag, run 0 has no window
+        visit(runs[first:-1], counts[first:-1])
         index, tail = int(runs[-1]), counts[-1:]
-    n_windows = index + 1 if duration_ns is None else cut  # 0 if no tag
-    if 0 <= index < n_windows:
+    if index >= 0:
         visit(np.array([index]), tail)
-    return n_windows, tags
-
-
-@dataclass(frozen=True)
-class EmpiricalHistogram:
-    """Integer (K+1) x (K+1) table of observed (k, k') multiplicities."""
-
-    truncation: int
-    counts: np.ndarray = field(repr=False)
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
+    return index + 1, tags  # no windows if no tag
 
 
 def histogram(outcomes, truncation):
-    """Tally outcomes into an empirical joint histogram; counts above
-    the truncation fold into the K-th bucket."""
+    """The (K+1) x (K+1) int64 table of observed (k, k') multiplicities;
+    counts above the truncation fold into the K-th bucket."""
     outcomes = np.asarray(outcomes, dtype=np.int64).reshape(-1, 2)
     if np.any(outcomes < 0):
         raise DomainError("negative count in outcomes")
     outcomes = np.minimum(outcomes, truncation)
     size = truncation + 1
     flat = np.bincount(outcomes[:, 0] * size + outcomes[:, 1], minlength=size * size)
-    return EmpiricalHistogram(truncation, flat.reshape(size, size))
+    return flat.reshape(size, size)
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """An empirical histogram against a theoretical distribution.
+    """A count table against a theoretical distribution.
 
     fraction_within_2 counts occupied cells whose residual
     N_kk' - total * P_kk', divided by sqrt(max(N_kk', 1)), has magnitude
@@ -298,18 +278,18 @@ class ComparisonResult:
     tv_distance: float
 
 
-def compare_to_theory(hist, theory):
-    """Residual analysis of an empirical histogram against a model."""
-    if hist.truncation != theory.truncation:
+def compare_to_theory(table, theory):
+    """Residual analysis of a (K+1) x (K+1) count table against a model."""
+    if table.shape != theory.probs.shape:
         raise DomainError("histogram and theory truncations differ")
-    if hist.total <= 0:
+    total = int(table.sum())
+    if total <= 0:
         raise DomainError("empty histogram cannot be compared")
-    counts = hist.counts.astype(float)
-    expected = hist.total * theory.probs
-    residuals = counts - expected
+    counts = table.astype(float)
+    residuals = counts - total * theory.probs
     normalized = residuals / np.sqrt(np.maximum(counts, 1.0))
-    occupied = hist.counts > 0
+    occupied = table > 0
     within = np.abs(normalized[occupied]) <= 2.0
     fraction = float(within.mean()) if occupied.any() else 1.0
-    tv = 0.5 * float(np.abs(counts / hist.total - theory.probs).sum())
+    tv = 0.5 * float(np.abs(counts / total - theory.probs).sum())
     return ComparisonResult(fraction, tv)

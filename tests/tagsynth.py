@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from vistest.tagio import TAG_HEADER
+from vistest.tagio import RESOLUTION_TENTHS, TAG_HEADER
 from vistest.util import DomainError
 
 
@@ -24,8 +24,8 @@ def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
     Per window: a fresh uniform global phase, Poisson counts at the two
     port intensities (unclamped; binning applies the truncation), each
     count placed at a uniform multiple of the timing resolution inside
-    the window. bin_counts([block], config, windows * config.window_ns)
-    round-trips the exact per-window counts, trailing empty windows too.
+    the window. bin_counts([block], config) round-trips the exact
+    per-window counts, up to the last window that holds a tag.
     """
     if windows < 1:
         raise DomainError("windows must be >= 1")
@@ -34,7 +34,7 @@ def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
     if not 0.0 <= vis_magnitude <= 1.0:
         raise DomainError("visibility magnitude must lie in [0, 1]")
     window = config.window_tenths
-    slots = window // config.resolution_tenths
+    slots = window // RESOLUTION_TENTHS
 
     phases = rng.uniform(0.0, 2.0 * math.pi, windows)
     i_plus = energy_per_window * (1.0 + vis_magnitude * np.cos(phases)) / 2.0
@@ -46,7 +46,7 @@ def synthesize_tags(rng, energy_per_window, vis_magnitude, config, windows):
     for channel in (0, 1):
         n = int(counts[:, channel].sum())
         window_of_tag = np.repeat(np.arange(windows, dtype=np.int64), counts[:, channel])
-        offsets = rng.integers(0, slots, size=n) * config.resolution_tenths
+        offsets = rng.integers(0, slots, size=n) * RESOLUTION_TENTHS
         ts = window_of_tag * window + offsets
         parts.append((np.full(n, channel, dtype=np.uint8), ts))
     channels = np.concatenate([p[0] for p in parts])

@@ -172,11 +172,11 @@ def test_criterion_10_tag_pipeline_self_consistency():
     parsed = list(tagio.parse_tags(io.BytesIO(buf.getvalue().encode())))
     assert sum(len(ts) for _, ts in parsed) == 5000
 
-    outcomes = tagio.bin_counts([(channels, tenths)], config, 1_500_000 * config.window_ns)
-    hist = tagio.histogram(outcomes, config.truncation)
+    outcomes = tagio.bin_counts([(channels, tenths)], config)
+    table = tagio.histogram(outcomes, config.truncation)
     theory = ps.joint_random_phase(
         ps.DetectionParams(6.3, 0.0, config.truncation), 0.56)
-    result = tagio.compare_to_theory(hist, theory)
+    result = tagio.compare_to_theory(table, theory)
     report(10, result.fraction_within_2 >= 0.95,
            f"{result.fraction_within_2:.3f} of occupied cells within 2 "
            f"normalized-residual units (>= 0.95), tv {result.tv_distance:.4f}")

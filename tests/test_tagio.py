@@ -257,24 +257,6 @@ class TestBinCounts:
         counts = tagio.bin_counts(blocks, tagio.BinningConfig())
         assert counts.tolist() == [[1, 0], [0, 1]]
 
-    def test_explicit_duration_discards_partial_window(self):
-        blocks = parse(HEADER + "0,10\n0,90000\n")
-        counts = tagio.bin_counts(blocks, tagio.BinningConfig(), duration_ns=160_000)
-        assert counts.tolist() == [[1, 0], [1, 0]]
-        partial = tagio.bin_counts(blocks, tagio.BinningConfig(), duration_ns=150_000)
-        assert partial.tolist() == [[1, 0]]
-
-    def test_duration_keeps_trailing_empty_windows(self):
-        block = (np.array([0], np.uint8), np.array([100]))
-        counts = tagio.bin_counts([block], tagio.BinningConfig(), duration_ns=3 * 80_000)
-        assert counts.tolist() == [[1, 0], [0, 0], [0, 0]]
-
-    @pytest.mark.parametrize("duration_ns", [-80_000, -0.5, float("nan"), float("inf"), 10**18])
-    def test_bad_duration_refused(self, duration_ns):
-        # a negative duration would ask for a negative number of windows
-        with pytest.raises(DomainError, match=r"duration_ns = .* must be >= 0 and fit int64"):
-            tagio.bin_counts(parse(HEADER + "0,10\n"), tagio.BinningConfig(), duration_ns)
-
     def test_counts_clamped_at_truncation(self):
         lines = "".join(f"0,{10 * i}\n" for i in range(20))
         counts = tagio.bin_counts(parse(HEADER + lines), tagio.BinningConfig(truncation=15))
@@ -285,24 +267,15 @@ class TestBinCounts:
         assert counts.shape == (0, 2)
         assert counts.dtype == np.int64
 
-    def test_empty_stream_over_a_duration_gives_empty_windows(self):
-        counts = tagio.bin_counts(parse(HEADER), tagio.BinningConfig(),
-                                  duration_ns=160_000)
-        assert counts.tolist() == [[0, 0], [0, 0]]
 
-
-def reference_tally(tags, config, duration_ns=None):
+def reference_tally(tags, config):
     """The histogram of (channel, tenths) tags by the window rule, one tag at
     a time, with the empty windows counted, not stored."""
     window, size = config.window_tenths, config.truncation + 1
-    if duration_ns is not None:
-        n_windows = duration_ns * 10 // window
-    else:
-        n_windows = tags[-1][1] // window + 1 if tags else 0
+    n_windows = tags[-1][1] // window + 1 if tags else 0
     occupied = {}
     for channel, ts in tags:
-        if ts // window < n_windows:
-            occupied.setdefault(ts // window, [0, 0])[channel] += 1
+        occupied.setdefault(ts // window, [0, 0])[channel] += 1
     counts = np.zeros((size, size), np.int64)
     counts[0, 0] = n_windows - len(occupied)
     for plus, minus in occupied.values():
@@ -313,39 +286,39 @@ def reference_tally(tags, config, duration_ns=None):
 @st.composite
 def tally_cases(draw):
     """Sorted tags with bursts (counts above K) and gaps of up to about 1e7
-    windows, a small window and truncation, and sometimes a duration."""
+    windows, and a small window and truncation."""
     window_ns = draw(st.integers(4, 60))
     gaps = st.just(0) | st.integers(0, 20 * window_ns) | st.integers(0, 10**8 * window_ns)
     ts, tags = 0, []
     for gap, channel in draw(st.lists(st.tuples(gaps, st.integers(0, 1)), max_size=40)):
         ts += gap
         tags.append((channel, ts))
-    config = tagio.BinningConfig(window_ns=window_ns, truncation=draw(st.integers(1, 3)))
-    end = tags[-1][1] // 10 if tags else 0
-    duration_ns = draw(st.none() | st.integers(0, 2 * end + 100 * window_ns))
-    return tags, config, duration_ns
+    return tags, tagio.BinningConfig(window_ns=window_ns, truncation=draw(st.integers(1, 3)))
 
 
 def tag_text(tags):
     return HEADER + "".join(f"{ch},{ts // 10}.{ts % 10}\n" for ch, ts in tags)
 
 
-def check_tally(tags, config, duration_ns=None, chunk=24):
+def check_tally(tags, config, chunk=24):
     """Parse the tags in chunks of `chunk` bytes and check the tally against
-    the reference and, where the windows are few, against bin_counts."""
+    the reference and, where the windows are few, against bin_counts, which
+    puts every tag in exactly one window."""
     text = tag_text(tags)
     with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
         blocks = parse(text)
-    hist, _ = tagio.tally(blocks, config, duration_ns)
-    expected = reference_tally(tags, config, duration_ns)
+    table, _ = tagio.tally(blocks, config)
+    expected = reference_tally(tags, config)
     assert len(joined(blocks)[1]) == len(tags)
-    assert hist.truncation == config.truncation
-    assert hist.counts.tolist() == expected.tolist()
-    if hist.total <= 10**5:
-        counts = tagio.bin_counts(blocks, config, duration_ns)
-        assert len(counts) == hist.total
-        assert hist.counts.tolist() == tagio.histogram(counts, config.truncation).counts.tolist()
-    return hist
+    assert table.shape == (config.truncation + 1,) * 2
+    assert table.tolist() == expected.tolist()
+    if table.sum() <= 10**5:
+        counts = tagio.bin_counts(blocks, config)
+        assert len(counts) == table.sum()
+        assert table.tolist() == tagio.histogram(counts, config.truncation).tolist()
+        unclamped = tagio.BinningConfig(config.window_ns, truncation=max(len(tags), 1))
+        assert tagio.bin_counts(blocks, unclamped).sum() == len(tags)
+    return table
 
 
 class TestTally:
@@ -360,21 +333,20 @@ class TestTally:
     def test_one_pass_over_the_parse_counts_the_tags(self, case, chunk):
         # the tally consumes the parse as it is read: inside the patch, which
         # sets the chunk size at each read
-        tags, config, duration_ns = case
+        tags, config = case
         text = tag_text(tags)
         with mock.patch.object(tagio, "_CHUNK_BYTES", chunk):
             blocks = parse(text)
-            hist, count = tagio.tally(tagio.parse_tags(io.BytesIO(text.encode())), config,
-                                      duration_ns)
+            table, count = tagio.tally(tagio.parse_tags(io.BytesIO(text.encode())), config)
         assert count == len(tags) == len(joined(blocks)[1])
-        assert hist.counts.tolist() == reference_tally(tags, config, duration_ns).tolist()
+        assert table.tolist() == reference_tally(tags, config).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(case=tally_cases(), chunk=st.integers(8, 48), data=st.data())
     def test_blank_chunks_give_empty_blocks(self, case, chunk, data):
         # 2 * chunk blank lines after a line fill at least one whole chunk, which
         # the parse yields as an empty block between the tags around it
-        tags, config, duration_ns = case
+        tags, config = case
         lines = tag_text(tags).splitlines(keepends=True)
         blank = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
         text = "".join(line + "\n" * (2 * chunk * gap) for line, gap in zip(lines, blank))
@@ -384,55 +356,53 @@ class TestTally:
         full = np.flatnonzero(sizes)
         if any(blank[1:-1]):  # a tag line, its blanks, then another tag line
             assert 0 in sizes[full[0]:full[-1]]
-        hist, count = tagio.tally(blocks, config, duration_ns)
+        table, count = tagio.tally(blocks, config)
         assert count == len(tags)
-        assert hist.counts.tolist() == reference_tally(tags, config, duration_ns).tolist()
+        assert table.tolist() == reference_tally(tags, config).tolist()
 
     def test_header_only(self):
-        hist = check_tally([], tagio.BinningConfig())
-        assert hist.total == 0
+        table = check_tally([], tagio.BinningConfig())
+        assert table.sum() == 0
 
     def test_single_tag(self):
-        hist = check_tally([(1, 1_000_000)], tagio.BinningConfig())
-        assert hist.total == 2 and hist.counts[0, 0] == 1 and hist.counts[0, 1] == 1
+        table = check_tally([(1, 1_000_000)], tagio.BinningConfig())
+        assert table.sum() == 2 and table[0, 0] == 1 and table[0, 1] == 1
 
     def test_counts_clamped_at_truncation(self):
         tags = [(0, 10 * i) for i in range(20)] + [(1, 200 + i) for i in range(4)]
-        hist = check_tally(tags, tagio.BinningConfig(truncation=3), chunk=9)
-        assert hist.counts.tolist() == [[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, 1]]
+        table = check_tally(tags, tagio.BinningConfig(truncation=3), chunk=9)
+        assert table.tolist() == [[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, 1]]
 
     def test_long_gaps(self):
         # about 1e12 windows of 4 ns, most of them empty
         tags = [(0, 50), (1, 75), (1, 4 * 10**16), (0, 4 * 10**16 + 39), (0, 4 * 10**16 + 40)]
-        hist = check_tally(tags, tagio.BinningConfig(window_ns=4))
-        assert hist.total == 10**15 + 2
-        assert hist.counts[0, 0] == 10**15 - 1
+        table = check_tally(tags, tagio.BinningConfig(window_ns=4))
+        assert table.sum() == 10**15 + 2
+        assert table[0, 0] == 10**15 - 1
 
     def test_stream_built_from_arrays(self):
         blocks = [(np.array([0, 1, 1, 0]), np.array([5, 7, 900_000, 900_001]))]
-        hist, _ = tagio.tally(blocks, tagio.BinningConfig(), 3 * 80_000)
-        expected = tagio.histogram(tagio.bin_counts(blocks, tagio.BinningConfig(), 3 * 80_000), 15)
-        assert hist.counts.tolist() == expected.counts.tolist()
-        assert hist.total == 3 and hist.counts[1, 1] == 2 and hist.counts[0, 0] == 1
+        table, _ = tagio.tally(blocks, tagio.BinningConfig())
+        expected = tagio.histogram(tagio.bin_counts(blocks, tagio.BinningConfig()), 15)
+        assert table.tolist() == expected.tolist()
+        assert table.sum() == 2 and table[1, 1] == 2
 
     @pytest.mark.parametrize("channels,stamps,message", [
         ([0, 2], [1, 2], "channels 0 or 1"), ([0, -1], [1, 2], "channels 0 or 1"),
         ([0, 1], [1], "one to a timestamp"), ([0, 1], [900_000, 5], "back in time"),
-    ], ids=["channel-2", "channel-minus-1", "lengths-differ", "unsorted"])
+        ([0], [-5], "timestamps >= 0"), ([0, 0], [-5, 900_000], "timestamps >= 0"),
+        ([0, 1], [-900_001, 5], "timestamps >= 0"),
+    ], ids=["channel-2", "channel-minus-1", "lengths-differ", "unsorted", "negative",
+            "negative-then-window-1", "negative-window-minus-2"])
     def test_stream_from_arrays_checked(self, channels, stamps, message):
         # the window pass sums a window's channels and finds windows as runs of
-        # sorted tags: counted, a channel-2 tag would land in cell (0, 2) and an
-        # unsorted block would leave cell (0, 0) a count of -1
+        # sorted tags from time 0: counted, a channel-2 tag would land in cell
+        # (0, 2), an unsorted block would leave cell (0, 0) a count of -1, and a
+        # tag before 0 would be in no window
         block = (np.array(channels), np.array(stamps))
         for count in (tagio.tally, tagio.bin_counts):
             with pytest.raises(DomainError, match=message):
                 count([block], tagio.BinningConfig())
-
-    @pytest.mark.parametrize("duration_ns", [-80_000, -0.5, float("nan"), float("inf"), 10**18])
-    def test_bad_duration_refused(self, duration_ns):
-        # counted, -80000 ns would leave cell (0, 0) a count of -1
-        with pytest.raises(DomainError, match=r"duration_ns = .* must be >= 0 and fit int64"):
-            tagio.tally(parse(HEADER + "0,10\n"), tagio.BinningConfig(), duration_ns)
 
     BACKWARDS = [(np.array([0, 1], np.uint8), np.array([100, 900_000])),
                  (np.array([0], np.uint8), np.array([50]))]
@@ -499,14 +469,15 @@ class TestIngestMemory:
 
 class TestHistogram:
     def test_tally(self):
-        hist = tagio.histogram([(0, 0), (0, 0), (1, 2)], truncation=3)
-        assert hist.counts[0, 0] == 2
-        assert hist.counts[1, 2] == 1
-        assert hist.total == 3
+        table = tagio.histogram([(0, 0), (0, 0), (1, 2)], truncation=3)
+        assert table.shape == (4, 4) and table.dtype == np.int64
+        assert table[0, 0] == 2
+        assert table[1, 2] == 1
+        assert table.sum() == 3
 
     def test_overflow_folds_into_top_bucket(self):
-        hist = tagio.histogram([(9, 0)], truncation=3)
-        assert hist.counts[3, 0] == 1
+        table = tagio.histogram([(9, 0)], truncation=3)
+        assert table[3, 0] == 1
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -516,29 +487,25 @@ class TestHistogram:
 class TestCompareToTheory:
     def test_exact_match_has_zero_residuals(self):
         theory = ps.joint_random_phase(ps.DetectionParams(1.0, 0.0, 3), 0.5)
-        counts = np.round(theory.probs * 1e6).astype(np.int64)
-        hist = tagio.EmpiricalHistogram(3, counts)
-        result = tagio.compare_to_theory(hist, theory)
+        table = np.round(theory.probs * 1e6).astype(np.int64)
+        result = tagio.compare_to_theory(table, theory)
         assert result.tv_distance < 1e-3
         assert result.fraction_within_2 == 1.0
 
     def test_truncation_mismatch_rejected(self):
         theory = ps.joint_random_phase(ps.DetectionParams(1.0, 0.0, 3), 0.5)
-        hist = tagio.histogram([(0, 0)], truncation=2)
-        with pytest.raises(DomainError):
-            tagio.compare_to_theory(hist, theory)
+        table = tagio.histogram([(0, 0)], truncation=2)
+        with pytest.raises(DomainError, match="^histogram and theory truncations differ$"):
+            tagio.compare_to_theory(table, theory)
 
     def test_empty_histogram_rejected(self):
         theory = ps.joint_random_phase(ps.DetectionParams(1.0, 0.0, 3), 0.5)
-        hist = tagio.EmpiricalHistogram(3, np.zeros((4, 4), dtype=np.int64))
-        with pytest.raises(DomainError):
-            tagio.compare_to_theory(hist, theory)
+        with pytest.raises(DomainError, match="^empty histogram cannot be compared$"):
+            tagio.compare_to_theory(np.zeros((4, 4), dtype=np.int64), theory)
 
     def test_gross_mismatch_detected(self):
         theory = ps.joint_random_phase(ps.DetectionParams(6.3, 0.0, 5), 0.56)
-        hist = tagio.EmpiricalHistogram(
-            5, np.full((6, 6), 10_000, dtype=np.int64))
-        result = tagio.compare_to_theory(hist, theory)
+        result = tagio.compare_to_theory(np.full((6, 6), 10_000, dtype=np.int64), theory)
         assert result.fraction_within_2 < 0.5
         assert result.tv_distance > 0.1
 
@@ -548,7 +515,7 @@ class TestSynthesizeTags:
         rng = np.random.default_rng(5)
         config = tagio.BinningConfig()
         block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=200)
-        counts = tagio.bin_counts([block], config, 200 * config.window_ns)
+        counts = tagio.bin_counts([block], config)
         assert counts.shape == (200, 2)
         assert counts.sum() == len(block[1])
 
@@ -556,7 +523,7 @@ class TestSynthesizeTags:
         rng = np.random.default_rng(6)
         config = tagio.BinningConfig(truncation=40)
         block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=50_000)
-        counts = tagio.bin_counts([block], config, 50_000 * config.window_ns)
+        counts = tagio.bin_counts([block], config)
         assert counts.sum(axis=1).mean() == pytest.approx(6.3, abs=0.05)
 
     def test_timestamps_on_resolution_grid(self):
@@ -565,7 +532,7 @@ class TestSynthesizeTags:
         channels, tenths = tagsynth.synthesize_tags(rng, 3.0, 0.9, config, windows=100)
         assert channels.dtype == np.uint8 and tenths.dtype == np.int64
         offsets = tenths % config.window_tenths
-        assert not np.any(offsets % config.resolution_tenths)
+        assert not np.any(offsets % tagio.RESOLUTION_TENTHS)
 
     def test_sorted_output_parses_back(self):
         rng = np.random.default_rng(8)
@@ -580,11 +547,10 @@ class TestSynthesizeTags:
         rng = np.random.default_rng(9)
         config = tagio.BinningConfig()
         block = tagsynth.synthesize_tags(rng, 6.3, 0.56, config, windows=100_000)
-        hist = tagio.histogram(tagio.bin_counts([block], config, 100_000 * config.window_ns),
-                               config.truncation)
+        table = tagio.histogram(tagio.bin_counts([block], config), config.truncation)
         theory = ps.joint_random_phase(
             ps.DetectionParams(6.3, 0.0, config.truncation), 0.56)
-        result = tagio.compare_to_theory(hist, theory)
+        result = tagio.compare_to_theory(table, theory)
         assert result.fraction_within_2 >= 0.9
         # sampling noise floor for 1e5 draws over this table is ~0.013
         assert result.tv_distance < 0.02
@@ -606,13 +572,13 @@ class TestBinningConfig:
         config = tagio.BinningConfig()
         assert config.window_ns == 80_000
         assert config.window_tenths == 800_000
-        assert config.resolution_tenths == 33
+        assert tagio.RESOLUTION_TENTHS == 33
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^window and resolution must be positive$"):
             tagio.BinningConfig(window_ns=0)
-        with pytest.raises(DomainError):
-            tagio.BinningConfig(window_ns=1, resolution_tenths=100)
+        with pytest.raises(DomainError, match="^window shorter than the timing resolution$"):
+            tagio.BinningConfig(window_ns=3)
 
     def test_window_tenths_must_fit_int64(self):
         # the largest window whose tenths of a ns fit an int64 still bins

@@ -104,6 +104,9 @@ COMMANDS = [
     refused("ingest --tags tags.csv --window 922337203685477581",
             "window of 922337203685477581 ns exceeds int64 in tenths of a ns"),
     Row("ingest --tags tags.csv --window 922337203685477580"),
+    # the narrowest window is the 3.3 ns timing resolution
+    refused("ingest --tags tags.csv --window 3", "window shorter than the timing resolution"),
+    refused("ingest --tags tags.csv --window 0", "window and resolution must be positive"),
     # 17-digit CRLF timestamps, whose last (999999999999999999 tenths) sets the count
     Row("ingest --tags crlf.csv", echo="# windows = 1250000000000"),
     refused("ingest --tags bad.csv", "line 3: bad timestamp '12a4.5'"),
