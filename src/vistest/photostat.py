@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import DomainError
+from .util import DomainError, check_budget
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,9 +158,10 @@ def poisson_counts(intensity, truncation):
 def joint_fixed_phase(params, vis):
     """Joint count distribution for a fixed (phase-locked) visibility, dark
     counts folded in; the port intensities are set by Re(V)."""
+    k = params.truncation
+    check_budget(8 * (k + 1) ** 2, f"--truncation {k}")
     params, vis = effective_params(params, vis)
     i_plus, i_minus = port_intensities(params.mean_detected_energy, vis)
-    k = params.truncation
     probs = np.outer(poisson_counts(i_plus, k), poisson_counts(i_minus, k))
     return JointPhotocountDistribution(k, probs)
 

@@ -11,10 +11,11 @@ nanoseconds with one optional decimal digit.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .util import DomainError
+from .util import DomainError, check_budget
 
 TAG_HEADER = "channel,timestamp_ns"
 RESOLUTION_TENTHS = 33  # the detectors' timing resolution, 3.3 ns
@@ -42,6 +43,7 @@ class BinningConfig:
             raise DomainError("window shorter than the timing resolution")
         if self.truncation < 1:
             raise DomainError("truncation must be >= 1")
+        check_budget(8 * (self.truncation + 1) ** 2, f"--truncation {self.truncation}")
 
     @property
     def window_tenths(self):
@@ -50,7 +52,6 @@ class BinningConfig:
 
 _CHUNK_BYTES = 1 << 17  # sets the parse's memory: 4 MiB chunks doubled its peak
 _MAX_DIGITS = 17  # integer digits of a timestamp, so that its tenths fit in int64
-_ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
 _FIELD = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], np.uint64)  # top n bytes
 # the steps that join a word's eight 0-9 bytes: lanes of 1, 2 then 4 digits,
 # each times its power of ten plus the next, into lanes of twice as many
@@ -89,46 +90,45 @@ def _decode(buf, starts, ends, rows):
     not), in rows of the parse's working set; a CRLF line's end moves to its CR.
     The integer digits are read as the little-endian 8-byte words that end at the
     last one, each word's eight checked and joined in a few integer steps (SWAR)."""
-    at, last, digits = rows[1:4, :len(starts)]
-    ch, frac, byte, tenth = rows[10].view(np.uint8).reshape(8, -1)[:4, :len(starts)]
-    # a take into out= is buffered, and slow, unless its mode is "clip"
-    ends -= buf.take(np.subtract(ends, 1, out=at), out=byte, mode="clip") == ord("\r")
-    buf.take(np.maximum(np.subtract(ends, 2, out=at), starts, out=at), out=byte, mode="clip")
-    np.equal(byte, ord("."), out=tenth)
-    np.subtract(ends, 2 * tenth, out=last)  # one past the last integer digit
-    np.subtract(np.subtract(last, 2, out=digits), starts, out=digits)
-    np.subtract(buf.take(starts, out=ch, mode="clip"), ord("0"), out=ch)  # "/" wraps to 255
-    np.subtract(buf.take(np.subtract(ends, 1, out=at), out=frac, mode="clip"), ord("0"), out=frac)
-    frac *= tenth  # the decimal digit, or 0
+    at, last = rows[1:3, :len(starts)]
+    byte, ch, tenth = rows[-1].view(np.uint8).reshape(8, -1)[:3, :len(starts)]
+    ch, tenth = ch.view(bool), tenth.view(bool)  # uint8 arithmetic maps code only the parse runs
+    peek = partial(buf.take, out=byte, mode="clip")  # into out=, a take is slow unless it clips
+    ends -= peek(np.subtract(ends, 1, out=at)) == ord("\r")
+    np.equal(peek(np.maximum(np.subtract(ends, 2, out=at), starts, out=at)), ord("."), out=tenth)
+    np.subtract(np.subtract(ends, tenth, out=last), tenth, out=last)  # past the integer digits
+    keep = np.equal(peek(starts), ord("0")) | np.equal(byte, ord("1"), out=ch)
+    keep &= peek(np.minimum(np.add(starts, 1, out=at), ends, out=at)) == ord(",")
+    digits = np.subtract(np.subtract(last, 2, out=at), starts, out=at)
     span = min(-(-int(digits.max(initial=0)) // 8), 3)  # the words each line reads
-    buf.take(np.minimum(np.add(starts, 1, out=at), ends, out=at), out=byte, mode="clip")
-    keep = ((ch <= 1) & (byte == ord(",")) & (frac <= 9) & (last >= 8 * span)  # from byte 0
-            & (np.subtract(digits, 1, out=at).view(np.uint64) < _MAX_DIGITS))  # 1 to 17 digits
+    keep &= (last >= 8 * span) & (digits >= 1) & (digits <= _MAX_DIGITS)  # from byte 0
     if not keep.any():
-        return keep, ch, at
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # a view: item j is bytes j to j + 7
-    v, bad = (rows[k:k + span, :len(starts)].view(np.uint64) for k in (4, 7))
-    np.maximum(np.subtract(last, 8 * span, out=at), 0, out=at)
-    for row in v:  # one word a line at a time: a take from the view would copy the chunk
-        row[...] = words[at]
-        at += 8
-    v ^= _ZEROS  # a digit byte is now 0-9
+        return keep, ch.view(np.uint8), at
+    v, spare = rows[3:3 + span, :len(starts)].view(np.uint64), last.view(np.uint64)
+    # a view whose item j is the span words from byte j; a take from it would copy the chunk
+    words = np.ndarray((len(buf) + 1 - 8 * span,), f"V{8 * span}", buf, 0, (1,))
+    np.maximum(np.subtract(last, 8 * span, out=last), 0, out=last)
+    for part in (slice(None, len(starts) // 2), slice(len(starts) // 2, None)):  # row-sized reads
+        v[:, part] = words[last[part]].view(np.uint64).reshape(-1, span).T
+    v ^= np.uint64(0x3030303030303030)  # eight "0" bytes: a digit byte is now 0-9
     for k in range(span):  # word k from the right holds digits - 8k, up to 8, and then 0s
-        v[-1 - k] &= _FIELD.take(np.subtract(digits, 8 * k, out=at), out=bad[0], mode="clip")
-    np.add(v, 0x7676767676767676, out=bad)
-    bad |= v  # the top bit of each byte above 9: the sum's, or its own where the sum carries
+        v[-1 - k] &= _FIELD.take(digits, out=spare, mode="clip")
+        digits -= 8
+    bad = np.bitwise_or(np.add(v[0], 0x7676767676767676, out=spare), v[0], out=at.view(np.uint64))
+    for row in v[1:]:  # the top bit of a byte above 9: the sum's, or its own where the sum carries
+        bad |= np.bitwise_or(np.add(row, 0x7676767676767676, out=spare), row, out=spare)
     for factor, shift, lanes in _JOIN:
-        v *= factor
-        v >>= shift
-        v &= lanes
+        np.bitwise_and(np.right_shift(np.multiply(v, factor, out=v), shift, out=v), lanes, out=v)
+    for k in range(1, span):  # Horner's rule, eight digits a word
+        v[k] += np.multiply(v[k - 1], 10 ** 8, out=v[k - 1])
     ts = v[-1].view(np.int64)
-    for k in range(1, span):
-        v[-1 - k] *= 10 ** (8 * k)
-        ts += v[-1 - k].view(np.int64)
-        bad[-1] |= bad[-1 - k]
-    keep &= (bad[-1] & 0x8080808080808080) == 0
-    np.add(np.multiply(ts, 10, out=ts), frac, out=ts)
-    return keep, ch, ts
+    keep &= np.bitwise_and(bad, 0x8080808080808080, out=bad).view(np.int64) == 0
+    keep &= (peek(np.subtract(ends, 1, out=at)) >= ord("0")) & (byte <= ord("9"))  # decimal digit
+    last.fill(0)
+    last.view(np.uint8)[::8] = byte  # each the low byte of an int64: no uint8-to-int64 cast
+    np.multiply(np.subtract(last, ord("0"), out=last), tenth, out=last)  # or 0
+    np.add(np.multiply(ts, 10, out=ts), last, out=ts)
+    return keep, ch.view(np.uint8), ts
 
 
 def parse_tags(source):
@@ -138,25 +138,25 @@ def parse_tags(source):
     empty one, is refused), channels in {0, 1}, and non-decreasing timestamps;
     the first violation raises, naming its line, after the blocks before it.
     Lines [01],[0-9]{1,17}(.[0-9])? (LF or CRLF) decode together in numpy, eight
-    digits a word (_decode), any other one by one, in arrays made once per stream."""
+    digits a word (_decode), any other one by one, in rows made once per stream."""
     if not hasattr(source, "readinto"):
         raise DomainError(f"tags are read from a binary file; a {type(source).__name__} "
                           "has no readinto")
     read, chunk, held = source.readinto, _CHUNK_BYTES, 0
-    buf, newline = np.empty(chunk, np.uint8), np.empty(chunk, bool)
+    buf = np.empty(chunk, np.uint8)
     rows, previous, number, saw_header = np.empty((0, 0)), -1, 0, False
     while (size := read(memoryview(buf)[held:chunk if held < chunk else held + chunk])) or held:
         if not size:  # the last line, without its newline
             buf[held], size = ord("\n"), 1
         held += size
-        ends = np.flatnonzero(np.equal(buf[:held], ord("\n"), out=newline[:held]))
+        ends = np.flatnonzero(buf[:held] == ord("\n"))
         if not len(ends):
             if held == len(buf):  # one line fills the buffer
-                buf, newline = np.concatenate((buf, buf)), np.empty(2 * held, bool)
+                buf = np.concatenate((buf, buf))
             continue
         cut, n = int(ends[-1]) + 1, len(ends)
-        if rows.shape[1] < n:  # the per-line working set, with room for chunks to come
-            rows = np.zeros((11, n * 9 // 8), np.int64)
+        if rows.shape[1] < n:  # per line: start, 2 of scratch, 3 words, 8 byte lanes
+            rows = np.zeros((7, n * 9 // 8), np.int64)
         starts = rows[0, :n]  # starts[0] is never written: it stays 0
         np.add(ends[:-1], 1, out=starts[1:])
         while not saw_header and len(ends):
@@ -185,6 +185,7 @@ def parse_tags(source):
         number += len(ends)
         buf[:held - cut], held = buf[cut:held], held - cut  # the partial last line to the front
         yield block
+        del block, ends  # so that the next chunk's parse holds neither
     if not saw_header:
         raise TagFormatError(number + 1, f"expected header {TAG_HEADER!r}, found none")
 
@@ -218,35 +219,34 @@ def _windows(blocks, config, visit):
     below 0, or whose windows go back in time, within it or to one already counted."""
     window = config.window_tenths
     index, tail, tags = -1, np.zeros((1, 2), np.int64), 0  # the open window (none yet)
-    work = np.empty((4, 0), np.int64)  # w, minus, run bounds and opens, kept for the call
+    work = np.empty((3, 0), np.int64)  # w, run bounds and opens, kept for the call
     for ch, ts in blocks:
         if ch.shape != ts.shape or ch.max(initial=0) > 1 or ch.min(initial=0) < 0:
             raise DomainError("tag blocks need channels 0 or 1, one to a timestamp")
         tags += len(ts)
         if work.shape[1] < len(ts) + 2:
-            work = np.zeros((4, len(ts) * 9 // 8 + 2), np.int64)  # minus[0], ends[0] stay 0
+            work = np.zeros((3, len(ts) * 9 // 8 + 2), np.int64)  # ends[0] stays 0
         w = np.floor_divide(ts, window, out=work[0, :len(ts)])
         if len(w) and w[0] < 0:  # a sorted block's first tag is its earliest
             raise DomainError("tag blocks need timestamps >= 0")
-        opens = work[3].view(bool)[:len(w)]  # tag i starts a run of its window
+        opens = work[2].view(bool)[:len(w)]  # tag i starts a run of its window
         if len(w) and w[0] < index or np.less(w[1:], w[:-1], out=opens[1:]).any():
             raise DomainError("tag blocks go back in time")  # windows are runs of sorted tags
         np.not_equal(w[1:], w[:-1], out=opens[1:])
         opens[:1] = w[:1] != index
         # run bounds: run 0 continues the open window, and is empty if tag 0 opens one
-        ends = work[2, :np.count_nonzero(opens) + 2]
+        ends = work[1, :np.count_nonzero(opens) + 2]
         ends[1:-1], ends[-1] = np.flatnonzero(opens), len(w)
-        minus = work[1, :len(w) + 1]
-        np.cumsum(ch, dtype=np.int64, out=minus[1:])  # channels are 0 or 1
-        counts = np.empty((len(ends) - 1, 2), np.int64)
-        np.subtract(minus[ends[1:]], minus[ends[:-1]], out=counts[:, 1])
+        counts, empty = np.zeros((len(ends) - 1, 2), np.int64), int(ends[1] == 0)
+        # channels are 0 or 1; an empty run 0 is left out, as reduceat would give it a tag
+        np.add.reduceat(ch != 0, ends[empty:-1], dtype=np.int64, out=counts[empty:, 1])
         np.subtract(np.diff(ends), counts[:, 1], out=counts[:, 0])
         counts[:1] += tail
-        runs = np.empty(len(counts), np.int64)  # each run's window
-        runs[0], runs[1:] = index, w[ends[1:-1]]
+        runs = np.concatenate(([index], w[ends[1:-1]]))  # each run's window
         first = int(index < 0)  # before the first tag, run 0 has no window
         visit(runs[first:-1], counts[first:-1])
         index, tail = int(runs[-1]), counts[-1:]
+        del ch, ts  # nor the block, while the next one is parsed
     if index >= 0:
         visit(np.array([index]), tail)
     return index + 1, tags  # no windows if no tag

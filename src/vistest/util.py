@@ -13,6 +13,17 @@ DEFAULT_SEARCH_RANGE = (0.1, 30.0)
 DEFAULT_TOL = 0.05
 
 
+# what one array of a command may take: a (K+1)^2 table of 8-byte cells fits up to K = 11,584
+BUDGET_BYTES = 2 ** 30
+
+
+def check_budget(nbytes, what):
+    """Refuse, before it is made, an array of nbytes past BUDGET_BYTES; `what`
+    names the input that sizes it."""
+    if nbytes > BUDGET_BYTES:
+        raise DomainError(f"{what} needs {nbytes / 2**30:.6g} GiB, past the budget of 1 GiB")
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _MAX_ITER = 200

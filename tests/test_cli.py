@@ -716,6 +716,23 @@ class TestExitCodes:
     def test_search_refusal_names_the_input(self, capsys, argv, message):
         assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--tags", TAGS, "--truncation", "100000"],
+        ["dist", "--fixed-phase", "0", "--truncation", "100000"],
+    ], ids=["ingest", "dist-fixed-phase"])
+    def test_table_past_the_budget_refused_before_it_is_made(self, capsys, tmp_path,
+                                                             monkeypatch, argv):
+        # a (K+1)^2 table of 74.5 GiB: its shape is refused, so no array is asked for,
+        # and ingest refuses before it reads the file
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table or the tag file was reached")
+
+        argv = [str(make_tag_file(tmp_path)) if a == TAGS else a for a in argv]
+        for module, name in [(np, "zeros"), (np, "outer"), (tagio, "parse_tags")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert run(capsys, *argv) == (
+            3, "", "error: --truncation 100000 needs 74.5073 GiB, past the budget of 1 GiB\n")
+
     def test_unwritable_output_is_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "dist", "--truncation", "2",
                            "--out", str(tmp_path / "no-dir" / "x.csv"))

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from vistest.util import DomainError, format_float, golden_section
+from vistest import photostat, tagio
+from vistest.util import DomainError, check_budget, format_float, golden_section
 
 
 class TestGoldenSection:
@@ -41,3 +42,22 @@ class TestFormatFloat:
 
     def test_integers_compact(self):
         assert format_float(2.0) == "2"
+
+
+class TestCheckBudget:
+    def test_a_table_fits_up_to_k_11584(self):
+        # 8 (K+1)^2 bytes: 1,073,697,800 at K = 11584, 1,073,883,168 at 11585
+        check_budget(8 * 11585 ** 2, "--truncation 11584")
+        with pytest.raises(DomainError, match=r"^--truncation 11585 needs 1.00013 GiB, "
+                                              r"past the budget of 1 GiB$"):
+            check_budget(8 * 11586 ** 2, "--truncation 11585")
+
+    def test_tables_sized_by_the_truncation_are_checked_before_they_are_made(self, monkeypatch):
+        # the 1 GiB table itself is never asked for: np.outer would raise first
+        monkeypatch.setattr(photostat.np, "outer", lambda *a: pytest.fail("table built"))
+        assert tagio.BinningConfig(truncation=11584).truncation == 11584
+        params, vis = photostat.DetectionParams(6.3, 0.0, 11585), photostat.ComplexVisibility(0.5)
+        for build in (lambda: tagio.BinningConfig(truncation=11585),
+                      lambda: photostat.joint_fixed_phase(params, vis)):
+            with pytest.raises(DomainError, match="--truncation 11585 needs"):
+                build()

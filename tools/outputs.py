@@ -100,6 +100,8 @@ COMMANDS = [
     # the tag count is tags.csv's data lines
     Row("ingest --tags tags.csv --theory 0.56,6.3", echo="# tags = 12514"),
     Row("ingest --tags tags.csv --window 4"),
+    # at K = 3 the tally clamps the windows that hold more tags on a port
+    Row("ingest --tags tags.csv --truncation 3"),
     # a window whose tenths of a ns pass int64 is refused; the widest that fits runs
     refused("ingest --tags tags.csv --window 922337203685477581",
             "window of 922337203685477581 ns exceeds int64 in tenths of a ns"),
